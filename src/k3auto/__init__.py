@@ -6,86 +6,4 @@ function-field automorphism checks, the rigidity calculus on curve graphs,
 and an integer-lattice toolkit.  Everything is exact; nothing uses floats.
 """
 
-from .cyclotomic import (
-    CycloNum,
-    CyclotomicField,
-    MixedFieldsError,
-    Rational,
-    as_zeta_power,
-    cyclotomic_field,
-    cyclotomic_polynomial,
-    zeta_pow,
-)
-from .files import (
-    InputError,
-    load_graph_file,
-    load_graph_text,
-    load_surface_file,
-    load_surface_text,
-    parse_lattice_expression,
-)
-from .fixtures import FixtureBundle, fixture_path, load_bundle
-from .funfield import (
-    FieldElement,
-    Section,
-    SurfaceMap,
-    add_points,
-    ambient_scalar,
-    build_named_maps,
-    compose,
-    inverse,
-    map_order,
-    normalize,
-    omega_factor,
-    translation_map,
-    verify_morphism,
-)
-from .lattice import (
-    DiscriminantGroup,
-    GramMatrix,
-    determinant,
-    direct_sum,
-    discriminant_data,
-    from_curve_config,
-    genus_equal,
-    named_lattice,
-    signature,
-    smith_normal_form,
-)
-from .parser import parse_expression, parse_univariate
-from .polyring import (
-    INF,
-    MultiPoly,
-    PlacePoly,
-    RationalFunction,
-    UniPoly,
-    gcd_free_basis,
-    multi_gcd,
-    uni_gcd,
-    vanishing_order,
-)
-from .rigidity import (
-    CurveConfig,
-    FixedLocusCensus,
-    GraphAction,
-    census,
-    compose_actions,
-    enumerate_actions,
-    graph_automorphisms,
-    inverse_action,
-    power,
-    propagate,
-    to_dot,
-)
-from .surface import (
-    FiberInventory,
-    KodairaFiber,
-    WeierstrassModel,
-    classify_all,
-    classify_place,
-    discriminant,
-    is_k3,
-    minimalize,
-)
-
 __version__ = "0.1.0"

@@ -11,7 +11,6 @@ import argparse
 import json
 import sys
 
-from .cyclotomic import as_zeta_power
 from .files import (
     InputError,
     load_graph_file,
@@ -22,16 +21,13 @@ from .funfield import (
     NotAMorphismError,
     ambient_scalar,
     map_order,
-    morphism_residual,
     omega_factor,
-    verify_morphism,
 )
 from .lattice import (
     determinant,
     discriminant_data,
     from_curve_config,
     genus_equal,
-    rank,
     signature,
 )
 from .parser import ExpressionSyntaxError
@@ -52,7 +48,7 @@ class VerificationFailure(Exception):
 
 
 def _fmt_zeta(value) -> str:
-    k = as_zeta_power(value)
+    k = value.as_zeta_power()
     if k == 0:
         return "1"
     if k is not None:
@@ -97,17 +93,16 @@ def cmd_check_map(args) -> int:
     if args.map not in maps:
         raise InputError(f"no map named {args.map!r} in {args.surface}", 1)
     m = maps[args.map]
-    ok = verify_morphism(m)
-    if not ok:
-        residual = morphism_residual(m)
+    try:
+        factor = omega_factor(m)  # verifies the morphism first
+    except NotAMorphismError as err:
         _emit(
             args,
-            f"map = {args.map}\nwell_defined = no\nresidual = {residual}",
-            {"map": args.map, "well_defined": False, "residual": str(residual)},
+            f"map = {args.map}\nwell_defined = no\nresidual = {err.residual}",
+            {"map": args.map, "well_defined": False, "residual": str(err.residual)},
         )
-        raise VerificationFailure(f"map {args.map!r} is not a morphism")
+        raise VerificationFailure(f"map {args.map!r} is not a morphism") from err
     scalar = ambient_scalar(m)
-    factor = omega_factor(m)
     order = map_order(m, args.max_order)
     factor_order = factor.multiplicative_order(args.max_order)
     primitive = factor_order == order
@@ -244,7 +239,7 @@ def _lattice_report(name: str, G) -> tuple[str, dict]:
     det = determinant(G)
     lines = [
         f"lattice = {name}",
-        f"rank = {rank(G)}",
+        f"rank = {p + q}",
         f"signature = ({p}, {q})",
         f"det = {det}",
         f"invariant_factors = ({', '.join(str(d) for d in dd.invariant_factors)})",
@@ -253,7 +248,7 @@ def _lattice_report(name: str, G) -> tuple[str, dict]:
         lines.append(f"q(g{i + 1}) = {qv} mod 2")
     data = {
         "lattice": name,
-        "rank": rank(G),
+        "rank": p + q,
         "signature": [p, q],
         "det": det,
         "invariant_factors": list(dd.invariant_factors),
@@ -339,10 +334,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except VerificationFailure as err:
-        print(f"verification failed: {err}", file=sys.stderr)
-        return 1
-    except (RigidityError, NotAMorphismError) as err:
+    except (VerificationFailure, RigidityError, NotAMorphismError) as err:
         print(f"verification failed: {err}", file=sys.stderr)
         return 1
     except (InputError, ExpressionSyntaxError, OSError, ValueError) as err:

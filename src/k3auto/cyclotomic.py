@@ -10,11 +10,6 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from math import gcd
-
-# The rational scalar substrate: arbitrary precision, always in lowest terms
-# with a positive denominator.
-Rational = Fraction
 
 
 class MixedFieldsError(ValueError):
@@ -56,11 +51,6 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
         if n % d == 0:
             poly = _exact_monic_div(poly, list(cyclotomic_polynomial(d)))
     return tuple(poly)
-
-
-def totient(n: int) -> int:
-    """Number of integers in [1, n] coprime to n."""
-    return sum(1 for k in range(1, n + 1) if gcd(k, n) == 1)
 
 
 class CyclotomicField:
@@ -330,13 +320,3 @@ class CycloNum:
             else:
                 parts.append(f" {sign} {body}")
         return "".join(parts)
-
-
-def zeta_pow(field: CyclotomicField, k: int) -> CycloNum:
-    """zeta_n^k in canonical form, with k reduced mod n."""
-    return field.zeta(k)
-
-
-def as_zeta_power(c: CycloNum) -> int | None:
-    """Exponent k in [0, n) with c == zeta^k, or None when c is not a root power."""
-    return c.as_zeta_power()

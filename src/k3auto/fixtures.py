@@ -1,5 +1,5 @@
-"""Bundled fixtures: the Weierstrass model, its three maps, the 20-curve
-incidence graph with its three actions, and the named lattices they realize.
+"""Bundled fixtures: the Weierstrass model, its three maps, and the 20-curve
+incidence graph with its three actions.
 
 Every acceptance check in the test suite runs against this bundle alone.
 """
@@ -11,7 +11,6 @@ from importlib import resources
 
 from .files import load_graph_text, load_surface_text
 from .funfield import SurfaceMap
-from .lattice import GramMatrix, direct_sum
 from .rigidity import CurveConfig, GraphAction
 from .surface import WeierstrassModel
 
@@ -31,7 +30,6 @@ class FixtureBundle:
     maps: dict[str, SurfaceMap]
     config: CurveConfig
     actions: dict[str, GraphAction]
-    picard_lattice: GramMatrix
 
 
 @functools.lru_cache(maxsize=None)
@@ -43,5 +41,4 @@ def load_bundle() -> FixtureBundle:
         maps=maps,
         config=config,
         actions=actions,
-        picard_lattice=direct_sum(["U(2)", "D4", "E8"]),
     )

@@ -17,7 +17,15 @@ class ZeroDenominatorOnSurfaceError(ZeroDivisionError):
 
 
 class NotAMorphismError(ValueError):
-    """The candidate map does not preserve the surface equation."""
+    """The candidate map does not preserve the surface equation.
+
+    ``residual`` is the nonzero morphism_residual that showed it, when the
+    failure came from that check.
+    """
+
+    def __init__(self, message: str, residual: FieldElement | None = None):
+        super().__init__(message)
+        self.residual = residual
 
 
 class NotConstantFactorError(ValueError):
@@ -425,8 +433,9 @@ def omega_factor(m: SurfaceMap) -> CycloNum:
     dividing by 1/y gives the factor below.  A nonconstant result signals an
     inconsistent input.
     """
-    if not verify_morphism(m):
-        raise NotAMorphismError("omega factor of a map that is not a morphism")
+    residual = morphism_residual(m)
+    if not residual.is_zero():
+        raise NotAMorphismError("omega factor of a map that is not a morphism", residual)
     model = m.model
     field = model.field
     x = RationalFunction.gen(field, "x")
@@ -554,8 +563,9 @@ def translation_map(model: WeierstrassModel, t_section: Section) -> SurfaceMap:
     return SurfaceMap(model, u, v, RationalFunction.gen(field, "t"))
 
 
-def build_named_maps(model: WeierstrassModel, scaling_exponents=(6, 9, 4)) -> dict:
-    """The bundled trio on the fixture model: the coordinate scaling, its
+def build_named_maps(model: WeierstrassModel) -> dict:
+    """The bundled trio on the fixture model: the coordinate scaling
+    (x, y, t) -> (z^6 x, z^9 y, z^4 t), its
     composite with translation by the 2-torsion section (0, 0), and the
     symplectic quotient of the two.
 
@@ -564,8 +574,7 @@ def build_named_maps(model: WeierstrassModel, scaling_exponents=(6, 9, 4)) -> di
     are rechecked here.
     """
     field = model.field
-    ex, ey, et = scaling_exponents
-    sigma = SurfaceMap.scaling(model, field.zeta(ex), field.zeta(ey), field.zeta(et))
+    sigma = SurfaceMap.scaling(model, field.zeta(6), field.zeta(9), field.zeta(4))
     zero = RationalFunction.constant(field, 0)
     two_torsion = Section(zero, zero)
     trans = translation_map(model, two_torsion)

@@ -181,7 +181,7 @@ def rank(G: GramMatrix) -> int:
 
 
 def determinant(G: GramMatrix) -> int:
-    """Exact determinant by fraction-free elimination."""
+    """Exact determinant by Gaussian elimination over the rationals."""
     n = G.size
     m = [[Fraction(v) for v in row] for row in G.entries]
     det = Fraction(1)
@@ -279,28 +279,6 @@ def smith_normal_form(matrix) -> tuple[list[list[int]], list[list[int]], list[li
     return a, U, V
 
 
-def _mat_mul(A, B):
-    return [
-        [sum(A[i][k] * B[k][j] for k in range(len(B))) for j in range(len(B[0]))]
-        for i in range(len(A))
-    ]
-
-
-def _fraction_inverse(M):
-    n = len(M)
-    aug = [[Fraction(M[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        pivot = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [v - f * p for v, p in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
-
-
 @dataclass(frozen=True)
 class DiscriminantGroup:
     """L*/L of the nondegenerate part, with its quadratic and bilinear forms.
@@ -348,31 +326,24 @@ class DiscriminantGroup:
         return out
 
 
+def _gram_of_columns(M, V, cols) -> list[list[int]]:
+    """Gram matrix under M of the columns `cols` of V, in integers."""
+    n = len(M)
+    MV = [[sum(M[r][c] * V[c][j] for c in range(n)) for j in cols] for r in range(n)]
+    return [
+        [sum(V[r][i] * MV[r][k] for r in range(n)) for k in range(len(cols))]
+        for i in cols
+    ]
+
+
 def _nondegenerate_gram(G: GramMatrix) -> list[list[int]]:
-    # Basis change by the SNF right transform of G: the columns of V with
-    # G V e_j = 0 span the saturated kernel, and the remaining columns
-    # project to a basis of the nondegenerate quotient.
-    _D, _U, V = smith_normal_form(G.entries)
-    n = G.size
-    keep = []
-    for j in range(n):
-        column_nonzero = any(
-            sum(G.entries[r][c] * V[c][j] for c in range(n)) for r in range(n)
-        )
-        if column_nonzero:
-            keep.append(j)
-    basis = [[V[r][j] for r in range(n)] for j in keep]  # kept columns of V
-    out = []
-    for vi in basis:
-        row = []
-        for vj in basis:
-            val = 0
-            for r in range(n):
-                for c in range(n):
-                    val += vi[r] * G.entries[r][c] * vj[c]
-            row.append(val)
-        out.append(row)
-    return out
+    # Basis change by the SNF right transform of G: U G V = D with U
+    # unimodular, so G V e_j = 0 exactly when D[j][j] = 0.  Those columns of V
+    # span the saturated kernel, and the remaining columns project to a basis
+    # of the nondegenerate quotient.
+    D, _U, V = smith_normal_form(G.entries)
+    keep = [j for j in range(G.size) if D[j][j]]
+    return _gram_of_columns(G.entries, V, keep)
 
 
 def discriminant_data(G: GramMatrix) -> DiscriminantGroup:
@@ -381,35 +352,20 @@ def discriminant_data(G: GramMatrix) -> DiscriminantGroup:
     n = len(M)
     if n == 0:
         return DiscriminantGroup((), (), (), ())
-    D, U, _V = smith_normal_form(M)
-    diag = [D[i][i] for i in range(n)]
-    U_inv = _fraction_inverse(U)
-    M_inv = _fraction_inverse(M)
-    gens = []
-    factors = []
-    for i in range(n):
-        if diag[i] <= 1:
-            continue
-        factors.append(diag[i])
-        # Generator of the i-th cyclic summand: G^{-1} U^{-1} e_i.
-        col = [U_inv[r][i] for r in range(n)]
-        vec = tuple(
-            sum(M_inv[r][c] * col[c] for c in range(n)) for r in range(n)
-        )
-        gens.append(vec)
-
-    def pair(u, v) -> Fraction:
-        total = Fraction(0)
-        for r in range(n):
-            for c in range(n):
-                total += u[r] * M[r][c] * v[c]
-        return total
-
-    q_vals = tuple(pair(g, g) % 2 for g in gens)
+    D, _U, V = smith_normal_form(M)
+    # U M V = D gives M^{-1} U^{-1} e_i = V e_i / d_i: the generator of the
+    # i-th cyclic summand is column i of V over d_i, and the form on two
+    # generators is (V^T M V)[i][j] / (d_i d_j).
+    cyclic = [i for i in range(n) if D[i][i] > 1]
+    factors = tuple(D[i][i] for i in cyclic)
+    gens = tuple(tuple(Fraction(V[r][i], D[i][i]) for r in range(n)) for i in cyclic)
+    W = _gram_of_columns(M, V, cyclic)
+    q_vals = tuple(Fraction(W[a][a], d * d) % 2 for a, d in enumerate(factors))
     b_vals = tuple(
-        tuple(pair(gi, gj) % 1 for gj in gens) for gi in gens
+        tuple(Fraction(W[a][b], da * db) % 1 for b, db in enumerate(factors))
+        for a, da in enumerate(factors)
     )
-    return DiscriminantGroup(tuple(factors), tuple(gens), q_vals, b_vals)
+    return DiscriminantGroup(factors, gens, q_vals, b_vals)
 
 
 def genus_equal(G1: GramMatrix, G2: GramMatrix) -> bool:

@@ -4,8 +4,8 @@ Three layers:
 
 * ``UniPoly``: dense univariate polynomials, the workhorse for base-curve data.
 * ``MultiPoly``: sparse polynomials in the fixed variable triple (x, y, t).
-* ``RationalFunction``: reduced fractions of MultiPoly, with equality decided
-  by cross multiplication.
+* ``RationalFunction``: reduced fractions of MultiPoly in a canonical form,
+  so equality is structural.
 
 Place bookkeeping (gcd-free bases, vanishing orders) lives here as well.  No
 irreducible factorization over the coefficient field is ever performed: a
@@ -212,12 +212,6 @@ class UniPoly:
     def __hash__(self):
         return hash((self.var, self.coeffs))
 
-    def evaluate(self, value: CycloNum) -> CycloNum:
-        acc = self.field.zero()
-        for c in reversed(self.coeffs):
-            acc = acc * value + c
-        return acc
-
     def derivative(self) -> "UniPoly":
         return UniPoly(
             self.field,
@@ -243,8 +237,8 @@ def uni_gcd(p: UniPoly, q: UniPoly) -> UniPoly:
     """Monic greatest common divisor; uni_gcd(0, 0) is the zero polynomial."""
     a, b = p, q
     while not b.is_zero():
-        a, b = b, (a % b).monic() if not (a % b).is_zero() else (a % b)
-    return a.monic() if not a.is_zero() else a
+        a, b = b, (a % b).monic()
+    return a.monic()
 
 
 def squarefree_part(p: UniPoly) -> UniPoly:
@@ -694,7 +688,7 @@ class RationalFunction:
 
     The constructor cancels the gcd and scales the denominator so its
     lex-leading coefficient is 1, which makes the representation canonical;
-    equality is still decided by cross multiplication.
+    equality and hashing compare (num, den) directly.
     """
 
     __slots__ = ("num", "den")
@@ -726,10 +720,6 @@ class RationalFunction:
     @property
     def field(self):
         return self.num.field
-
-    @classmethod
-    def from_poly(cls, p: MultiPoly):
-        return cls(p)
 
     @classmethod
     def constant(cls, field, value):
@@ -801,6 +791,7 @@ class RationalFunction:
         return (-self) + other
 
     def __neg__(self):
+        # Negating the numerator keeps the form canonical: skip the gcd.
         out = RationalFunction.__new__(RationalFunction)
         out.num = -self.num
         out.den = self.den
@@ -841,7 +832,7 @@ class RationalFunction:
         other = self._match(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.num * other.den == other.num * self.den
+        return self.num == other.num and self.den == other.den
 
     def __hash__(self):
         return hash((self.num, self.den))

@@ -63,18 +63,14 @@ class CurveConfig:
 
     __slots__ = ("vertices", "edges", "adj")
 
-    def __init__(self, vertices: Iterable[str], edges):
+    def __init__(self, vertices: Iterable[str], edges: Iterable[tuple[str, str, int]]):
         self.vertices = tuple(sorted(set(vertices)))
         for v in self.vertices:
             if ":" in v or "." in v:
                 raise ValueError(f"vertex name {v!r} clashes with point-id syntax")
         self.edges = {}
         self.adj = {v: {} for v in self.vertices}
-        for item in edges.items() if isinstance(edges, dict) else edges:
-            if isinstance(edges, dict):
-                (a, b), mult = item
-            else:
-                a, b, mult = item
+        for a, b, mult in edges:
             if a == b:
                 raise ValueError(f"self-intersection edge at {a}")
             if a not in self.adj or b not in self.adj:

@@ -118,6 +118,7 @@ class WeierstrassModel:
             raise ValueError("discriminant vanishes identically: not an elliptic surface")
 
     def discriminant(self) -> UniPoly:
+        """The short-form discriminant -16 (4 A^3 + 27 B^2)."""
         return self._disc
 
     def __eq__(self, other):
@@ -133,11 +134,6 @@ class WeierstrassModel:
 
     def __repr__(self):
         return f"WeierstrassModel(A={self.A}, B={self.B})"
-
-
-def discriminant(model: WeierstrassModel) -> UniPoly:
-    """The short-form discriminant -16 (4 A^3 + 27 B^2)."""
-    return model.discriminant()
 
 
 @dataclass(frozen=True)
@@ -274,7 +270,7 @@ def _fmt_order(v) -> str:
     return "inf" if v == INF else str(int(v))
 
 
-def format_report(inv: FiberInventory, k3_verdict: bool | None = None) -> str:
+def format_report(inv: FiberInventory) -> str:
     """Deterministic plain-text fiber report."""
     lines = []
     for f in inv.fibers:
@@ -283,7 +279,5 @@ def format_report(inv: FiberInventory, k3_verdict: bool | None = None) -> str:
             f"{_fmt_order(f.vD)} | {f.euler} | {f.multiplicity}"
         )
     lines.append(f"euler_total = {inv.euler_total}")
-    if k3_verdict is None:
-        k3_verdict = inv.euler_total == 24
-    lines.append(f"is_k3 = {'yes' if k3_verdict else 'no'}")
+    lines.append(f"is_k3 = {'yes' if inv.euler_total == 24 else 'no'}")
     return "\n".join(lines)

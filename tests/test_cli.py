@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from k3auto import funfield
 from k3auto.cli import main
 from k3auto.fixtures import fixture_path
 
@@ -77,8 +78,26 @@ def test_check_map_not_a_morphism_exits_1(capsys, tmp_path):
     )
     code, out, err = run_cli(capsys, "check-map", str(path), "broken")
     assert code == 1
-    assert "well_defined = no" in out
-    assert "verification failed" in err
+    assert out == (
+        "map = broken\n"
+        "well_defined = no\n"
+        "residual = (1 + z^4)*x*t^7 + (-1 - z^4)*x*t^3\n"
+    )
+    assert err == "verification failed: map 'broken' is not a morphism\n"
+
+
+def test_check_map_verifies_the_morphism_once(capsys, monkeypatch):
+    calls = []
+    residual = funfield.morphism_residual
+
+    def counted(m):
+        calls.append(m)
+        return residual(m)
+
+    monkeypatch.setattr(funfield, "morphism_residual", counted)
+    code, _out, _err = run_cli(capsys, "check-map", SURFACE, "sigma")
+    assert code == 0
+    assert len(calls) == 1
 
 
 def test_rigidity_census(capsys):

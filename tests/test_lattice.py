@@ -5,6 +5,7 @@ import pytest
 
 from k3auto.lattice import (
     GramMatrix,
+    _nondegenerate_gram,
     GroupTooLargeError,
     UnknownLatticeError,
     determinant,
@@ -111,6 +112,54 @@ def test_discriminant_groups_of_named_lattices():
     dd = discriminant_data(big)
     assert dd.invariant_factors == (2, 2, 2, 2)
     assert dd.order == abs(determinant(big))
+
+
+def _fraction_inverse(M):
+    n = len(M)
+    aug = [[Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(M)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if aug[r][col] != 0)
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        aug[col] = [v / aug[col][col] for v in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col]:
+                f = aug[r][col]
+                aug[r] = [v - f * p for v, p in zip(aug[r], aug[col])]
+    return [row[n:] for row in aug]
+
+
+def _reference_discriminant(G):
+    # Generators M^-1 U^-1 e_i with U M V = D, forms by Fraction pairings.
+    M = _nondegenerate_gram(G)
+    n = len(M)
+    D, U, _V = smith_normal_form(M)
+    U_inv = _fraction_inverse(U)
+    M_inv = _fraction_inverse(M)
+    factors, gens = [], []
+    for i in range(n):
+        if D[i][i] > 1:
+            factors.append(D[i][i])
+            gens.append(tuple(sum(M_inv[r][c] * U_inv[c][i] for c in range(n)) for r in range(n)))
+
+    def pair(u, v):
+        return sum(u[r] * M[r][c] * v[c] for r in range(n) for c in range(n))
+
+    q_vals = tuple(pair(g, g) % 2 for g in gens)
+    b_vals = tuple(tuple(pair(g, h) % 1 for h in gens) for g in gens)
+    return tuple(factors), tuple(gens), q_vals, b_vals
+
+
+def test_discriminant_data_matches_inverse_formula():
+    rng = random.Random(17)
+    names = ["U", "U(2)", "U(3)", "A1", "A2", "A3", "A5", "D4", "D5", "D6", "E6", "E7", "E8"]
+    sums = [["U(2)", "D4", "E8"]] + [
+        [rng.choice(names) for _ in range(rng.randint(1, 3))] for _ in range(20)
+    ]
+    for parts in sums:
+        G = direct_sum(parts)
+        dd = discriminant_data(G)
+        got = (dd.invariant_factors, dd.generators, dd.q_values, dd.b_values)
+        assert got == _reference_discriminant(G), parts
 
 
 def test_q_and_b_consistency():

@@ -193,3 +193,40 @@ def test_rational_function_derivative_leibniz():
             lhs = (f * g).derivative(var)
             rhs = f.derivative(var) * g + f * g.derivative(var)
             assert lhs == rhs
+
+
+def _random_multipoly(rng, max_terms=3):
+    x, y, t = (MultiPoly.gen(F, v) for v in "xyt")
+    out = MultiPoly.zero(F)
+    for _ in range(rng.randint(1, max_terms)):
+        coeff = F.zeta(rng.randrange(16)) * rng.choice((-2, -1, 1, 3))
+        out = out + x ** rng.randint(0, 2) * y ** rng.randint(0, 1) * t ** rng.randint(0, 2) * coeff
+    return out
+
+
+def _random_nonzero_multipoly(rng):
+    while True:
+        p = _random_multipoly(rng)
+        if not p.is_zero():
+            return p
+
+
+def test_rational_function_equality_agrees_with_cross_multiplication():
+    # Equality is structural on the canonical (num, den); cross multiplication
+    # is the reference.  Half the pairs are equal by construction.
+    rng = random.Random(11)
+    for _ in range(40):
+        p = _random_multipoly(rng)
+        q = _random_nonzero_multipoly(rng)
+        a = RationalFunction(p, q)
+        if rng.random() < 0.5:
+            h = _random_nonzero_multipoly(rng)
+            b = RationalFunction(p * h, q * h)
+            assert a == b
+        else:
+            b = RationalFunction(_random_multipoly(rng), _random_nonzero_multipoly(rng))
+        assert (a == b) == (a.num * b.den == b.num * a.den)
+        if a == b:
+            assert hash(a) == hash(b)
+        assert -a == RationalFunction(-p, q)
+        assert (-a == b) == ((-a.num) * b.den == b.num * a.den)

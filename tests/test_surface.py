@@ -13,7 +13,6 @@ from k3auto.surface import (
     classify_all,
     classify_place,
     component_count,
-    discriminant,
     euler_number,
     format_report,
     is_k3,
@@ -32,7 +31,7 @@ def order16_model():
 def test_discriminant_of_the_main_model():
     # Oracle by direct factored multiplication: -64 t^9 (t^4 - 1)^3.
     expected = T ** 9 * (T ** 4 - 1) ** 3 * (-64)
-    assert discriminant(order16_model()) == expected
+    assert order16_model().discriminant() == expected
 
 
 def test_discriminant_constants():
