@@ -24,7 +24,6 @@ from .funfield import (
     omega_factor,
 )
 from .lattice import (
-    determinant,
     discriminant_data,
     from_curve_config,
     genus_equal,
@@ -236,7 +235,10 @@ def _cycle_notation(perm: dict[str, str]) -> str:
 def _lattice_report(name: str, G) -> tuple[str, dict]:
     p, q = signature(G)
     dd = discriminant_data(G)
-    det = determinant(G)
+    # |det| is the product of the Smith invariants and its sign is (-1)^q.
+    det = 0
+    if p + q == G.size:
+        det = (-1) ** q * dd.order
     lines = [
         f"lattice = {name}",
         f"rank = {p + q}",

@@ -1,15 +1,19 @@
 """Exact arithmetic in the rationals and in cyclotomic fields Q(zeta_n).
 
 Every scalar in this package is either a ``fractions.Fraction`` or a
-``CycloNum``: a vector of rational coefficients representing a polynomial in
-zeta_n reduced modulo the n-th cyclotomic polynomial.  Nothing here ever
-touches floating point, and two field elements are equal exactly when their
-coefficient vectors are.
+``CycloNum``: a polynomial in zeta_n reduced modulo the n-th cyclotomic
+polynomial, stored as a tuple of integer numerators over one positive common
+denominator.  Arithmetic runs on Python ints; the monic integer Phi_n keeps
+reduction integral, and inverses go through the field norm instead of a
+Euclidean algorithm over the rationals.  Nothing here ever touches floating
+point, and two field elements are equal exactly when their reduced
+numerators and denominators are.
 """
 from __future__ import annotations
 
 import functools
 from fractions import Fraction
+from math import gcd
 
 
 class MixedFieldsError(ValueError):
@@ -27,7 +31,8 @@ def _exact_monic_div(num: list[int], den: list[int]) -> list[int]:
         quo[i] = c
         for j, d in enumerate(den):
             num[i + j] -= c * d
-    assert not any(num), "division was not exact"
+    if any(num):
+        raise ArithmeticError("division was not exact")
     return quo
 
 
@@ -43,6 +48,8 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     (1, 0, 1)
     >>> cyclotomic_polynomial(16)
     (1, 0, 0, 0, 0, 0, 0, 0, 1)
+    >>> cyclotomic_polynomial(105)[7]
+    -2
     """
     if n < 1:
         raise ValueError("order must be a positive integer")
@@ -57,18 +64,29 @@ class CyclotomicField:
     """The field Q(zeta_n), presented as Q[x] / (Phi_n(x)).
 
     One field instance per order is shared through :func:`cyclotomic_field`;
-    elements of different orders never mix silently.
+    elements of different orders never mix silently.  The field caches its
+    zero and one, and on first use the n powers of zeta and the integer
+    matrices of the Galois automorphisms that ``CycloNum.inverse`` applies.
     """
 
-    __slots__ = ("order", "minimal_polynomial", "degree", "_reduction", "_powers")
+    __slots__ = (
+        "order", "minimal_polynomial", "degree", "_reduction",
+        "_zero", "_one", "_powers", "_galois",
+    )
 
     def __init__(self, order: int):
         self.order = order
         self.minimal_polynomial = cyclotomic_polynomial(order)
-        self.degree = len(self.minimal_polynomial) - 1
-        # x^degree = -(lower coefficients of Phi_n), since Phi_n is monic.
-        self._reduction = tuple(Fraction(-c) for c in self.minimal_polynomial[:-1])
+        deg = self.degree = len(self.minimal_polynomial) - 1
+        # x^degree = -(lower coefficients of Phi_n), since Phi_n is monic;
+        # only the nonzero ones matter.
+        self._reduction = tuple(
+            (j, -c) for j, c in enumerate(self.minimal_polynomial[:-1]) if c
+        )
+        self._zero = CycloNum(self, (0,) * deg, 1)
+        self._one = CycloNum(self, (1,) + (0,) * (deg - 1), 1)
         self._powers: tuple[CycloNum, ...] | None = None
+        self._galois: tuple | None = None
 
     def __repr__(self) -> str:
         return f"CyclotomicField({self.order})"
@@ -80,27 +98,41 @@ class CyclotomicField:
         return hash(("CyclotomicField", self.order))
 
     def element(self, coeffs) -> CycloNum:
-        vec = [Fraction(c) for c in coeffs]
-        if len(vec) > self.degree:
+        """The element sum c_k zeta^k from ints or Fractions c_0, c_1, ..."""
+        fracs = [c if isinstance(c, int) else Fraction(c) for c in coeffs]
+        if len(fracs) > self.degree:
             raise ValueError("coefficient vector longer than the field degree")
-        vec += [Fraction(0)] * (self.degree - len(vec))
-        return CycloNum(self, tuple(vec))
+        den = 1
+        for c in fracs:
+            if not isinstance(c, int):
+                den = den * c.denominator // gcd(den, c.denominator)
+        num = [c * den if isinstance(c, int) else c.numerator * (den // c.denominator)
+               for c in fracs]
+        num += [0] * (self.degree - len(num))
+        return _canonical(self, num, den)
 
     def zero(self) -> CycloNum:
-        return self.element(())
+        return self._zero
 
     def one(self) -> CycloNum:
-        return self.from_rational(1)
+        return self._one
 
     def from_rational(self, value) -> CycloNum:
-        return self.element((Fraction(value),))
+        if isinstance(value, int):
+            if value == 0:
+                return self._zero
+            num, den = value, 1
+        else:
+            value = Fraction(value)
+            num, den = value.numerator, value.denominator
+        return CycloNum(self, (num,) + (0,) * (self.degree - 1), den)
 
     def zeta(self, k: int = 1) -> CycloNum:
         """The root of unity zeta_n^k in canonical form."""
         k %= self.order
-        vec = [Fraction(0)] * (self.degree + self.order)
-        vec[k] = Fraction(1)
-        return CycloNum(self, _reduce(vec, self))
+        vec = [0] * max(self.degree, k + 1)
+        vec[k] = 1
+        return CycloNum(self, _reduce(vec, self), 1)
 
     def zeta_powers(self) -> tuple[CycloNum, ...]:
         """All n powers of zeta_n, cached; zeta_powers()[k] == zeta(k)."""
@@ -108,40 +140,82 @@ class CyclotomicField:
             self._powers = tuple(self.zeta(k) for k in range(self.order))
         return self._powers
 
+    def _conjugation_maps(self) -> tuple:
+        # For each unit k != 1 mod n, the automorphism sigma_k: zeta -> zeta^k
+        # as sparse integer columns: column j holds the nonzero (i, v) of the
+        # reduced zeta^(j k).
+        if self._galois is None:
+            n = self.order
+            powers = self.zeta_powers()
+            self._galois = tuple(
+                tuple(
+                    tuple((i, v) for i, v in enumerate(powers[j * k % n].num) if v)
+                    for j in range(self.degree)
+                )
+                for k in range(2, n)
+                if gcd(k, n) == 1
+            )
+        return self._galois
+
 
 @functools.lru_cache(maxsize=None)
 def cyclotomic_field(n: int) -> CyclotomicField:
     return CyclotomicField(n)
 
 
-def _reduce(vec: list[Fraction], field: CyclotomicField) -> tuple[Fraction, ...]:
-    # Reduce a coefficient list modulo Phi_n, in place from the top.
+def _reduce(vec: list[int], field: CyclotomicField) -> tuple[int, ...]:
+    # Reduce an integer coefficient list modulo Phi_n, in place from the top.
     deg = field.degree
     red = field._reduction
     for i in range(len(vec) - 1, deg - 1, -1):
         c = vec[i]
         if c:
-            vec[i] = Fraction(0)
-            for j in range(deg):
-                vec[i - deg + j] += c * red[j]
+            vec[i] = 0
+            base = i - deg
+            for j, r in red:
+                vec[base + j] += c * r
     return tuple(vec[:deg])
 
 
-class CycloNum:
-    """An element of Q(zeta_n): a length-phi(n) vector of rationals.
+def _convolve(a: tuple[int, ...], b: tuple[int, ...], field: CyclotomicField) -> tuple[int, ...]:
+    # Product of two integer numerator vectors modulo Phi_n.
+    conv = [0] * (2 * field.degree - 1)
+    terms = [(j, y) for j, y in enumerate(b) if y]
+    for i, x in enumerate(a):
+        if x:
+            for j, y in terms:
+                conv[i + j] += x * y
+    return _reduce(conv, field)
 
-    Immutable; the representation is canonical, so ``==`` is structural.
+
+def _canonical(field: CyclotomicField, num, den: int) -> CycloNum:
+    # num / den with den > 0, divided through by gcd(den, *num).
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            return CycloNum(field, tuple(c // g for c in num), den // g)
+    return CycloNum(field, tuple(num), den)
+
+
+class CycloNum:
+    """An element of Q(zeta_n): integer numerators over one denominator.
+
+    ``num`` has length phi(n) and holds the coefficients of 1, zeta, ...,
+    zeta^(phi(n)-1) times ``den``.  The form is canonical: ``den > 0``,
+    ``gcd(den, *num) == 1``, and zero is ``(0, ..., 0) / 1``.  Immutable;
+    ``==`` and ``hash`` are structural on that form.
     """
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "num", "den")
 
-    def __init__(self, field: CyclotomicField, coeffs: tuple[Fraction, ...]):
+    def __init__(self, field: CyclotomicField, num: tuple[int, ...], den: int):
         self.field = field
-        self.coeffs = coeffs
+        self.num = num
+        self.den = den
 
     def _match(self, other) -> "CycloNum":
         if isinstance(other, CycloNum):
-            if other.field != self.field:
+            if other.field is not self.field and other.field != self.field:
                 raise MixedFieldsError(
                     f"cannot mix Q(zeta_{self.field.order}) with Q(zeta_{other.field.order})"
                 )
@@ -150,11 +224,23 @@ class CycloNum:
             return self.field.from_rational(other)
         return NotImplemented
 
+    def _plus(self, other: "CycloNum", sign: int) -> "CycloNum":
+        # self + sign * other over the least common denominator.
+        d1, d2 = self.den, other.den
+        if d1 == d2:
+            s1, s2 = 1, sign
+        else:
+            g = gcd(d1, d2)
+            s1, s2 = d2 // g, sign * (d1 // g)
+        return _canonical(
+            self.field, [a * s1 + b * s2 for a, b in zip(self.num, other.num)], d1 * s1
+        )
+
     def __add__(self, other):
         other = self._match(other)
         if other is NotImplemented:
             return NotImplemented
-        return CycloNum(self.field, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
@@ -162,26 +248,28 @@ class CycloNum:
         other = self._match(other)
         if other is NotImplemented:
             return NotImplemented
-        return CycloNum(self.field, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self):
-        return CycloNum(self.field, tuple(-a for a in self.coeffs))
+        return CycloNum(self.field, tuple(-a for a in self.num), self.den)
 
     def __mul__(self, other):
         other = self._match(other)
         if other is NotImplemented:
             return NotImplemented
-        deg = self.field.degree
-        conv = [Fraction(0)] * (2 * deg - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        conv[i + j] += a * b
-        return CycloNum(self.field, _reduce(conv, self.field))
+        field = self.field
+        if other.is_rational():
+            c = other.num[0]
+            num = [a * c for a in self.num] if c != 1 else self.num
+        elif self.is_rational():
+            c = self.num[0]
+            num = [a * c for a in other.num] if c != 1 else other.num
+        else:
+            num = _convolve(self.num, other.num, field)
+        return _canonical(field, num, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -207,75 +295,75 @@ class CycloNum:
         return result
 
     def inverse(self) -> "CycloNum":
-        """Multiplicative inverse, by the extended Euclidean algorithm mod Phi_n."""
+        """Multiplicative inverse, through the norm to Q.
+
+        With P the product of the conjugates sigma_k(num) over the units
+        k != 1 mod n, num * P is the rational integer N(num), and
+        1 / (num / den) = P * den / N(num).
+        """
         if self.is_zero():
             raise ZeroDivisionError("division by zero in the cyclotomic field")
-        # Work on plain Fraction lists: r = gcd combination s*self + t*Phi.
-        def trim(p):
-            while p and not p[-1]:
-                p.pop()
-            return p
-
-        def pdivmod(a, b):
-            a = list(a)
-            q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-            inv_lead = 1 / b[-1]
-            for i in range(len(q) - 1, -1, -1):
-                c = a[len(b) - 1 + i] * inv_lead
-                q[i] = c
+        field = self.field
+        num = self.num
+        if self.is_rational():
+            c = num[0]
+            sign = 1 if c > 0 else -1
+            return CycloNum(field, (sign * self.den,) + num[1:], sign * c)
+        deg = field.degree
+        product = None
+        for columns in field._conjugation_maps():
+            conj = [0] * deg
+            for c, column in zip(num, columns):
                 if c:
-                    for j, d in enumerate(b):
-                        a[i + j] -= c * d
-            return q, trim(a)
-
-        phi = [Fraction(c) for c in self.field.minimal_polynomial]
-        r0, r1 = phi, trim(list(self.coeffs))
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while r1:
-            q, r = pdivmod(r0, r1)
-            # s = s0 - q*s1
-            s = list(s0) + [Fraction(0)] * max(0, len(q) + len(s1) - 1 - len(s0))
-            for i, qc in enumerate(q):
-                if qc:
-                    for j, sc in enumerate(s1):
-                        s[i + j] -= qc * sc
-            r0, r1, s0, s1 = r1, r, s1, trim(s)
-        # r0 is a nonzero constant gcd (Phi_n is irreducible over Q).
-        scale = 1 / r0[0]
-        coeffs = [c * scale for c in s0]
-        coeffs += [Fraction(0)] * (self.field.degree + 1 - len(coeffs))
-        return CycloNum(self.field, _reduce(coeffs, self.field))
+                    for i, v in column:
+                        conj[i] += c * v
+            product = tuple(conj) if product is None else _convolve(product, conj, field)
+        # Q(zeta_n) for n > 2 has no real embedding and its automorphisms come
+        # in complex-conjugate pairs, so the norm is a product of |sigma(num)|^2:
+        # a positive integer.
+        norm = _convolve(num, product, field)
+        if norm[0] <= 0 or any(norm[1:]):
+            raise ArithmeticError(f"the norm of {self} is not a positive rational")
+        return _canonical(field, [c * self.den for c in product], norm[0])
 
     def __eq__(self, other) -> bool:
+        if isinstance(other, CycloNum):
+            return (
+                other.num == self.num
+                and other.den == self.den
+                and other.field == self.field
+            )
         if isinstance(other, (int, Fraction)):
-            other = self.field.from_rational(other)
-        return (
-            isinstance(other, CycloNum)
-            and other.field == self.field
-            and other.coeffs == self.coeffs
-        )
+            return (
+                self.is_rational()
+                and self.num[0] == other.numerator
+                and self.den == other.denominator
+            )
+        return False
 
     def __hash__(self) -> int:
-        return hash((self.field.order, self.coeffs))
+        return hash((self.field.order, self.num, self.den))
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self.num)
 
     def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
+        return not any(self.num[1:])
 
     def as_rational(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self} is not rational")
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     def as_zeta_power(self) -> int | None:
         """The exponent k with self == zeta^k, or None.
 
         Decided by comparing against all n powers; n is small here.
         """
+        if self.den != 1:
+            return None
         for k, power in enumerate(self.field.zeta_powers()):
-            if self == power:
+            if self.num == power.num:
                 return k
         return None
 
@@ -293,30 +381,22 @@ class CycloNum:
         return f"CycloNum({self})"
 
     def __str__(self) -> str:
-        terms = []
-        for k, c in enumerate(self.coeffs):
+        den = self.den
+        parts = []
+        for k, c in enumerate(self.num):
             if not c:
                 continue
-            if k == 0:
-                terms.append((c, ""))
-            elif k == 1:
-                terms.append((c, "z"))
-            else:
-                terms.append((c, f"z^{k}"))
-        if not terms:
-            return "0"
-        parts = []
-        for i, (c, sym) in enumerate(terms):
-            sign = "-" if c < 0 else "+"
             mag = -c if c < 0 else c
-            if sym and mag == 1:
-                body = sym
-            elif sym:
-                body = f"{mag}*{sym}"
+            g = gcd(mag, den)
+            p, q = mag // g, den // g
+            text = str(p) if q == 1 else f"{p}/{q}"
+            if k == 0:
+                body = text
             else:
-                body = str(mag)
-            if i == 0:
-                parts.append(body if sign == "+" else "-" + body)
+                sym = "z" if k == 1 else f"z^{k}"
+                body = sym if text == "1" else f"{text}*{sym}"
+            if not parts:
+                parts.append("-" + body if c < 0 else body)
             else:
-                parts.append(f" {sign} {body}")
-        return "".join(parts)
+                parts.append(f" {'-' if c < 0 else '+'} {body}")
+        return "".join(parts) if parts else "0"

@@ -30,7 +30,7 @@ from __future__ import annotations
 import re
 
 from .cyclotomic import cyclotomic_field
-from .funfield import SurfaceMap, normalize
+from .funfield import SurfaceMap
 from .lattice import GramMatrix, direct_sum, named_lattice
 from .parser import parse_expression, parse_univariate
 from .polyring import MultiPoly, RationalFunction
@@ -99,28 +99,40 @@ def _key_values(lines) -> dict[str, tuple[int, str]]:
     return out
 
 
+def _int_value(kv, key: str) -> int:
+    lineno, text = kv[key]
+    try:
+        return int(text)
+    except ValueError:
+        raise InputError(f"{key} must be an integer, got {text!r}", lineno) from None
+
+
+def _positive_int(kv, key: str) -> int:
+    value = _int_value(kv, key)
+    if value < 1:
+        raise InputError(f"{key} must be a positive integer, got {value}", kv[key][0])
+    return value
+
+
 def load_surface_text(text: str) -> tuple[WeierstrassModel, dict[str, SurfaceMap]]:
     top, blocks = _split_blocks(text, "map")
     kv = _key_values(top)
     for required in ("field_order", "A", "B"):
         if required not in kv:
             raise InputError(f"missing {required!r}", 1)
-    lineno, order_text = kv["field_order"]
-    try:
-        order = int(order_text)
-    except ValueError:
-        raise InputError(f"field_order must be an integer, got {order_text!r}", lineno)
+    order = _positive_int(kv, "field_order")
     field = cyclotomic_field(order)
 
     def poly_of(key):
         lineno, src = kv[key]
         try:
             return parse_univariate(src, "t", field)
-        except ValueError as err:
+        except (ValueError, ZeroDivisionError) as err:
             raise InputError(f"{key}: {err}", lineno) from err
 
+    A, B = poly_of("A"), poly_of("B")
     try:
-        model = WeierstrassModel(field, poly_of("A"), poly_of("B"))
+        model = WeierstrassModel(field, A, B)
     except ValueError as err:
         raise InputError(str(err), kv["A"][0]) from err
 
@@ -135,7 +147,7 @@ def load_surface_text(text: str) -> tuple[WeierstrassModel, dict[str, SurfaceMap
             lineno, src = mkv[axis]
             try:
                 return parse_expression(src, allowed, field)
-            except ValueError as err:
+            except (ValueError, ZeroDivisionError) as err:
                 raise InputError(f"map {name!r}, {axis}: {err}", lineno) from err
 
         ex = component("x", {"x", "y", "t"})
@@ -145,7 +157,7 @@ def load_surface_text(text: str) -> tuple[WeierstrassModel, dict[str, SurfaceMap
             et = RationalFunction(et)
         try:
             maps[name] = SurfaceMap.from_expressions(model, ex, ey, et)
-        except ValueError as err:
+        except (ValueError, ZeroDivisionError) as err:
             raise InputError(f"map {name!r}: {err}", mkv["x"][0]) from err
     return model, maps
 
@@ -212,8 +224,8 @@ def load_graph_text(text: str) -> tuple[CurveConfig, dict[str, GraphAction]]:
                     f"action {name!r} is missing {required!r}",
                     lines[0][0] if lines else 1,
                 )
-        n = int(kv["n"][1])
-        c = int(kv["c"][1])
+        n = _positive_int(kv, "n")
+        c = _int_value(kv, "c")
         perm = _parse_perm(kv["perm"][1], config.vertices, kv["perm"][0])
         anchor_line, anchor_text = kv["anchor"]
         m = re.fullmatch(

@@ -36,16 +36,6 @@ class OrderBoundExceededError(ValueError):
     """No power of the map reached the identity within the bound."""
 
 
-def _rhs_poly(model: WeierstrassModel) -> MultiPoly:
-    # x^3 + A(t) x + B(t), the square of y.
-    field = model.field
-    x = MultiPoly.gen(field, "x")
-    out = x ** 3 + MultiPoly.from_unipoly(model.A) * x
-    if not model.B.is_zero():
-        out = out + MultiPoly.from_unipoly(model.B)
-    return out
-
-
 def _split_y(poly: MultiPoly, rhs: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
     # Write poly = p0 + p1 * y modulo y^2 = rhs; p0, p1 are y-free.
     field = poly.field
@@ -99,9 +89,6 @@ class FieldElement:
             raise ValueError("component must be free of y; use normalize instead")
         return cls(model, r, RationalFunction.constant(model.field, 0))
 
-    def _rhs(self) -> RationalFunction:
-        return RationalFunction(_rhs_poly(self.model))
-
     def _check(self, other: "FieldElement"):
         if other.model != self.model:
             raise ValueError("elements live on different models")
@@ -127,8 +114,7 @@ class FieldElement:
         if isinstance(other, (int, CycloNum)):
             other = FieldElement.const(self.model, other)
         self._check(other)
-        rhs = self._rhs()
-        a = self.a * other.a + self.b * other.b * rhs
+        a = self.a * other.a + self.b * other.b * self.model.rhs
         b = self.a * other.b + self.b * other.a
         return FieldElement(self.model, a, b)
 
@@ -143,7 +129,7 @@ class FieldElement:
     def inverse(self) -> "FieldElement":
         # 1 / (a + b y) = (a - b y) / (a^2 - b^2 rhs); the norm is y-free and
         # vanishes only for the zero element since rhs is not a square.
-        norm = self.a * self.a - self.b * self.b * self._rhs()
+        norm = self.a * self.a - self.b * self.b * self.model.rhs
         if norm.is_zero():
             raise ZeroDenominatorOnSurfaceError("element is zero in the function field")
         return FieldElement(self.model, self.a / norm, -self.b / norm)
@@ -199,7 +185,7 @@ def normalize(expr, model: WeierstrassModel) -> FieldElement:
     """Reduce a rational expression in x, y, t to the a + b*y normal form."""
     if isinstance(expr, MultiPoly):
         expr = RationalFunction(expr)
-    rhs = _rhs_poly(model)
+    rhs = model.rhs.num  # constant denominator 1
     n0, n1 = _split_y(expr.num, rhs)
     d0, d1 = _split_y(expr.den, rhs)
     field = model.field
@@ -439,13 +425,12 @@ def omega_factor(m: SurfaceMap) -> CycloNum:
     model = m.model
     field = model.field
     x = RationalFunction.gen(field, "x")
-    rhs = RationalFunction(_rhs_poly(model))
     three_x2_plus_A = x * x * 3 + RationalFunction.from_unipoly(model.A)
     # (3x^2 + A) / (2y) = (3x^2 + A) y / (2 rhs), as a field element.
     half_slope = FieldElement(
         model,
         RationalFunction.constant(field, 0),
-        three_x2_plus_A / (rhs * 2),
+        three_x2_plus_A / (model.rhs * 2),
     )
     u_x = FieldElement(model, m.u.a.derivative("x"), m.u.b.derivative("x"))
     u_y = FieldElement(model, m.u.b, RationalFunction.constant(field, 0))

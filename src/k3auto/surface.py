@@ -14,7 +14,9 @@ from dataclasses import dataclass
 from .cyclotomic import CyclotomicField
 from .polyring import (
     INF,
+    MultiPoly,
     PlacePoly,
+    RationalFunction,
     UniPoly,
     gcd_free_basis,
     vanishing_order,
@@ -101,7 +103,7 @@ def classify_place(vA, vB, vD) -> str:
 class WeierstrassModel:
     """Short Weierstrass data y^2 = x^3 + A(t) x + B(t) over Q(zeta_n)."""
 
-    __slots__ = ("field", "A", "B", "_disc")
+    __slots__ = ("field", "A", "B", "_disc", "rhs")
 
     def __init__(self, field: CyclotomicField, A: UniPoly, B: UniPoly):
         if A.var != "t" or B.var != "t":
@@ -116,6 +118,11 @@ class WeierstrassModel:
         self._disc = (A ** 3 * 4 + B ** 2 * 27) * (-16)
         if self._disc.is_zero():
             raise ValueError("discriminant vanishes identically: not an elliptic surface")
+        # x^3 + A(t) x + B(t), the square of y, built once for the function field.
+        x = MultiPoly.gen(field, "x")
+        self.rhs = RationalFunction(
+            x ** 3 + MultiPoly.from_unipoly(A) * x + MultiPoly.from_unipoly(B)
+        )
 
     def discriminant(self) -> UniPoly:
         """The short-form discriminant -16 (4 A^3 + 27 B^2)."""

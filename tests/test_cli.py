@@ -4,7 +4,9 @@ import pytest
 
 from k3auto import funfield
 from k3auto.cli import main
+from k3auto.files import parse_lattice_expression
 from k3auto.fixtures import fixture_path
+from k3auto.lattice import determinant
 
 SURFACE = str(fixture_path("order16_surface.txt"))
 GRAPH = str(fixture_path("order16_graph.txt"))
@@ -143,6 +145,80 @@ def test_rigidity_inconsistent_action_exits_1(capsys, tmp_path):
     # The inconsistency is discovered while loading the action block.
     assert code == 2
     assert "tri" in err
+
+
+def _edit_fixture(tmp_path, fixture, old, new):
+    """The fixture with its first line equal to `old` replaced; (path, line)."""
+    with open(fixture, encoding="utf-8") as handle:
+        lines = handle.read().splitlines()
+    line = lines.index(old) + 1
+    lines[line - 1] = new
+    path = tmp_path / "edited.txt"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return str(path), line
+
+
+def _assert_input_error_at(code, err, line):
+    assert code == 2
+    assert err.startswith(f"input error: line {line}:")
+    assert "Traceback" not in err
+
+
+def test_zero_denominator_in_a_map_exits_2_with_line(capsys, tmp_path):
+    path, line = _edit_fixture(tmp_path, SURFACE, 'x = "z^6*x"', 'x = "x/(t-t)"')
+    code, out, err = run_cli(capsys, "check-map", path, "sigma")
+    _assert_input_error_at(code, err, line)
+    assert out == ""
+
+
+def test_zero_denominator_in_a_coefficient_exits_2_with_line(capsys, tmp_path):
+    path, line = _edit_fixture(tmp_path, SURFACE, 'A = "t^3*(t^4-1)"', 'A = "1/(t-t)"')
+    code, _out, err = run_cli(capsys, "classify", path)
+    _assert_input_error_at(code, err, line)
+    assert err.count("line") == 1
+
+
+@pytest.mark.parametrize("value", ["0", "-16"])
+def test_non_positive_order_exits_2_with_line(capsys, tmp_path, value):
+    path, line = _edit_fixture(tmp_path, GRAPH, "n = 16", f"n = {value}")
+    code, out, err = run_cli(capsys, "rigidity", path, "census", "sigma")
+    _assert_input_error_at(code, err, line)
+    assert "n must be a positive integer" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("key", ["n", "c"])
+@pytest.mark.parametrize("token", ["abc", "1.5"])
+def test_non_integer_action_value_exits_2_with_line(capsys, tmp_path, key, token):
+    original = "n = 16" if key == "n" else "c = 1"
+    path, line = _edit_fixture(tmp_path, GRAPH, original, f"{key} = {token}")
+    code, _out, err = run_cli(capsys, "rigidity", path, "census", "sigma")
+    _assert_input_error_at(code, err, line)
+    assert f"{key} must be an integer, got {token!r}" in err
+
+
+def test_non_positive_field_order_exits_2_with_line(capsys, tmp_path):
+    path, line = _edit_fixture(tmp_path, SURFACE, "field_order = 16", "field_order = 0")
+    code, _out, err = run_cli(capsys, "classify", path)
+    _assert_input_error_at(code, err, line)
+
+
+@pytest.mark.parametrize(
+    "expr", ["U", "U(2)", "E8", "D4", "U+D8+D4", "U(2)+E8+D4", "U(2)+A1+A1+A1", "U+A2+A2"]
+)
+def test_lattice_report_det_matches_elimination(capsys, expr):
+    code, out, _ = run_cli(capsys, "lattice", "expr", expr, "--json")
+    assert code == 0
+    assert json.loads(out)["det"] == determinant(parse_lattice_expression(expr))
+
+
+def test_lattice_report_det_of_a_degenerate_lattice_is_zero(capsys):
+    # The fixture configuration has rank 14 on 20 curves.
+    code, out, _ = run_cli(capsys, "lattice", "graph", GRAPH, "--json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["rank"] < 20
+    assert data["det"] == 0
 
 
 def test_lattice_genus_equal(capsys):
