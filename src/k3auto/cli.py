@@ -19,6 +19,8 @@ from .files import (
 )
 from .funfield import (
     NotAMorphismError,
+    NotConstantFactorError,
+    OrderBoundExceededError,
     ambient_scalar,
     map_order,
     omega_factor,
@@ -336,7 +338,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (VerificationFailure, RigidityError, NotAMorphismError) as err:
+    except (
+        VerificationFailure,
+        RigidityError,
+        NotAMorphismError,
+        NotConstantFactorError,
+        OrderBoundExceededError,
+    ) as err:
         print(f"verification failed: {err}", file=sys.stderr)
         return 1
     except (InputError, ExpressionSyntaxError, OSError, ValueError) as err:

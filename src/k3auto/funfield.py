@@ -188,7 +188,6 @@ def normalize(expr, model: WeierstrassModel) -> FieldElement:
     rhs = model.rhs.num  # constant denominator 1
     n0, n1 = _split_y(expr.num, rhs)
     d0, d1 = _split_y(expr.den, rhs)
-    field = model.field
     if d1.is_zero():
         if d0.is_zero():
             raise ZeroDenominatorOnSurfaceError("denominator is zero on the surface")
@@ -565,8 +564,8 @@ def build_named_maps(model: WeierstrassModel) -> dict:
     trans = translation_map(model, two_torsion)
     sigma_alt = compose(trans, sigma)
     if compose(sigma, trans) != sigma_alt:
-        raise NotAMorphismError("scaling and translation failed to commute")
+        raise ArithmeticError("identity sigma o trans = trans o sigma failed")
     tau = compose(sigma, inverse(sigma_alt))
     if tau != trans:
-        raise NotAMorphismError("quotient map is not the expected translation")
+        raise ArithmeticError("identity sigma o sigma_alt^-1 = trans failed")
     return {"sigma": sigma, "sigma_alt": sigma_alt, "tau": tau}

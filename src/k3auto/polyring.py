@@ -523,7 +523,7 @@ class MultiPoly:
     def leading_coeff_lex(self) -> CycloNum:
         if self.is_zero():
             raise ZeroInputError("zero polynomial")
-        return self.sorted_terms()[0][1]
+        return self.terms[max(self.terms)]
 
     def coeffs_in(self, var: str) -> dict[int, "MultiPoly"]:
         """View as a polynomial in var: exponent -> coefficient MultiPoly."""
@@ -603,15 +603,35 @@ def _content(p: MultiPoly, var: str) -> MultiPoly:
 
 
 def _prem(a: MultiPoly, b: MultiPoly, var: str) -> MultiPoly:
-    # Pseudo-remainder of a by b in the main variable var; stays polynomial.
+    # Pseudo-remainder lb^(da - db + 1) * a mod b in the main variable var;
+    # stays polynomial.  The exact power of lb matters: the subresultant
+    # sequence divides by it.  Each step reads r's degree and leading terms in
+    # one pass; they become lr * var^(dr - db) by shifting exponents.
+    idx = _VAR_INDEX[var]
+    field = a.field
     db = b.degree_in(var)
     lb = b.coeffs_in(var)[db]
-    gen = MultiPoly.gen(a.field, var)
+    missing = a.degree_in(var) - db + 1
     r = a
-    while not r.is_zero() and r.degree_in(var) >= db:
-        dr = r.degree_in(var)
-        lr = r.coeffs_in(var)[dr]
-        r = r * lb - b * lr * gen ** (dr - db)
+    while r.terms:
+        dr, lead = -1, []
+        for e, c in r.terms.items():
+            if e[idx] > dr:
+                dr, lead = e[idx], []
+            if e[idx] == dr:
+                lead.append((e, c))
+        if dr < db:
+            break
+        shift = dr - db
+        lr = {}
+        for e, c in lead:
+            e = list(e)
+            e[idx] = shift
+            lr[tuple(e)] = c
+        r = r * lb - b * MultiPoly(field, lr)
+        missing -= 1
+    if missing > 0 and r.terms:
+        r = r * lb ** missing
     return r
 
 
@@ -688,32 +708,44 @@ class RationalFunction:
 
     The constructor cancels the gcd and scales the denominator so its
     lex-leading coefficient is 1, which makes the representation canonical;
-    equality and hashing compare (num, den) directly.
+    equality and hashing compare (num, den) directly.  Arithmetic on reduced
+    operands cancels the way Henrici does (Knuth, TAOCP vol. 2, 4.5.1): it
+    takes gcds of the smaller cross pairs only and builds its result with
+    ``_coprime``, which skips the gcd of the full product.
     """
 
     __slots__ = ("num", "den")
 
     def __init__(self, num: MultiPoly, den: MultiPoly | None = None):
-        field = num.field
         if den is None:
-            den = MultiPoly.constant(field, 1)
+            den = MultiPoly.constant(num.field, 1)
         if den.is_zero():
             raise ZeroDivisionError("zero denominator in a rational function")
-        if num.is_zero():
-            num = MultiPoly.zero(field)
-            den = MultiPoly.constant(field, 1)
-        elif den.is_constant():
-            inv = den.constant_value().inverse()
-            num = num * inv
-            den = MultiPoly.constant(field, 1)
-        else:
+        if not (num.is_zero() or den.is_constant()):
             g = multi_gcd(num, den)
             if not g.is_constant():
                 num = num.exact_div(g)
                 den = den.exact_div(g)
-            scale = den.leading_coeff_lex().inverse()
-            num = num * scale
-            den = den * scale
+        self._store(num, den)
+
+    @classmethod
+    def _coprime(cls, num: MultiPoly, den: MultiPoly) -> "RationalFunction":
+        # num / den with gcd(num, den) = 1 already: only normalize.
+        out = cls.__new__(cls)
+        out._store(num, den)
+        return out
+
+    def _store(self, num: MultiPoly, den: MultiPoly) -> None:
+        # Scale so the lex-leading coefficient of den is 1; zero is 0/1.
+        field = num.field
+        if num.is_zero():
+            den = MultiPoly.constant(field, 1)
+        else:
+            lead = den.leading_coeff_lex()
+            if lead != field.one():
+                scale = lead.inverse()
+                num = num * scale
+                den = den * scale
         self.num = num
         self.den = den
 
@@ -769,13 +801,54 @@ class RationalFunction:
             return RationalFunction(other)
         return NotImplemented
 
+    def _plus(self, c: MultiPoly, d: MultiPoly) -> "RationalFunction":
+        # a/b + c/d with both fractions reduced.  With g = gcd(b, d), any
+        # common factor of the sum's numerator t and its denominator divides
+        # g, so gcd(t, g) is the only other gcd needed.
+        a, b = self.num, self.den
+        if c.is_zero():
+            return self
+        if a.is_zero():
+            return RationalFunction._coprime(c, d)
+        if b.is_constant():  # b == 1
+            return RationalFunction._coprime(a * d + c, d)
+        if d.is_constant():  # d == 1
+            return RationalFunction._coprime(a + c * b, b)
+        g = multi_gcd(b, d)
+        if g.is_constant():
+            return RationalFunction._coprime(a * d + c * b, b * d)
+        b_g = b.exact_div(g)
+        t = a * d.exact_div(g) + c * b_g
+        if not t.is_constant():
+            g2 = multi_gcd(t, g)
+            if not g2.is_constant():
+                t = t.exact_div(g2)
+                d = d.exact_div(g2)
+        return RationalFunction._coprime(t, b_g * d)
+
+    def _times(self, c: MultiPoly, d: MultiPoly) -> "RationalFunction":
+        # (a/b)(c/d) with gcd(a, b) = gcd(c, d) = 1: only the cross pairs
+        # (a, d) and (c, b) can share a factor.
+        a, b = self.num, self.den
+        if a.is_zero() or c.is_zero():
+            return RationalFunction._coprime(MultiPoly.zero(a.field), b)
+        if not (a.is_constant() or d.is_constant()):
+            g1 = multi_gcd(a, d)
+            if not g1.is_constant():
+                a = a.exact_div(g1)
+                d = d.exact_div(g1)
+        if not (c.is_constant() or b.is_constant()):
+            g2 = multi_gcd(c, b)
+            if not g2.is_constant():
+                c = c.exact_div(g2)
+                b = b.exact_div(g2)
+        return RationalFunction._coprime(a * c, b * d)
+
     def __add__(self, other):
         other = self._match(other)
         if other is NotImplemented:
             return NotImplemented
-        return RationalFunction(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
+        return self._plus(other.num, other.den)
 
     __radd__ = __add__
 
@@ -783,25 +856,19 @@ class RationalFunction:
         other = self._match(other)
         if other is NotImplemented:
             return NotImplemented
-        return RationalFunction(
-            self.num * other.den - other.num * self.den, self.den * other.den
-        )
+        return self._plus(-other.num, other.den)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self):
-        # Negating the numerator keeps the form canonical: skip the gcd.
-        out = RationalFunction.__new__(RationalFunction)
-        out.num = -self.num
-        out.den = self.den
-        return out
+        return RationalFunction._coprime(-self.num, self.den)
 
     def __mul__(self, other):
         other = self._match(other)
         if other is NotImplemented:
             return NotImplemented
-        return RationalFunction(self.num * other.num, self.den * other.den)
+        return self._times(other.num, other.den)
 
     __rmul__ = __mul__
 
@@ -811,22 +878,16 @@ class RationalFunction:
             return NotImplemented
         if other.is_zero():
             raise ZeroDivisionError("division by the zero rational function")
-        return RationalFunction(self.num * other.den, self.den * other.num)
+        return self._times(other.den, other.num)
 
     def __rtruediv__(self, other):
         return RationalFunction.constant(self.field, other) / self
 
     def __pow__(self, n: int):
+        # A power of a reduced fraction is reduced.
         if n < 0:
             return (1 / self) ** (-n)
-        result = RationalFunction.constant(self.field, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return RationalFunction._coprime(self.num ** n, self.den ** n)
 
     def __eq__(self, other):
         other = self._match(other)

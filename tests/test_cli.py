@@ -102,6 +102,14 @@ def test_check_map_verifies_the_morphism_once(capsys, monkeypatch):
     assert len(calls) == 1
 
 
+def test_check_map_order_bound_is_a_verdict(capsys):
+    # sigma has order 16: passing the bound is a failed verification, exit 1.
+    code, out, err = run_cli(capsys, "check-map", SURFACE, "sigma", "--max-order", "4")
+    assert code == 1
+    assert out == ""
+    assert err == "verification failed: order exceeds 4\n"
+
+
 def test_rigidity_census(capsys):
     code, out, _ = run_cli(capsys, "rigidity", GRAPH, "census", "sigma")
     assert code == 0

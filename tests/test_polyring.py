@@ -167,6 +167,32 @@ def test_multi_gcd():
     assert multi_gcd(x + 1, t + 1).is_constant()
 
 
+def test_multi_gcd_when_a_pseudo_remainder_drops_several_degrees():
+    # Both inputs are polynomials in x^2, so each pseudo-division step in x
+    # drops two degrees; the subresultant divisions are exact only when the
+    # pseudo-remainder still carries the full power lc^(deg a - deg b + 1).
+    x = MultiPoly.gen(F, "x")
+    t = MultiPoly.gen(F, "t")
+    z = F.zeta(1)
+    third = Fraction(1, 3)
+    p = (
+        x ** 6 * t ** 4 * (-third * z)
+        + x ** 4 * t ** 6 * (-2 * third * z ** 4 - z ** 6)
+        + x ** 4 * t ** 2 * (-third * z ** 3)
+        + x ** 2 * t ** 4 * (-2 * third * z ** 6)
+    )
+    q = (
+        x ** 8 * t ** 2
+        + x ** 6 * t ** 4 * (2 * z ** 3)
+        + x ** 4 * t ** 6 * (-3 * z ** 6)
+        + x ** 2 * t ** 8 * (4 * z)
+        + t ** 10 * (-4 * z ** 4)
+    )
+    g = multi_gcd(p, q)
+    assert g == t ** 2
+    assert multi_gcd(p.exact_div(g), q.exact_div(g)).is_constant()
+
+
 def test_rational_function_reduction_and_equality():
     x = MultiPoly.gen(F, "x")
     t = MultiPoly.gen(F, "t")
@@ -230,3 +256,89 @@ def test_rational_function_equality_agrees_with_cross_multiplication():
             assert hash(a) == hash(b)
         assert -a == RationalFunction(-p, q)
         assert (-a == b) == ((-a.num) * b.den == b.num * a.den)
+
+
+# Differential test of RationalFunction arithmetic.  The operators cancel
+# only the cross pairs of reduced operands; the reference below builds each
+# result from the full product and lets the constructor cancel one gcd of it.
+def _ref_sum(f, g, sign=1):
+    return RationalFunction(f.num * g.den + g.num * f.den * sign, f.den * g.den)
+
+
+def _ref_product(f, g):
+    return RationalFunction(f.num * g.num, f.den * g.den)
+
+
+def _ref_quotient(f, g):
+    return RationalFunction(f.num * g.den, f.den * g.num)
+
+
+def _ref_power(f, n):
+    base = f if n >= 0 else RationalFunction(f.den, f.num)
+    out = RationalFunction.constant(F, 1)
+    for _ in range(abs(n)):
+        out = _ref_product(out, base)
+    return out
+
+
+def _xt_poly(rng, max_terms=2):
+    x, t = MultiPoly.gen(F, "x"), MultiPoly.gen(F, "t")
+    while True:
+        out = MultiPoly.zero(F)
+        for _ in range(rng.randint(1, max_terms)):
+            coeff = F.zeta(rng.randrange(16)) * rng.choice((-2, -1, 1, 3))
+            out = out + x ** rng.randint(0, 2) * t ** rng.randint(0, 2) * coeff
+        if not out.is_zero():
+            return out
+
+
+def _fraction_pairs(rng):
+    # Yields (f, g) over Q(zeta_16) in x and t, one family per case.
+    def frac(den_factor=None):
+        den = _xt_poly(rng)
+        return RationalFunction(_xt_poly(rng), den if den_factor is None else den * den_factor)
+
+    for _ in range(6):
+        # Operands entered with a shared factor, (p*h)/(q*h).
+        h = _xt_poly(rng)
+        yield (
+            RationalFunction(_xt_poly(rng) * h, _xt_poly(rng) * h),
+            RationalFunction(_xt_poly(rng) * h, _xt_poly(rng)),
+        )
+        # Denominators that share a factor.
+        s = _xt_poly(rng)
+        yield frac(s), frac(s * s if rng.random() < 0.5 else s)
+        # A numerator of one side shares a factor with the other denominator.
+        yield RationalFunction(_xt_poly(rng) * s, _xt_poly(rng)), frac(s)
+        # One side polynomial, in either order.
+        p = RationalFunction(_xt_poly(rng, 3))
+        yield (frac(), p) if rng.random() < 0.5 else (p, frac())
+        # g = h - f, so f + g cancels f's denominator down to h's: a
+        # fraction, a polynomial, a nonzero constant or zero.
+        f = frac(s)
+        target = rng.choice((frac(), frac(s), RationalFunction(_xt_poly(rng, 3))))
+        for h in (target, RationalFunction.constant(F, rng.choice((0, 2, -3)))):
+            yield f, _ref_sum(h, f, -1)
+        # Division by a numerator whose lex-leading coefficient is not 1.
+        yield frac(), RationalFunction(_xt_poly(rng, 3) * (F.zeta(3) * 5), _xt_poly(rng))
+
+
+def _same(got, want):
+    assert (got.num, got.den) == (want.num, want.den)
+    assert str(got) == str(want)
+
+
+def test_rational_function_arithmetic_matches_full_gcd_reference():
+    rng = random.Random(23)
+    pairs = list(_fraction_pairs(rng))
+    assert any((f + g).is_constant() for f, g in pairs)
+    assert any((f + g).is_zero() for f, g in pairs)
+    for f, g in pairs:
+        _same(f + g, _ref_sum(f, g))
+        _same(g + f, _ref_sum(f, g))
+        _same(f - g, _ref_sum(f, g, -1))
+        _same(f * g, _ref_product(f, g))
+        if not g.is_zero():
+            _same(f / g, _ref_quotient(f, g))
+        for n in (0, 2) if f.is_zero() else (-1, 0, 2):
+            _same(f ** n, _ref_power(f, n))
