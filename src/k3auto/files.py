@@ -38,6 +38,9 @@ from .rigidity import CurveConfig, GraphAction, edge_point_id, propagate
 from .surface import WeierstrassModel
 
 
+MAX_FIELD_ORDER = 1024
+
+
 class InputError(ValueError):
     """Malformed input file; carries the line number."""
 
@@ -121,6 +124,10 @@ def load_surface_text(text: str) -> tuple[WeierstrassModel, dict[str, SurfaceMap
         if required not in kv:
             raise InputError(f"missing {required!r}", 1)
     order = _positive_int(kv, "field_order")
+    if order > MAX_FIELD_ORDER:
+        raise InputError(
+            f"field_order must be at most {MAX_FIELD_ORDER}, got {order}", kv["field_order"][0]
+        )
     field = cyclotomic_field(order)
 
     def poly_of(key):

@@ -36,24 +36,21 @@ class OrderBoundExceededError(ValueError):
     """No power of the map reached the identity within the bound."""
 
 
-def _split_y(poly: MultiPoly, rhs: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
-    # Write poly = p0 + p1 * y modulo y^2 = rhs; p0, p1 are y-free.
-    field = poly.field
-    parts = [MultiPoly.zero(field), MultiPoly.zero(field)]
-    rhs_powers = {0: MultiPoly.constant(field, 1)}
-
-    def rhs_pow(k: int) -> MultiPoly:
-        if k not in rhs_powers:
-            rhs_powers[k] = rhs_pow(k - 1) * rhs
-        return rhs_powers[k]
-
-    for (ex, ey, et), c in poly.terms.items():
-        q, r = divmod(ey, 2)
-        base = MultiPoly.monomial(field, (ex, 0, et), c)
-        if q:
-            base = base * rhs_pow(q)
-        parts[r] = parts[r] + base
-    return parts[0], parts[1]
+def _substitute(p: MultiPoly, powers):
+    """p with x, y, t replaced by the images powers[0][1], powers[1][1],
+    powers[2][1].  powers[i] is [1, image, image^2, ...] as far as computed so
+    far; it grows in place, so a caller shares it across polynomials."""
+    acc = None
+    for exps, c in p.terms.items():
+        term = None
+        for k, pows in zip(exps, powers):
+            if k:
+                while len(pows) <= k:
+                    pows.append(pows[-1] * pows[1])
+                term = pows[k] if term is None else term * pows[k]
+        term = powers[0][0] * c if term is None else term * c
+        acc = term if acc is None else acc + term
+    return powers[0][0] * 0 if acc is None else acc
 
 
 class FieldElement:
@@ -112,27 +109,38 @@ class FieldElement:
 
     def __mul__(self, other):
         if isinstance(other, (int, CycloNum)):
-            other = FieldElement.const(self.model, other)
+            return FieldElement(self.model, self.a * other, self.b * other)
         self._check(other)
-        a = self.a * other.a + self.b * other.b * self.model.rhs
-        b = self.a * other.b + self.b * other.a
-        return FieldElement(self.model, a, b)
+        a, b, c, d = self.a, self.b, other.a, other.b
+        if d.is_zero():
+            return FieldElement(self.model, a * c, b * c)
+        if b.is_zero():
+            return FieldElement(self.model, a * c, a * d)
+        return FieldElement(self.model, a * c + b * d * self.model.rhs, a * d + b * c)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
+        # (a + b y) / (c + d y) = ((ac - bd rhs) + (bc - ad) y) / (c^2 - d^2 rhs);
+        # the norm is y-free and vanishes only for the zero element since rhs
+        # is not a square.
         if isinstance(other, (int, CycloNum)):
             other = FieldElement.const(self.model, other)
         self._check(other)
-        return self * other.inverse()
+        if other.is_zero():
+            raise ZeroDenominatorOnSurfaceError("element is zero in the function field")
+        a, b, c, d = self.a, self.b, other.a, other.b
+        if d.is_zero():
+            return FieldElement(self.model, a / c, b / c)
+        rhs = self.model.rhs
+        norm = c * c - d * d * rhs
+        return FieldElement(self.model, (a * c - b * d * rhs) / norm, (b * c - a * d) / norm)
+
+    def __rtruediv__(self, other):
+        return FieldElement.const(self.model, other) / self
 
     def inverse(self) -> "FieldElement":
-        # 1 / (a + b y) = (a - b y) / (a^2 - b^2 rhs); the norm is y-free and
-        # vanishes only for the zero element since rhs is not a square.
-        norm = self.a * self.a - self.b * self.b * self.model.rhs
-        if norm.is_zero():
-            raise ZeroDenominatorOnSurfaceError("element is zero in the function field")
-        return FieldElement(self.model, self.a / norm, -self.b / norm)
+        return 1 / self
 
     def __pow__(self, n: int):
         if n < 0:
@@ -181,25 +189,23 @@ class FieldElement:
         return f"({self.a}) + ({self.b})*y"
 
 
+def _power_lists(model, x, y, t) -> tuple[list, list, list]:
+    # Fresh power lists for _substitute with the images x, y, t.
+    one = FieldElement.const(model, 1)
+    return [one, x], [one, y], [one, t]
+
+
 def normalize(expr, model: WeierstrassModel) -> FieldElement:
     """Reduce a rational expression in x, y, t to the a + b*y normal form."""
+    powers = _power_lists(
+        model, *(FieldElement.coordinate(model, var) for var in ("x", "y", "t"))
+    )
     if isinstance(expr, MultiPoly):
-        expr = RationalFunction(expr)
-    rhs = model.rhs.num  # constant denominator 1
-    n0, n1 = _split_y(expr.num, rhs)
-    d0, d1 = _split_y(expr.den, rhs)
-    if d1.is_zero():
-        if d0.is_zero():
-            raise ZeroDenominatorOnSurfaceError("denominator is zero on the surface")
-        a = RationalFunction(n0, d0)
-        b = RationalFunction(n1, d0)
-    else:
-        clear = d0 * d0 - d1 * d1 * rhs
-        if clear.is_zero():
-            raise ZeroDenominatorOnSurfaceError("denominator is zero on the surface")
-        a = RationalFunction(n0 * d0 - n1 * d1 * rhs, clear)
-        b = RationalFunction(n1 * d0 - n0 * d1, clear)
-    return FieldElement(model, a, b)
+        return _substitute(expr, powers)
+    den = _substitute(expr.den, powers)
+    if den.is_zero():
+        raise ZeroDenominatorOnSurfaceError("denominator is zero on the surface")
+    return _substitute(expr.num, powers) / den
 
 
 class SurfaceMap:
@@ -265,88 +271,37 @@ class SurfaceMap:
         return f"SurfaceMap(x -> {self.u}, y -> {self.v}, t -> {self.w})"
 
 
-def _eval_poly(p: MultiPoly, X: FieldElement, T: FieldElement, model) -> FieldElement:
-    # p(x, t) with the given substitutions; p must be y-free.
-    x_pows = {0: FieldElement.const(model, 1)}
-    t_pows = {0: FieldElement.const(model, 1)}
-
-    def pow_of(cache, base, k):
-        if k not in cache:
-            cache[k] = pow_of(cache, base, k - 1) * base
-        return cache[k]
-
-    acc = FieldElement.const(model, 0)
-    for (ex, ey, et), c in p.terms.items():
-        if ey:
-            raise ValueError("unexpected y while composing components")
-        term = FieldElement.const(model, c)
-        if ex:
-            term = term * pow_of(x_pows, X, ex)
-        if et:
-            term = term * pow_of(t_pows, T, et)
-        acc = acc + term
-    return acc
-
-
-def _eval_ratfunc(r: RationalFunction, X: FieldElement, T: FieldElement, model) -> FieldElement:
-    num = _eval_poly(r.num, X, T, model)
-    den = _eval_poly(r.den, X, T, model)
-    if den.is_zero():
-        raise ZeroDenominatorOnSurfaceError("composition hits a zero denominator")
-    return num / den
-
-
-def _subst_t(r: RationalFunction, w: RationalFunction) -> RationalFunction:
-    # r(t) with t replaced by w(t); both rational in t alone.
-    field = r.field
-
-    def eval_poly(p: MultiPoly) -> RationalFunction:
-        acc = RationalFunction.constant(field, 0)
-        w_pows = {0: RationalFunction.constant(field, 1)}
-
-        def wp(k):
-            if k not in w_pows:
-                w_pows[k] = wp(k - 1) * w
-            return w_pows[k]
-
-        for (ex, ey, et), c in p.terms.items():
-            if ex or ey:
-                raise ValueError("expected a function of t alone")
-            acc = acc + wp(et) * c
-        return acc
-
-    return eval_poly(r.num) / eval_poly(r.den)
+def _images(m: SurfaceMap) -> tuple[list, list, list]:
+    # Power lists of the images of x, y, t under m, for _substitute.
+    return _power_lists(m.model, m.u, m.v, FieldElement.from_ratfunc(m.model, m.w))
 
 
 def compose(m1: SurfaceMap, m2: SurfaceMap) -> SurfaceMap:
     """The map m1 after m2: substitute m2's images into m1's components."""
     if m1.model != m2.model:
         raise ValueError("maps live on different models")
-    model = m1.model
-    X, V = m2.u, m2.v
-    T = FieldElement.from_ratfunc(model, m2.w)
+    powers = _images(m2)
+
+    def image(r: RationalFunction) -> FieldElement:
+        return _substitute(r.num, powers) / _substitute(r.den, powers)
 
     def comp(e: FieldElement) -> FieldElement:
-        out = _eval_ratfunc(e.a, X, T, model)
+        out = image(e.a)
         if not e.b.is_zero():
-            out = out + _eval_ratfunc(e.b, X, T, model) * V
+            out = out + image(e.b) * m2.v
         return out
 
-    return SurfaceMap(model, comp(m1.u), comp(m1.v), _subst_t(m1.w, m2.w))
+    return SurfaceMap(m1.model, comp(m1.u), comp(m1.v), image(m1.w).a)
 
 
 def morphism_residual(m: SurfaceMap) -> FieldElement:
     """The defect v^2 - u^3 - A(w) u - B(w); zero exactly for morphisms."""
     model = m.model
-    Aw = FieldElement.from_ratfunc(
-        model, _subst_t(RationalFunction.from_unipoly(model.A), m.w)
-    )
+    powers = _images(m)
+    Aw = _substitute(MultiPoly.from_unipoly(model.A), powers)
     residual = m.v * m.v - m.u * m.u * m.u - Aw * m.u
     if not model.B.is_zero():
-        Bw = FieldElement.from_ratfunc(
-            model, _subst_t(RationalFunction.from_unipoly(model.B), m.w)
-        )
-        residual = residual - Bw
+        residual = residual - _substitute(MultiPoly.from_unipoly(model.B), powers)
     return residual
 
 
@@ -375,26 +330,14 @@ def ambient_scalar(m: SurfaceMap) -> CycloNum | None:
     if u is None or v is None:
         return None
     w = m.w.as_poly()
-    # F = y^2 - x^3 - A(t) x - B(t); compute F(u, v, w) without reduction.
-    def subst(p: MultiPoly) -> MultiPoly:
-        acc = MultiPoly.zero(field)
-        for (ex, ey, et), c in p.terms.items():
-            term = MultiPoly.constant(field, c)
-            if ex:
-                term = term * u ** ex
-            if ey:
-                term = term * v ** ey
-            if et:
-                term = term * w ** et
-            acc = acc + term
-        return acc
-
     x = MultiPoly.gen(field, "x")
     y = MultiPoly.gen(field, "y")
     F = y ** 2 - x ** 3 - MultiPoly.from_unipoly(model.A) * x
     if not model.B.is_zero():
         F = F - MultiPoly.from_unipoly(model.B)
-    image = subst(F)
+    # F(u, v, w) without reduction.
+    one = MultiPoly.constant(field, 1)
+    image = _substitute(F, ([one, u], [one, v], [one, w]))
     if image.is_zero():
         return None
     # Proportionality: image == c * F with a single scalar c.
@@ -441,23 +384,24 @@ def omega_factor(m: SurfaceMap) -> CycloNum:
     return factor.constant_value()
 
 
-def map_order(m: SurfaceMap, max_order: int = 64) -> int:
-    """Least k <= max_order with m^k the identity."""
-    acc = m
+def _order_and_last_power(m: SurfaceMap, max_order: int) -> tuple[int, SurfaceMap]:
+    # The least k <= max_order with m^k the identity, and m^(k - 1).
+    prev, acc = SurfaceMap.identity(m.model), m
     for k in range(1, max_order + 1):
         if acc.is_identity():
-            return k
-        acc = compose(m, acc)
+            return k, prev
+        prev, acc = acc, compose(m, acc)
     raise OrderBoundExceededError(f"order exceeds {max_order}")
+
+
+def map_order(m: SurfaceMap, max_order: int = 64) -> int:
+    """Least k <= max_order with m^k the identity."""
+    return _order_and_last_power(m, max_order)[0]
 
 
 def inverse(m: SurfaceMap, max_order: int = 64) -> SurfaceMap:
     """m^(order - 1); maps in scope all have finite small order."""
-    order = map_order(m, max_order)
-    acc = SurfaceMap.identity(m.model)
-    for _ in range(order - 1):
-        acc = compose(m, acc)
-    return acc
+    return _order_and_last_power(m, max_order)[1]
 
 
 class Section:

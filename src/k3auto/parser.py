@@ -9,8 +9,10 @@ Grammar (whitespace insensitive)::
     atom   := INT | 'z' | NAME | '(' expr ')'
 
 ``z`` denotes the generator zeta_n of the active cyclotomic field; the field
-order is supplied out of band.  ``^`` takes nonnegative integer exponents.
-Printing a parsed value and parsing it again is the identity.
+order is supplied out of band.  ``^`` takes nonnegative integer exponents up
+to MAX_EXPONENT, and a power is rejected before it is expanded when its total
+degree would exceed MAX_POWER_DEGREE.  Printing a parsed value and parsing it
+again is the identity.
 """
 from __future__ import annotations
 
@@ -35,6 +37,9 @@ class UnknownVariableError(ExpressionSyntaxError):
 class ZeroDenominatorError(ZeroDivisionError):
     """A division in the input has an identically zero denominator."""
 
+
+MAX_EXPONENT = 1024
+MAX_POWER_DEGREE = 64
 
 _OPS = set("+-*/^()")
 
@@ -140,7 +145,19 @@ class _Parser:
             if kind != "int":
                 raise ExpressionSyntaxError("exponent must be a nonnegative integer", pos)
             self.advance()
-            value = value ** int(text)
+            exponent = int(text)
+            if exponent > MAX_EXPONENT:
+                raise ExpressionSyntaxError(
+                    f"exponent {exponent} exceeds {MAX_EXPONENT}", pos
+                )
+            degree = exponent * max(
+                (sum(e) for p in (value.num, value.den) for e in p.terms), default=0
+            )
+            if degree > MAX_POWER_DEGREE:
+                raise ExpressionSyntaxError(
+                    f"power of total degree {degree} exceeds {MAX_POWER_DEGREE}", pos
+                )
+            value = value ** exponent
         return value
 
     def atom(self) -> RationalFunction:

@@ -445,23 +445,24 @@ class MultiPoly:
         idx = _VAR_INDEX[var]
         return max((e[idx] for e in self.terms), default=-1)
 
-    def __add__(self, other):
+    def _combine(self, other, op):
+        # Termwise self op other, for op the coefficient + or -.
         other = self._match(other)
         if other is NotImplemented:
             return NotImplemented
         out = dict(self.terms)
         zero = self.field.zero()
         for e, c in other.terms.items():
-            out[e] = out.get(e, zero) + c
+            out[e] = op(out.get(e, zero), c)
         return MultiPoly(self.field, out)
+
+    def __add__(self, other):
+        return self._combine(other, CycloNum.__add__)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._match(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        return self._combine(other, CycloNum.__sub__)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -555,11 +556,11 @@ class MultiPoly:
             return self * inv
         rem = self
         quo: dict = {}
-        d_terms = divisor.sorted_terms()
-        de, dc = d_terms[0]
-        dc_inv = dc.inverse()
+        de = max(divisor.terms)
+        dc_inv = divisor.terms[de].inverse()
         while not rem.is_zero():
-            re, rc = rem.sorted_terms()[0]
+            re = max(rem.terms)
+            rc = rem.terms[re]
             qe = (re[0] - de[0], re[1] - de[1], re[2] - de[2])
             if min(qe) < 0:
                 raise ArithmeticError("division is not exact")
@@ -865,6 +866,9 @@ class RationalFunction:
         return RationalFunction._coprime(-self.num, self.den)
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction, CycloNum)):
+            # A scalar leaves the fraction reduced and den's leading 1.
+            return RationalFunction._coprime(self.num * other, self.den)
         other = self._match(other)
         if other is NotImplemented:
             return NotImplemented

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -104,10 +105,12 @@ def test_check_map_verifies_the_morphism_once(capsys, monkeypatch):
 
 def test_check_map_order_bound_is_a_verdict(capsys):
     # sigma has order 16: passing the bound is a failed verification, exit 1.
-    code, out, err = run_cli(capsys, "check-map", SURFACE, "sigma", "--max-order", "4")
-    assert code == 1
-    assert out == ""
-    assert err == "verification failed: order exceeds 4\n"
+    # A zero bound composes nothing and still ends.
+    for bound in ("4", "0"):
+        code, out, err = run_cli(capsys, "check-map", SURFACE, "sigma", "--max-order", bound)
+        assert code == 1
+        assert out == ""
+        assert err == f"verification failed: order exceeds {bound}\n"
 
 
 def test_rigidity_census(capsys):
@@ -209,6 +212,24 @@ def test_non_positive_field_order_exits_2_with_line(capsys, tmp_path):
     path, line = _edit_fixture(tmp_path, SURFACE, "field_order = 16", "field_order = 0")
     code, _out, err = run_cli(capsys, "classify", path)
     _assert_input_error_at(code, err, line)
+
+
+@pytest.mark.parametrize(
+    "command, old, new",
+    [
+        ("classify", 'A = "t^3*(t^4-1)"', 'A = "(t+1)^3000"'),
+        ("check-map", 'x = "z^6*x"', 'x = "(x+y)^100"'),
+        ("classify", "field_order = 16", "field_order = 100000"),
+    ],
+)
+def test_oversized_input_exits_2_with_line_before_expanding(capsys, tmp_path, command, old, new):
+    path, line = _edit_fixture(tmp_path, SURFACE, old, new)
+    argv = [command, path] + (["sigma"] if command == "check-map" else [])
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    _assert_input_error_at(code, err, line)
+    assert out == ""
 
 
 @pytest.mark.parametrize(

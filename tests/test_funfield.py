@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from k3auto import funfield
 from k3auto.cyclotomic import cyclotomic_field
 from k3auto.funfield import (
     FieldElement,
@@ -24,7 +25,7 @@ from k3auto.funfield import (
     verify_morphism,
 )
 from k3auto.parser import parse_expression
-from k3auto.polyring import RationalFunction, UniPoly
+from k3auto.polyring import MultiPoly, RationalFunction, UniPoly
 from k3auto.surface import WeierstrassModel
 
 F = cyclotomic_field(16)
@@ -260,3 +261,183 @@ def test_translation_by_generic_section_is_morphism():
     tr = translation_map(mdl, p)
     assert verify_morphism(tr) is True
     assert omega_factor(tr) == F.one()
+
+
+def test_inverse_reuses_the_powers_of_the_order_loop(monkeypatch):
+    sigma_alt = named_maps()["sigma_alt"]
+    calls = []
+    counted = funfield.compose
+
+    def counting(m1, m2):
+        calls.append(1)
+        return counted(m1, m2)
+
+    monkeypatch.setattr(funfield, "compose", counting)
+    inv = inverse(sigma_alt)
+    # sigma_alt^2, ..., sigma_alt^16: fifteen compositions, none repeated.
+    assert len(calls) == 15
+    monkeypatch.undo()
+    assert compose(sigma_alt, inv).is_identity()
+
+
+def test_order_bound_is_exact():
+    pool = dict(named_maps(), identity=SurfaceMap.identity(model()))
+    for name, mp in pool.items():
+        order = map_order(mp)
+        assert order == {"sigma": 16, "sigma_alt": 16, "tau": 2, "identity": 1}[name]
+        for bound in {0, 1, order - 1} - {order}:
+            with pytest.raises(OrderBoundExceededError, match=f"order exceeds {bound}$"):
+                map_order(mp, bound)
+        assert map_order(mp, order) == order
+        assert compose(inverse(mp, order), mp).is_identity()
+
+
+# Reference: the function-field arithmetic, normalize and compose as they
+# stood before all substitution went through one routine.  Elements are
+# (a, b) pairs of rational functions standing for a + b*y.
+
+
+def _ref_mul(p, q, rhs):
+    a, b = p
+    c, d = q
+    return (a * c + b * d * rhs, a * d + b * c)
+
+
+def _ref_div(p, q, rhs):
+    c, d = q
+    norm = c * c - d * d * rhs
+    return _ref_mul(p, (c / norm, -d / norm), rhs)
+
+
+def _ref_split_y(poly, rhs):
+    field = poly.field
+    parts = [MultiPoly.zero(field), MultiPoly.zero(field)]
+    for (ex, ey, et), c in poly.terms.items():
+        q, r = divmod(ey, 2)
+        parts[r] = parts[r] + MultiPoly.monomial(field, (ex, 0, et), c) * rhs ** q
+    return parts[0], parts[1]
+
+
+def _ref_normalize(expr, mdl):
+    rhs = mdl.rhs.num
+    n0, n1 = _ref_split_y(expr.num, rhs)
+    d0, d1 = _ref_split_y(expr.den, rhs)
+    if d1.is_zero():
+        return RationalFunction(n0, d0), RationalFunction(n1, d0)
+    clear = d0 * d0 - d1 * d1 * rhs
+    return (
+        RationalFunction(n0 * d0 - n1 * d1 * rhs, clear),
+        RationalFunction(n1 * d0 - n0 * d1, clear),
+    )
+
+
+def _ref_eval_poly(p, X, T, rhs):
+    field = p.field
+    zero = RationalFunction.constant(field, 0)
+    acc = (zero, zero)
+    for (ex, ey, et), c in p.terms.items():
+        assert ey == 0
+        term = (RationalFunction.constant(field, c), zero)
+        for base, k in ((X, ex), (T, et)):
+            for _ in range(k):
+                term = _ref_mul(term, base, rhs)
+        acc = (acc[0] + term[0], acc[1] + term[1])
+    return acc
+
+
+def _ref_compose(m1, m2):
+    rhs = m1.model.rhs
+    zero = RationalFunction.constant(F, 0)
+    X, V, T = (m2.u.a, m2.u.b), (m2.v.a, m2.v.b), (m2.w, zero)
+
+    def image(r):
+        return _ref_div(_ref_eval_poly(r.num, X, T, rhs), _ref_eval_poly(r.den, X, T, rhs), rhs)
+
+    def comp(e):
+        a, b = image(e.a)
+        c, d = _ref_mul(image(e.b), V, rhs)
+        return a + c, b + d
+
+    return comp(m1.u), comp(m1.v), image(m1.w)[0]
+
+
+def _random_poly(rng, exps, terms):
+    # Sparse polynomial with small coefficients, some of them zeta powers.
+    out = MultiPoly.zero(F)
+    for _ in range(terms):
+        e = tuple(rng.randint(0, k) for k in exps)
+        c = F.one() * rng.choice((1, -1, 2, -3))
+        if rng.random() < 0.3:
+            c = c * F.zeta(rng.randrange(16))
+        out = out + MultiPoly.monomial(F, e, c)
+    return out
+
+
+def _pair(e):
+    return (e.a.num, e.a.den, e.b.num, e.b.den)
+
+
+def _small_model():
+    # x^3 + (t + 1) x + t: low degree in t keeps the norms' gcds cheap.
+    return WeierstrassModel(F, T + UniPoly.constant(F, 1), T)
+
+
+def test_normalize_matches_split_y_reference():
+    m = _small_model()
+    rng = random.Random(2024)
+    y4 = MultiPoly.monomial(F, (0, 4, 0), F.one())
+    seen_y4 = seen_odd_den = 0
+    for i in range(12):
+        # y^4 in every other numerator and every third denominator; the
+        # constant terms keep monomial factors from cancelling it, and no
+        # coefficient is -4, so the denominator is nonzero.
+        num = _random_poly(rng, (2, 3, 1), rng.randint(1, 2)) + y4 * (i % 2) + 1
+        den = _random_poly(rng, (1, 3, 0), 1) + y4 * (i % 3 == 0) + 4
+        expr = RationalFunction(num, den)
+        seen_y4 += max(expr.num.degree_in("y"), expr.den.degree_in("y")) >= 4
+        seen_odd_den += any(e[1] % 2 for e in expr.den.terms)
+        got = normalize(expr, m)
+        a, b = _ref_normalize(expr, m)
+        assert _pair(got) == (a.num, a.den, b.num, b.den)
+        assert str(got.a) == str(a) and str(got.b) == str(b)
+    assert seen_y4 >= 6 and seen_odd_den >= 3
+
+
+def test_compose_matches_eval_poly_reference():
+    maps = named_maps()
+    rng = random.Random(77)
+    words = [("sigma_alt", "tau"), ("tau", "sigma_alt"), ("sigma", "sigma_alt")]
+    words += [tuple(rng.choice(sorted(maps)) for _ in range(3)) for _ in range(3)]
+    for word in words:
+        got = maps[word[0]]
+        ref = got
+        for name in word[1:]:
+            nxt = maps[name]
+            got = compose(got, nxt)
+            u, v, w = _ref_compose(ref, nxt)
+            ref = SurfaceMap(ref.model, FieldElement(ref.model, *u), FieldElement(ref.model, *v), w)
+            assert (_pair(got.u), _pair(got.v), got.w) == (_pair(ref.u), _pair(ref.v), ref.w)
+
+
+def test_division_matches_inverse_reference():
+    m = _small_model()
+    rng = random.Random(5)
+
+    def element(y_free):
+        def part():
+            # Denominators in x alone keep the norms' gcds small; no
+            # coefficient is -4, so they are nonzero.
+            den = _random_poly(rng, (1, 0, 0), 1) + 4
+            return RationalFunction(_random_poly(rng, (1, 0, 1), 2), den)
+
+        return FieldElement(m, part(), RationalFunction.constant(F, 0) if y_free else part())
+
+    checked = 0
+    for i in range(6):
+        p, q = element(False), element(i % 3 == 0)
+        if q.is_zero():
+            continue
+        a, b = _ref_div((p.a, p.b), (q.a, q.b), m.rhs)
+        assert _pair(p / q) == (a.num, a.den, b.num, b.den)
+        checked += 1
+    assert checked >= 5

@@ -4,6 +4,8 @@ import pytest
 
 from k3auto.cyclotomic import cyclotomic_field
 from k3auto.parser import (
+    MAX_EXPONENT,
+    MAX_POWER_DEGREE,
     ExpressionSyntaxError,
     UnknownVariableError,
     ZeroDenominatorError,
@@ -95,3 +97,23 @@ def test_print_parse_roundtrip():
         if isinstance(reparsed, MultiPoly):
             reparsed = RationalFunction(reparsed)
         assert reparsed == r
+
+
+def test_power_bounds_checked_before_expanding():
+    assert MAX_EXPONENT == 1024 and MAX_POWER_DEGREE == 64
+    # At the bounds: a constant may take the largest exponent, a variable
+    # the largest degree.
+    assert parse_expression("z^1024", XYT, F) == MultiPoly.constant(F, F.one())
+    assert parse_expression("(x*t)^32", XYT, F) == MultiPoly.monomial(F, (32, 0, 32), F.one())
+    cases = [
+        ("2^1025", "exponent 1025 exceeds 1024", 2),
+        ("x + t^65", "power of total degree 65 exceeds 64", 6),
+        ("(x*y+1)^33", "power of total degree 66 exceeds 64", 8),
+        ("(1/(x*t))^33", "power of total degree 66 exceeds 64", 10),
+        ("((x+1)^8)^9", "power of total degree 72 exceeds 64", 10),
+    ]
+    for src, message, pos in cases:
+        with pytest.raises(ExpressionSyntaxError) as info:
+            parse_expression(src, XYT, F)
+        assert info.value.position == pos
+        assert str(info.value) == f"{message} (at position {pos})"
