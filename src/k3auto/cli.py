@@ -97,6 +97,10 @@ def cmd_check_map(args) -> int:
     try:
         factor = omega_factor(m)  # verifies the morphism first
     except NotAMorphismError as err:
+        if err.residual is None:
+            raise VerificationFailure(
+                f"map {args.map!r} sends the surface to a curve: {err}"
+            ) from err
         _emit(
             args,
             f"map = {args.map}\nwell_defined = no\nresidual = {err.residual}",

@@ -359,11 +359,14 @@ def omega_factor(m: SurfaceMap) -> CycloNum:
     dy is eliminated through 2 y dy = (3 x^2 + A) dx + (A' x + B') dt, so
     pullback(omega) = w'(t) (u_x + u_y (3x^2 + A) / (2y)) / v * dx^dt, and
     dividing by 1/y gives the factor below.  A nonconstant result signals an
-    inconsistent input.
+    inconsistent input.  A map whose image is a curve (y goes to 0, or the
+    pulled-back 2-form is 0) raises NotAMorphismError without a residual.
     """
     residual = morphism_residual(m)
     if not residual.is_zero():
         raise NotAMorphismError("omega factor of a map that is not a morphism", residual)
+    if m.v.is_zero():
+        raise NotAMorphismError("the image of y is 0")
     model = m.model
     field = model.field
     x = RationalFunction.gen(field, "x")
@@ -379,6 +382,8 @@ def omega_factor(m: SurfaceMap) -> CycloNum:
     w_prime = FieldElement.from_ratfunc(model, m.w.derivative("t"))
     y_elem = FieldElement.coordinate(model, "y")
     factor = y_elem * w_prime * (u_x + u_y * half_slope) / m.v
+    if factor.is_zero():
+        raise NotAMorphismError("the pulled-back 2-form is 0")
     if not factor.is_constant():
         raise NotConstantFactorError("2-form factor did not reduce to a constant")
     return factor.constant_value()

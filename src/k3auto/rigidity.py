@@ -365,11 +365,12 @@ class GraphAction:
         )
 
 
-def _saturate(config, perm, n, c, seeds, free_seeds=None) -> GraphAction:
-    """Close the rule set over the graph from the given seed flags."""
+def _frame(config, perm):
+    """The part of a saturation that depends on the permutation alone: the
+    stable curves, the fixed edge points on each and the edge behind each
+    fixed point, in canonical edge order."""
     if not config.is_automorphism(perm):
         raise RigidityError("permutation is not a graph automorphism")
-    c %= n
     stable = {v for v in config.vertices if perm[v] == v}
     fixed_points: dict[str, list[str]] = {v: [] for v in stable}
     edge_of: dict[str, tuple[str, str, int]] = {}
@@ -379,6 +380,16 @@ def _saturate(config, perm, n, c, seeds, free_seeds=None) -> GraphAction:
             fixed_points[a].append(pid)
             fixed_points[b].append(pid)
             edge_of[pid] = (a, b, mult)
+    return stable, fixed_points, edge_of
+
+
+def _saturate(config, perm, n, c, seeds, free_seeds=None, frame=None) -> GraphAction:
+    """Close the rule set over the graph from the given seed flags.
+
+    frame is _frame(config, perm) when the caller has built it already.
+    """
+    stable, fixed_points, edge_of = frame or _frame(config, perm)
+    c %= n
 
     weights: dict[tuple[str, str], int] = {}
     pointwise: set[str] = set()
@@ -668,36 +679,43 @@ def enumerate_actions(config, n, c, census_filter=None) -> list[GraphAction]:
 
     For every automorphism the anchor is the first fixed edge flag in
     canonical order; every anchor weight in Z_n is attempted, inconsistent or
-    underdetermined combinations are dropped, and survivors are deduplicated
-    by conjugation.  The optional filter keeps actions whose census matches
-    (N, k).
+    underdetermined combinations are dropped.  The optional filter keeps
+    actions whose census matches (N, k).  The first survivor of each class is
+    transported along every automorphism once, and each reduced key of its
+    orbit is recorded; a later survivor whose reduced key is recorded is
+    conjugate to it and is dropped.  The classes come out sorted by their
+    canonical_key, the least key of the orbit, each represented by its first
+    survivor in scan order.
     """
     if n > 64:
         raise ValueError("order bound for enumeration is 64")
     if len(config.vertices) > 64:
         raise ValueError("vertex bound for enumeration is 64")
     auts = graph_automorphisms(config)
-    survivors: dict[tuple, GraphAction] = {}
+    seen: set[tuple] = set()
+    classes: dict[tuple, GraphAction] = {}
     for perm in auts:
-        anchor = None
-        for (a, b), _mult in sorted(config.edges.items()):
-            if perm[a] == a and perm[b] == b:
-                anchor = (a, edge_point_id(a, b))
-                break
-        if anchor is None:
+        frame = _frame(config, perm)
+        edge_of = frame[2]
+        if not edge_of:
             continue
+        pid = next(iter(edge_of))
+        anchor = (edge_of[pid][0], pid)
         for w in range(n):
             try:
-                action = _saturate(config, perm, n, c, {anchor: w})
+                action = _saturate(config, perm, n, c, {anchor: w}, frame=frame)
             except RigidityError:
+                continue
+            if action.reduced_key() in seen:
                 continue
             if census_filter is not None:
                 cens = action.census()
                 if (cens.N, cens.k) != tuple(census_filter):
                     continue
-            key = canonical_key(action, auts)
-            survivors.setdefault(key, action)
-    return [survivors[key] for key in sorted(survivors)]
+            orbit = [_transport(action, g).reduced_key() for g in auts]
+            seen.update(orbit)
+            classes[min(orbit)] = action
+    return [classes[key] for key in sorted(classes)]
 
 
 def to_dot(config: CurveConfig, action: GraphAction | None = None) -> str:

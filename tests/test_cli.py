@@ -89,6 +89,28 @@ def test_check_map_not_a_morphism_exits_1(capsys, tmp_path):
     assert err == "verification failed: map 'broken' is not a morphism\n"
 
 
+@pytest.mark.parametrize(
+    "coefficients, images, reason",
+    [
+        # On the fixture model (B = 0) the point (0, 0) lies on every fiber.
+        ('A = "t^3*(t^4-1)"\nB = "0"', ("0", "0", "t"), "the image of y is 0"),
+        # (0, 1) is a section of y^2 = x^3 + 1: y goes to 1, the 2-form to 0.
+        ('A = "0"\nB = "1"', ("0", "1", "t"), "the pulled-back 2-form is 0"),
+    ],
+)
+def test_check_map_onto_a_curve_is_a_verdict(capsys, tmp_path, coefficients, images, reason):
+    path = tmp_path / "flat_map.txt"
+    x, y, t = images
+    path.write_text(
+        f'field_order = 16\n{coefficients}\n[map.flat]\nx = "{x}"\ny = "{y}"\nt = "{t}"\n'
+    )
+    for extra in ([], ["--json"]):
+        code, out, err = run_cli(capsys, "check-map", str(path), "flat", *extra)
+        assert code == 1
+        assert out == ""
+        assert err == f"verification failed: map 'flat' sends the surface to a curve: {reason}\n"
+
+
 def test_check_map_verifies_the_morphism_once(capsys, monkeypatch):
     calls = []
     residual = funfield.morphism_residual

@@ -2,7 +2,10 @@ import random
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from k3auto import rigidity
 from k3auto.fixtures import load_bundle
 from k3auto.rigidity import (
     AnchorOnMobileCurveError,
@@ -11,6 +14,7 @@ from k3auto.rigidity import (
     InconsistentCycleError,
     RigidityError,
     TooManyFixedPointsError,
+    _saturate,
     canonical_key,
     census,
     compose_actions,
@@ -308,3 +312,131 @@ def test_dot_export_is_stable_and_legend_aware():
     assert '"a5" -- "b5"' in dot1
     bare = to_dot(CFG)
     assert "fillcolor" not in bare
+
+
+# -- enumeration against the per-survivor canonical-key reference -------------
+
+
+def reference_enumerate_actions(config, n, c, census_filter=None):
+    """Enumeration as it was before orbit deduplication: every survivor takes
+    its canonical key over the whole automorphism group, and the first
+    survivor of each key is kept."""
+    auts = graph_automorphisms(config)
+    survivors = {}
+    for perm in auts:
+        anchor = None
+        for (a, b), _mult in sorted(config.edges.items()):
+            if perm[a] == a and perm[b] == b:
+                anchor = (a, edge_point_id(a, b))
+                break
+        if anchor is None:
+            continue
+        for w in range(n):
+            try:
+                action = propagate(config, perm, n, c, anchor, w)
+            except RigidityError:
+                continue
+            if census_filter is not None:
+                cens = action.census()
+                if (cens.N, cens.k) != tuple(census_filter):
+                    continue
+            key = canonical_key(action, auts)
+            survivors.setdefault(key, action)
+    return [survivors[key] for key in sorted(survivors)]
+
+
+def action_data(actions):
+    """Everything an action holds, so that equal lists mean equal
+    representatives in equal order, not merely conjugate ones."""
+    return [
+        (
+            a.n,
+            a.c,
+            sorted(a.perm.items()),
+            sorted(a.weights.items()),
+            sorted(a.pointwise),
+            sorted(a.free_points.items()),
+        )
+        for a in actions
+    ]
+
+
+@pytest.mark.parametrize("n, c", [(2, 1), (4, 3), (8, 5), (16, 1)])
+@pytest.mark.parametrize("census_filter", [None, (10, 1), (4, 0)])
+def test_enumeration_matches_reference_on_fixture(n, c, census_filter):
+    got = enumerate_actions(CFG, n, c, census_filter)
+    want = reference_enumerate_actions(CFG, n, c, census_filter)
+    assert action_data(got) == action_data(want)
+
+
+@st.composite
+def small_configs(draw):
+    names = [f"v{i}" for i in range(draw(st.integers(1, 7)))]
+    pairs = [(a, b) for i, a in enumerate(names) for b in names[i + 1 :]]
+    mults = draw(
+        st.lists(st.sampled_from([0, 0, 1, 2]), min_size=len(pairs), max_size=len(pairs))
+    )
+    return CurveConfig(names, [(a, b, m) for (a, b), m in zip(pairs, mults) if m])
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_configs(), st.sampled_from([1, 2, 3, 4, 6, 8]), st.data())
+def test_enumeration_matches_reference_on_small_graphs(config, n, data):
+    c = data.draw(st.integers(0, n - 1))
+    want = reference_enumerate_actions(config, n, c)
+    assert action_data(enumerate_actions(config, n, c)) == action_data(want)
+    for counts in sorted({(a.census().N, a.census().k) for a in want}):
+        assert action_data(enumerate_actions(config, n, c, counts)) == action_data(
+            reference_enumerate_actions(config, n, c, counts)
+        )
+
+
+def test_enumeration_transports_once_per_class(monkeypatch):
+    # One orbit of 240 transports for each of the 8 classes (the reference
+    # transports every one of the 150 survivors: 36,000 calls), and one
+    # automorphism check per automorphism (240) plus one in the validation
+    # of each of the 1,889 saturations that reach it (5,729 in the reference,
+    # which checks again in each of the 3,840 saturations).
+    calls = {"transport": 0, "is_automorphism": 0}
+    transport = rigidity._transport
+    is_automorphism = CurveConfig.is_automorphism
+
+    def counted_transport(action, g):
+        calls["transport"] += 1
+        return transport(action, g)
+
+    def counted_is_automorphism(self, perm):
+        calls["is_automorphism"] += 1
+        return is_automorphism(self, perm)
+
+    monkeypatch.setattr(rigidity, "_transport", counted_transport)
+    monkeypatch.setattr(CurveConfig, "is_automorphism", counted_is_automorphism)
+    classes = enumerate_actions(CFG, 16, 1)
+    assert len(classes) == 8
+    assert calls == {"transport": 8 * 240, "is_automorphism": 240 + 1889}
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="one anchor per automorphism misses stable subgraphs with two components",
+)
+def test_enumeration_finds_actions_with_two_stable_components():
+    cfg = CurveConfig(
+        ["p", "q", "u", "v", "m1", "m2"],
+        [
+            ("p", "q", 1),
+            ("u", "v", 1),
+            ("q", "m1", 1),
+            ("q", "m2", 1),
+            ("u", "m1", 1),
+            ("u", "m2", 1),
+        ],
+    )
+    perm = perm_from_cycles(cfg, [["m1", "m2"]])
+    seeded = _saturate(
+        cfg, perm, 4, 1, {("q", edge_point_id("p", "q")): 2, ("u", edge_point_id("u", "v")): 2}
+    )
+    cen = seeded.census()
+    assert (cen.N, cen.k) == (6, 0)
+    classes = enumerate_actions(cfg, 4, 1)
+    assert any(canonical_key(a) == canonical_key(seeded) for a in classes)
