@@ -198,9 +198,13 @@ def cmd_rigidity(args) -> int:
         text, data = _census_report(f"{args.first} o {args.second}", action)
     else:  # enumerate
         census_filter = None
-        if args.filter:
-            parts = args.filter.split(",")
-            census_filter = (int(parts[0]), int(parts[1]))
+        if args.filter is not None:
+            try:
+                census_filter = tuple(int(part) for part in args.filter.split(","))
+            except ValueError:
+                census_filter = ()
+            if len(census_filter) != 2:
+                raise ValueError(f"--filter takes two integers N,k, got {args.filter!r}")
         classes = enumerate_actions(config, args.n, args.c, census_filter)
         lines = [f"classes = {len(classes)}"]
         class_data = []

@@ -15,7 +15,10 @@ linearizes as z -> zeta_n^w z.  Three local rules make the calculus rigid:
 
 Propagation from a single anchor flag saturates these rules over the whole
 graph, synthesizing free fixed points where a curve has fewer than two marked
-ones, and failing loudly on any contradiction.
+ones, and failing loudly on any contradiction.  The orbit-length part of the
+projective-line rule is checked as each nonzero weight is set, so a
+propagation stops at the first weight whose rotation order disagrees with an
+orbit of neighbours; the final validation rechecks every rule.
 """
 from __future__ import annotations
 
@@ -368,7 +371,9 @@ class GraphAction:
 def _frame(config, perm):
     """The part of a saturation that depends on the permutation alone: the
     stable curves, the fixed edge points on each and the edge behind each
-    fixed point, in canonical edge order."""
+    fixed point, in canonical edge order, and for each stable curve the cycle
+    lengths of its mobile neighbours, each with the first neighbour that has
+    it."""
     if not config.is_automorphism(perm):
         raise RigidityError("permutation is not a graph automorphism")
     stable = {v for v in config.vertices if perm[v] == v}
@@ -380,7 +385,15 @@ def _frame(config, perm):
             fixed_points[a].append(pid)
             fixed_points[b].append(pid)
             edge_of[pid] = (a, b, mult)
-    return stable, fixed_points, edge_of
+    orbit_lengths: dict[str, dict[int, str]] = {}
+    for curve in stable:
+        lengths: dict[int, str] = {}
+        for d in config.neighbors(curve):
+            if d not in stable:
+                lengths.setdefault(_cycle_length(perm, d), d)
+        if lengths:
+            orbit_lengths[curve] = lengths
+    return stable, fixed_points, edge_of, orbit_lengths
 
 
 def _saturate(config, perm, n, c, seeds, free_seeds=None, frame=None) -> GraphAction:
@@ -388,7 +401,7 @@ def _saturate(config, perm, n, c, seeds, free_seeds=None, frame=None) -> GraphAc
 
     frame is _frame(config, perm) when the caller has built it already.
     """
-    stable, fixed_points, edge_of = frame or _frame(config, perm)
+    stable, fixed_points, edge_of, orbit_lengths = frame or _frame(config, perm)
     c %= n
 
     weights: dict[tuple[str, str], int] = {}
@@ -410,10 +423,20 @@ def _saturate(config, perm, n, c, seeds, free_seeds=None, frame=None) -> GraphAc
                     f"contradictory weights {weights[key]} and {w} at {pid} on {curve}"
                 )
             return
-        if curve in pointwise and w != 0:
-            raise InconsistentCycleError(
-                f"nonzero weight {w} on pointwise-fixed curve {curve}"
-            )
+        if w != 0:
+            if curve in pointwise:
+                raise InconsistentCycleError(
+                    f"nonzero weight {w} on pointwise-fixed curve {curve}"
+                )
+            # A nonzero weight makes the curve rotate, so every orbit of
+            # neighbours on it must have the rotation order (as in validate).
+            rotation = n // gcd(n, w)
+            for length, d in orbit_lengths.get(curve, {}).items():
+                if length != rotation:
+                    raise InconsistentCycleError(
+                        f"orbit of {d} on {curve} has length {length}, "
+                        f"rotation order is {rotation}"
+                    )
         weights[key] = w
         queue.append(key)
 
@@ -513,10 +536,16 @@ def census(action: GraphAction) -> FixedLocusCensus:
 
 
 def power(action: GraphAction, m: int) -> GraphAction:
-    """The action of the m-th power: weights scale by m, order divides out."""
+    """The action of the m-th power: weights scale by m, order divides out.
+
+    m is taken modulo lcm(n, order of the permutation), which fixes the
+    permutation, the weights and n // gcd(n, m); so a negative m is a power
+    of the inverse and a huge m costs no more than a small one.
+    """
     n = action.n
+    m %= lcm(n, _perm_order(action.perm))
     g = gcd(n, m)
-    n2 = n // g if n // g >= 1 else 1
+    n2 = n // g
     perm2 = _perm_power(action.perm, m)
     seeds = {}
     free_seeds: dict[str, list[int]] = {}
@@ -666,6 +695,32 @@ def _transport(action: GraphAction, g: dict[str, str]) -> GraphAction:
     return GraphAction(config, action.n, action.c, perm, weights, pointwise, free_points)
 
 
+def _orbit_keys(action: GraphAction, auts) -> set[tuple]:
+    """The reduced keys of the action's orbit under the automorphisms auts.
+
+    Every g in auts is r h with h in the centraliser C of the permutation and
+    r the first automorphism that conjugates it to g perm g^-1, so the orbit
+    is the C-orbit transported along one r per conjugate.
+    """
+    own = frozenset(action.perm.items())
+    centraliser = []
+    coset_reps: dict[frozenset, dict[str, str]] = {}
+    for g in auts:
+        conj = frozenset((g[v], g[w]) for v, w in action.perm.items())
+        if conj == own:
+            centraliser.append(g)
+        coset_reps.setdefault(conj, g)
+    images = {}
+    for h in centraliser:
+        image = _transport(action, h)
+        images.setdefault(image.reduced_key(), image)
+    return {
+        _transport(image, r).reduced_key()
+        for r in coset_reps.values()
+        for image in images.values()
+    }
+
+
 def canonical_key(action: GraphAction, automorphisms=None):
     """Smallest reduced key over conjugation by the full automorphism group."""
     if automorphisms is None:
@@ -680,13 +735,16 @@ def enumerate_actions(config, n, c, census_filter=None) -> list[GraphAction]:
     For every automorphism the anchor is the first fixed edge flag in
     canonical order; every anchor weight in Z_n is attempted, inconsistent or
     underdetermined combinations are dropped.  The optional filter keeps
-    actions whose census matches (N, k).  The first survivor of each class is
-    transported along every automorphism once, and each reduced key of its
-    orbit is recorded; a later survivor whose reduced key is recorded is
-    conjugate to it and is dropped.  The classes come out sorted by their
-    canonical_key, the least key of the orbit, each represented by its first
-    survivor in scan order.
+    actions whose census matches (N, k).  The orbit of the first survivor of
+    each class is built once: its images under the centraliser of its
+    permutation, each transported along one automorphism per conjugate of
+    the permutation.  Every reduced key of the orbit is recorded; a later
+    survivor whose reduced key is recorded is conjugate to it and is dropped.
+    The classes come out sorted by their canonical_key, the least key of the
+    orbit, each represented by its first survivor in scan order.
     """
+    if n < 1:
+        raise ValueError(f"order must be at least 1, got {n}")
     if n > 64:
         raise ValueError("order bound for enumeration is 64")
     if len(config.vertices) > 64:
@@ -712,7 +770,7 @@ def enumerate_actions(config, n, c, census_filter=None) -> list[GraphAction]:
                 cens = action.census()
                 if (cens.N, cens.k) != tuple(census_filter):
                     continue
-            orbit = [_transport(action, g).reduced_key() for g in auts]
+            orbit = _orbit_keys(action, auts)
             seen.update(orbit)
             classes[min(orbit)] = action
     return [classes[key] for key in sorted(classes)]

@@ -167,6 +167,45 @@ def test_rigidity_enumerate(capsys):
     assert out.splitlines()[0] == "classes = 1"
 
 
+def _body(out):
+    """A census report without its first line, which names the action."""
+    return out.split("\n", 1)[1]
+
+
+def test_rigidity_power_of_minus_one_is_the_inverse(capsys):
+    code, out, _ = run_cli(capsys, "rigidity", GRAPH, "power", "sigma", "-1")
+    assert code == 0
+    code_inv, out_inv, _ = run_cli(capsys, "rigidity", GRAPH, "census", "inv(sigma)")
+    assert code_inv == 0
+    assert _body(out) == _body(out_inv)
+
+
+def test_rigidity_power_with_a_huge_exponent_is_fast(capsys):
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "rigidity", GRAPH, "power", "sigma", "1000000001")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    _code, out_one, _ = run_cli(capsys, "rigidity", GRAPH, "power", "sigma", "1")
+    assert _body(out) == _body(out_one)
+
+
+@pytest.mark.parametrize("value", ["10", "10,1,2", "10,x", ""])
+def test_rigidity_enumerate_filter_needs_two_integers(capsys, value):
+    code, out, err = run_cli(
+        capsys, "rigidity", GRAPH, "enumerate", "--n", "16", "--c", "1", "--filter", value
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("input error:")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["0", "-4"])
+def test_rigidity_enumerate_non_positive_order_exits_2(capsys, value):
+    code, out, err = run_cli(capsys, "rigidity", GRAPH, "enumerate", "--n", value, "--c", "1")
+    assert (code, out) == (2, "")
+    assert err.startswith("input error:")
+
+
 def test_rigidity_inconsistent_action_exits_1(capsys, tmp_path):
     path = tmp_path / "bad_graph.txt"
     path.write_text(

@@ -1,5 +1,5 @@
 import random
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +14,11 @@ from k3auto.rigidity import (
     InconsistentCycleError,
     RigidityError,
     TooManyFixedPointsError,
+    _frame,
+    _orbit_keys,
+    _perm_order,
     _saturate,
+    _transport,
     canonical_key,
     census,
     compose_actions,
@@ -295,6 +299,22 @@ def test_enumerate_trivial_order():
     assert cen.k == 20 and cen.N == 0
 
 
+def test_power_exponent_is_taken_modulo_the_period():
+    for act in BUNDLE.actions.values():
+        period = lcm(act.n, _perm_order(act.perm))
+        for m in range(-period, 2 * period + 1):
+            assert action_data([power(act, m)]) == action_data([power(act, m + period)])
+        inv = inverse_action(act)
+        for m in (1, 2, 3, 5):
+            assert power(act, -m) == power(inv, m)
+
+
+def test_enumeration_rejects_a_non_positive_order():
+    for n in (0, -4):
+        with pytest.raises(ValueError, match="at least 1"):
+            enumerate_actions(CFG, n, 1)
+
+
 def test_census_of_full_power_is_everything_fixed():
     for act in BUNDLE.actions.values():
         cen = census(power(act, act.order()))
@@ -391,12 +411,88 @@ def test_enumeration_matches_reference_on_small_graphs(config, n, data):
         )
 
 
+# -- early orbit-length rule and centraliser orbits against their references --
+
+
+def saturation_outcome(config, perm, n, c, anchor, w, frame):
+    try:
+        return _saturate(config, perm, n, c, {anchor: w}, frame=frame).reduced_key()
+    except RigidityError:
+        return None
+
+
+def assert_early_orbit_rule_is_sound(config, perms, ns, c):
+    """Saturating every anchor weight from the first fixed edge flag gives the
+    same outcome with the orbit-length table as with it emptied, where only
+    the final validation applies the rule."""
+    accepted = 0
+    for perm in perms:
+        frame = _frame(config, perm)
+        if not frame[2]:
+            continue
+        late = frame[:3] + ({},)
+        pid, (a, _b, _mult) = next(iter(frame[2].items()))
+        for n in ns:
+            for w in range(n):
+                early = saturation_outcome(config, perm, n, c, (a, pid), w, frame)
+                assert early == saturation_outcome(config, perm, n, c, (a, pid), w, late)
+                accepted += early is not None
+    return accepted
+
+
+def test_early_orbit_rule_matches_final_validation_on_fixture():
+    assert assert_early_orbit_rule_is_sound(CFG, graph_automorphisms(CFG), (8, 16), 1) > 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_configs(), st.sampled_from([2, 4, 6, 8]), st.data())
+def test_early_orbit_rule_matches_final_validation_on_small_graphs(config, n, data):
+    c = data.draw(st.integers(0, n - 1))
+    assert_early_orbit_rule_is_sound(config, graph_automorphisms(config), (n,), c)
+
+
+def assert_orbit_keys_match_full_transport(actions, auts):
+    for action in actions:
+        want = {_transport(action, g).reduced_key() for g in auts}
+        assert _orbit_keys(action, auts) == want
+
+
+def test_orbit_keys_match_full_transport_on_fixture():
+    auts = graph_automorphisms(CFG)
+    actions = enumerate_actions(CFG, 16, 1) + enumerate_actions(CFG, 8, 3)
+    actions += list(BUNDLE.actions.values())
+    assert_orbit_keys_match_full_transport(actions, auts)
+
+
+def test_orbit_keys_follow_the_centraliser_on_a_chain():
+    # On the fixture every centraliser fixes its class, so the images under
+    # the centraliser are exercised here: swapping the ends of a chain of
+    # three curves moves an action of trivial permutation whose end weights
+    # differ.
+    cfg = CurveConfig(["L", "M", "R"], [("L", "M", 1), ("M", "R", 1)])
+    auts = graph_automorphisms(cfg)
+    actions = enumerate_actions(cfg, 8, 1)
+    assert any(len({_transport(a, g).reduced_key() for g in auts}) > 1 for a in actions)
+    assert_orbit_keys_match_full_transport(actions, auts)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_configs(), st.sampled_from([1, 2, 4, 6]), st.data())
+def test_orbit_keys_match_full_transport_on_small_graphs(config, n, data):
+    c = data.draw(st.integers(0, n - 1))
+    auts = graph_automorphisms(config)
+    assert_orbit_keys_match_full_transport(enumerate_actions(config, n, c), auts)
+
+
 def test_enumeration_transports_once_per_class(monkeypatch):
-    # One orbit of 240 transports for each of the 8 classes (the reference
-    # transports every one of the 150 survivors: 36,000 calls), and one
-    # automorphism check per automorphism (240) plus one in the validation
-    # of each of the 1,889 saturations that reach it (5,729 in the reference,
-    # which checks again in each of the 3,840 saturations).
+    # Each of the 8 classes transports its first survivor along the
+    # centraliser of its permutation (330 in all) and each distinct image
+    # along one automorphism per conjugate (the 150 orbit members); the
+    # reference transports all 150 survivors along Aut(G), 36,000 calls.
+    # One automorphism check per automorphism (240) plus one in the
+    # validation of each of the 150 saturations that reach it: the
+    # orbit-length rule stops the rest during propagation (5,729 checks in
+    # the reference).
     calls = {"transport": 0, "is_automorphism": 0}
     transport = rigidity._transport
     is_automorphism = CurveConfig.is_automorphism
@@ -413,7 +509,7 @@ def test_enumeration_transports_once_per_class(monkeypatch):
     monkeypatch.setattr(CurveConfig, "is_automorphism", counted_is_automorphism)
     classes = enumerate_actions(CFG, 16, 1)
     assert len(classes) == 8
-    assert calls == {"transport": 8 * 240, "is_automorphism": 240 + 1889}
+    assert calls == {"transport": 330 + 150, "is_automorphism": 240 + 150}
 
 
 @pytest.mark.xfail(
