@@ -92,7 +92,7 @@ def cmd_classify(args) -> int:
 def cmd_check_map(args) -> int:
     model, maps = load_surface_file(args.surface)
     if args.map not in maps:
-        raise InputError(f"no map named {args.map!r} in {args.surface}", 1)
+        raise ValueError(f"no map named {args.map!r} in {args.surface}")
     m = maps[args.map]
     try:
         factor = omega_factor(m)  # verifies the morphism first
@@ -179,7 +179,7 @@ def _resolve_action(actions, name: str):
     if name.startswith("inv(") and name.endswith(")"):
         return inverse_action(_resolve_action(actions, name[4:-1]))
     if name not in actions:
-        raise InputError(f"no action named {name!r} in the graph file", 1)
+        raise ValueError(f"no action named {name!r} in the graph file")
     return actions[name]
 
 

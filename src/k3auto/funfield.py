@@ -298,10 +298,10 @@ def morphism_residual(m: SurfaceMap) -> FieldElement:
     """The defect v^2 - u^3 - A(w) u - B(w); zero exactly for morphisms."""
     model = m.model
     powers = _images(m)
-    Aw = _substitute(MultiPoly.from_unipoly(model.A), powers)
+    Aw = _substitute(model.A, powers)
     residual = m.v * m.v - m.u * m.u * m.u - Aw * m.u
     if not model.B.is_zero():
-        residual = residual - _substitute(MultiPoly.from_unipoly(model.B), powers)
+        residual = residual - _substitute(model.B, powers)
     return residual
 
 
@@ -332,9 +332,9 @@ def ambient_scalar(m: SurfaceMap) -> CycloNum | None:
     w = m.w.as_poly()
     x = MultiPoly.gen(field, "x")
     y = MultiPoly.gen(field, "y")
-    F = y ** 2 - x ** 3 - MultiPoly.from_unipoly(model.A) * x
+    F = y ** 2 - x ** 3 - model.A * x
     if not model.B.is_zero():
-        F = F - MultiPoly.from_unipoly(model.B)
+        F = F - model.B
     # F(u, v, w) without reduction.
     one = MultiPoly.constant(field, 1)
     image = _substitute(F, ([one, u], [one, v], [one, w]))
@@ -370,7 +370,7 @@ def omega_factor(m: SurfaceMap) -> CycloNum:
     model = m.model
     field = model.field
     x = RationalFunction.gen(field, "x")
-    three_x2_plus_A = x * x * 3 + RationalFunction.from_unipoly(model.A)
+    three_x2_plus_A = x * x * 3 + RationalFunction(model.A)
     # (3x^2 + A) / (2y) = (3x^2 + A) y / (2 rhs), as a field element.
     half_slope = FieldElement(
         model,
@@ -436,8 +436,8 @@ class Section:
         lhs = self.y * self.y
         rhs = (
             self.x ** 3
-            + RationalFunction.from_unipoly(model.A) * self.x
-            + RationalFunction.from_unipoly(model.B)
+            + RationalFunction(model.A) * self.x
+            + RationalFunction(model.B)
         )
         return lhs == rhs
 
@@ -473,7 +473,7 @@ def add_points(model: WeierstrassModel, p: Section, q: Section) -> Section:
         if p.y == -q.y:
             return Section.zero()
         # Doubling (p == q with y != 0).
-        slope = (p.x * p.x * 3 + RationalFunction.from_unipoly(model.A)) / (p.y * 2)
+        slope = (p.x * p.x * 3 + RationalFunction(model.A)) / (p.y * 2)
     else:
         slope = (q.y - p.y) / (q.x - p.x)
     x3 = slope * slope - p.x - q.x

@@ -13,6 +13,9 @@ from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
 
+# Largest Gram matrix built: checked on the requested rank before any rows.
+MAX_LATTICE_RANK = 64
+
 
 class UnknownLatticeError(ValueError):
     """No lattice of that name is built in."""
@@ -55,6 +58,11 @@ class GramMatrix:
         return f"GramMatrix({self.entries!r})"
 
 
+def _check_rank(rank: int) -> None:
+    if rank > MAX_LATTICE_RANK:
+        raise ValueError(f"lattice rank {rank} exceeds the bound {MAX_LATTICE_RANK}")
+
+
 def _adjacency_gram(n: int, edges: list[tuple[int, int]]) -> GramMatrix:
     rows = [[0] * n for _ in range(n)]
     for i in range(n):
@@ -86,6 +94,7 @@ def named_lattice(name: str) -> GramMatrix:
     if not m:
         raise UnknownLatticeError(f"unknown lattice name {name!r}")
     family, rank = m.group(1), int(m.group(2))
+    _check_rank(rank)
     if family == "A" and rank >= 1:
         return _adjacency_gram(rank, _path_edges(rank))
     if family == "D" and rank >= 3:
@@ -103,6 +112,7 @@ def named_lattice(name: str) -> GramMatrix:
 def direct_sum(parts) -> GramMatrix:
     mats = [p if isinstance(p, GramMatrix) else named_lattice(p) for p in parts]
     n = sum(m.size for m in mats)
+    _check_rank(n)
     rows = [[0] * n for _ in range(n)]
     offset = 0
     for m in mats:
@@ -117,6 +127,7 @@ def from_curve_config(config) -> GramMatrix:
     """Intersection matrix of a curve configuration: -2 diagonal, edge
     multiplicities off the diagonal."""
     names = list(config.vertices)
+    _check_rank(len(names))
     index = {v: i for i, v in enumerate(names)}
     rows = [[0] * len(names) for _ in names]
     for i in range(len(names)):

@@ -193,8 +193,8 @@ def parse_expression(
 
 
 def parse_univariate(src: str, var: str, field: CyclotomicField):
-    """Parse a polynomial in a single variable, as a UniPoly."""
+    """Parse a polynomial in a single variable, as a MultiPoly."""
     value = parse_expression(src, {var}, field)
     if isinstance(value, RationalFunction):
         raise ValueError(f"expected a polynomial in {var}, got a rational function")
-    return value.to_unipoly(var)
+    return value

@@ -1,16 +1,16 @@
 """Polynomials and rational functions over Q(zeta_n) in the variables t, x, y.
 
-Three layers:
+Two layers:
 
-* ``UniPoly``: dense univariate polynomials, the workhorse for base-curve data.
-* ``MultiPoly``: sparse polynomials in the fixed variable triple (x, y, t).
+* ``MultiPoly``: sparse polynomials in the fixed variable triple (x, y, t),
+  the one polynomial type; base-curve data are MultiPoly values in t alone.
 * ``RationalFunction``: reduced fractions of MultiPoly in a canonical form,
   so equality is structural.
 
-Place bookkeeping (gcd-free bases, vanishing orders) lives here as well.  No
-irreducible factorization over the coefficient field is ever performed: a
-basis element of degree d stands for d geometric points sharing identical
-vanishing data.
+Place bookkeeping on the t-line (gcd-free bases, vanishing orders) lives here
+as well.  No irreducible factorization over the coefficient field is ever
+performed: a basis element of degree d stands for d geometric points sharing
+identical vanishing data.
 """
 from __future__ import annotations
 
@@ -62,321 +62,6 @@ def _coeff_body(c: CycloNum, symbol: str) -> tuple[bool, str]:
     return False, f"({text})*{symbol}"
 
 
-class UniPoly:
-    """Dense univariate polynomial over a cyclotomic field, constant term first."""
-
-    __slots__ = ("field", "var", "coeffs")
-
-    def __init__(self, field: CyclotomicField, var: str, coeffs: Iterable[CycloNum]):
-        cs = list(coeffs)
-        while cs and cs[-1].is_zero():
-            cs.pop()
-        self.field = field
-        self.var = var
-        self.coeffs = tuple(cs)
-
-    @classmethod
-    def zero(cls, field, var="t"):
-        return cls(field, var, ())
-
-    @classmethod
-    def constant(cls, field, value, var="t"):
-        if isinstance(value, CycloNum):
-            return cls(field, var, (value,))
-        return cls(field, var, (field.from_rational(value),))
-
-    @classmethod
-    def gen(cls, field, var="t"):
-        return cls(field, var, (field.zero(), field.one()))
-
-    @classmethod
-    def from_int_coeffs(cls, field, coeffs, var="t"):
-        return cls(field, var, tuple(field.from_rational(c) for c in coeffs))
-
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def is_constant(self) -> bool:
-        return len(self.coeffs) <= 1
-
-    def leading(self) -> CycloNum:
-        if self.is_zero():
-            raise ZeroInputError("the zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    def monic(self) -> "UniPoly":
-        if self.is_zero():
-            return self
-        inv = self.leading().inverse()
-        return UniPoly(self.field, self.var, (c * inv for c in self.coeffs))
-
-    def _match(self, other):
-        if isinstance(other, UniPoly):
-            if other.var != self.var:
-                raise ValueError(f"variable mismatch: {self.var} vs {other.var}")
-            return other
-        if isinstance(other, (int, Fraction, CycloNum)):
-            return UniPoly.constant(self.field, other, self.var)
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._match(other)
-        if other is NotImplemented:
-            return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        zero = self.field.zero()
-        a = list(self.coeffs) + [zero] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [zero] * (n - len(other.coeffs))
-        return UniPoly(self.field, self.var, (x + y for x, y in zip(a, b)))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self + (-other if isinstance(other, UniPoly) else -self._match(other))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __neg__(self):
-        return UniPoly(self.field, self.var, (-c for c in self.coeffs))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, CycloNum)):
-            c = other if isinstance(other, CycloNum) else self.field.from_rational(other)
-            return UniPoly(self.field, self.var, (a * c for a in self.coeffs))
-        other = self._match(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return UniPoly.zero(self.field, self.var)
-        out = [self.field.zero()] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.coeffs):
-                if not b.is_zero():
-                    out[i + j] = out[i + j] + a * b
-        return UniPoly(self.field, self.var, out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative exponent on a polynomial")
-        result = UniPoly.constant(self.field, 1, self.var)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def __divmod__(self, other):
-        other = self._match(other)
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        quo = [self.field.zero()] * max(len(rem) - len(other.coeffs) + 1, 0)
-        inv_lead = other.leading().inverse()
-        db = other.degree()
-        for i in range(len(quo) - 1, -1, -1):
-            c = rem[db + i] * inv_lead
-            quo[i] = c
-            if not c.is_zero():
-                for j, d in enumerate(other.coeffs):
-                    rem[i + j] = rem[i + j] - c * d
-        return (
-            UniPoly(self.field, self.var, quo),
-            UniPoly(self.field, self.var, rem[: max(db, 0)]),
-        )
-
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction, CycloNum)):
-            other = UniPoly.constant(self.field, other, self.var)
-        return (
-            isinstance(other, UniPoly)
-            and other.var == self.var
-            and other.coeffs == self.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.var, self.coeffs))
-
-    def derivative(self) -> "UniPoly":
-        return UniPoly(
-            self.field,
-            self.var,
-            (c * k for k, c in enumerate(self.coeffs) if k > 0),
-        )
-
-    def __repr__(self):
-        return f"UniPoly({self})"
-
-    def __str__(self):
-        parts = []
-        for k in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[k]
-            if c.is_zero():
-                continue
-            sym = "" if k == 0 else (self.var if k == 1 else f"{self.var}^{k}")
-            parts.append(_coeff_body(c, sym))
-        return _fmt_terms(parts)
-
-
-def uni_gcd(p: UniPoly, q: UniPoly) -> UniPoly:
-    """Monic greatest common divisor; uni_gcd(0, 0) is the zero polynomial."""
-    a, b = p, q
-    while not b.is_zero():
-        a, b = b, (a % b).monic()
-    return a.monic()
-
-
-def squarefree_part(p: UniPoly) -> UniPoly:
-    """The product of the distinct roots' linear factors: p / gcd(p, p')."""
-    if p.is_zero():
-        raise ZeroInputError("squarefree part of the zero polynomial")
-    if p.is_constant():
-        return UniPoly.constant(p.field, 1, p.var)
-    g = uni_gcd(p, p.derivative())
-    return (p // g).monic()
-
-
-def squarefree_decomposition(p: UniPoly) -> list[tuple[UniPoly, int]]:
-    """Yun's decomposition p = unit * prod q_k^k with the q_k squarefree, coprime.
-
-    Only the nonconstant q_k are returned, each monic with its multiplicity.
-    """
-    if p.is_zero():
-        raise ZeroInputError("squarefree decomposition of the zero polynomial")
-    out: list[tuple[UniPoly, int]] = []
-    f = p.monic()
-    if f.is_constant():
-        return out
-    deriv = f.derivative()
-    a = uni_gcd(f, deriv)
-    b = f // a
-    c = deriv // a
-    d = c - b.derivative()
-    k = 1
-    while not b.is_constant():
-        g = uni_gcd(b, d)
-        if g.is_zero():
-            g = UniPoly.constant(f.field, 1, f.var)
-        if not g.is_constant():
-            out.append((g, k))
-        b = b // g
-        c = d // g
-        d = c - b.derivative()
-        k += 1
-    return out
-
-
-class PlacePoly:
-    """A place of the base line: a monic squarefree polynomial, or infinity."""
-
-    __slots__ = ("poly",)
-
-    def __init__(self, poly: UniPoly | None):
-        if poly is not None:
-            if poly.is_zero() or poly.is_constant():
-                raise ValueError("a finite place needs a nonconstant polynomial")
-            poly = poly.monic()
-        self.poly = poly
-
-    @property
-    def is_infinite(self) -> bool:
-        return self.poly is None
-
-    def degree(self) -> int:
-        return 1 if self.poly is None else self.poly.degree()
-
-    def __eq__(self, other):
-        return isinstance(other, PlacePoly) and other.poly == self.poly
-
-    def __hash__(self):
-        return hash(("PlacePoly", self.poly))
-
-    def __repr__(self):
-        return f"PlacePoly({self})"
-
-    def __str__(self):
-        return "infinity" if self.poly is None else str(self.poly)
-
-
-def vanishing_order(p: UniPoly, place: UniPoly | PlacePoly) -> int | float:
-    """Largest e with place^e dividing p; INF for the zero polynomial."""
-    if isinstance(place, PlacePoly):
-        if place.is_infinite:
-            raise ValueError("vanishing_order handles finite places only")
-        place = place.poly
-    if p.is_zero():
-        return INF
-    order = 0
-    while True:
-        quo, rem = divmod(p, place)
-        if not rem.is_zero():
-            return order
-        p = quo
-        order += 1
-
-
-def gcd_free_basis(polys: list[UniPoly]) -> list[tuple[PlacePoly, tuple[int, ...]]]:
-    """Pairwise-coprime squarefree factors with exact exponents.
-
-    Returns [(place, (e_1, ..., e_m))] such that each input P_j equals a unit
-    times the product of place^e_j over the basis, and the vanishing order of
-    P_j at every root of a basis element is exactly the listed exponent.
-    """
-    if not polys:
-        return []
-    for p in polys:
-        if p.is_zero():
-            raise ZeroInputError("gcd_free_basis requires nonzero inputs")
-    # Collect each input's Yun factors so roots of different multiplicity are
-    # already separated within one input; refinement then separates them
-    # across inputs.
-    parts = []
-    for p in polys:
-        for q, _mult in squarefree_decomposition(p):
-            parts.append(q)
-    # Refine to a pairwise coprime set; the parts are squarefree so every
-    # split stays squarefree.  The degree multiset strictly decreases.
-    basis: list[UniPoly] = []
-    queue = parts
-    while queue:
-        f = queue.pop().monic()
-        if f.is_constant():
-            continue
-        for i, g in enumerate(basis):
-            d = uni_gcd(f, g)
-            if d.is_constant():
-                continue
-            basis[i] = d
-            rest_g = g // d
-            if not rest_g.is_constant():
-                queue.append(rest_g)
-            f = f // d
-            if f.is_constant():
-                break
-        if not f.is_constant():
-            basis.append(f)
-    basis.sort(key=str)
-    return [
-        (PlacePoly(f), tuple(int(vanishing_order(p, f)) for p in polys))
-        for f in basis
-    ]
-
-
 class MultiPoly:
     """Sparse polynomial in (x, y, t): exponent triples mapped to coefficients."""
 
@@ -406,25 +91,9 @@ class MultiPoly:
         return cls(field, {exponents: coeff})
 
     @classmethod
-    def from_unipoly(cls, p: UniPoly, var: str | None = None):
-        var = var or p.var
-        idx = _VAR_INDEX[var]
-        terms = {}
-        for k, c in enumerate(p.coeffs):
-            if not c.is_zero():
-                e = [0, 0, 0]
-                e[idx] = k
-                terms[tuple(e)] = c
-        return cls(p.field, terms)
-
-    def to_unipoly(self, var: str) -> UniPoly:
-        idx = _VAR_INDEX[var]
-        coeffs = [self.field.zero()] * (self.degree_in(var) + 1 if self.terms else 0)
-        for e, c in self.terms.items():
-            if any(e[i] for i in range(3) if i != idx):
-                raise ValueError(f"polynomial is not univariate in {var}")
-            coeffs[e[idx]] = c
-        return UniPoly(self.field, var, coeffs)
+    def from_int_coeffs(cls, field, coeffs):
+        """A polynomial in t from rational coefficients, constant term first."""
+        return cls(field, {(0, 0, k): field.from_rational(c) for k, c in enumerate(coeffs)})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -554,19 +223,28 @@ class MultiPoly:
         if divisor.is_constant():
             inv = divisor.constant_value().inverse()
             return self * inv
-        rem = self
+        # The remainder lives in one dict; each quotient term cancels its
+        # leading term exactly and updates the terms below it in place.
+        rem = dict(self.terms)
         quo: dict = {}
         de = max(divisor.terms)
         dc_inv = divisor.terms[de].inverse()
-        while not rem.is_zero():
-            re = max(rem.terms)
-            rc = rem.terms[re]
+        lower = [(e, c) for e, c in divisor.terms.items() if e != de]
+        zero = self.field.zero()
+        while rem:
+            re = max(rem)
             qe = (re[0] - de[0], re[1] - de[1], re[2] - de[2])
             if min(qe) < 0:
                 raise ArithmeticError("division is not exact")
-            qc = rc * dc_inv
+            qc = rem.pop(re) * dc_inv
             quo[qe] = qc
-            rem = rem - MultiPoly.monomial(self.field, qe, qc) * divisor
+            for e, c in lower:
+                k = (e[0] + qe[0], e[1] + qe[1], e[2] + qe[2])
+                v = rem.get(k, zero) - qc * c
+                if v.is_zero():
+                    del rem[k]
+                else:
+                    rem[k] = v
         return MultiPoly(self.field, quo)
 
     def __repr__(self):
@@ -585,13 +263,20 @@ class MultiPoly:
         return _fmt_terms(parts)
 
 
+# The benchmark (perfbench/workloads.py) imports the polynomial type under
+# this name.
+UniPoly = MultiPoly
+
+
 _GCD_VAR_ORDER = ("y", "x", "t")
 
 
 def _normalized(p: MultiPoly) -> MultiPoly:
+    # Scaled so the lex-leading coefficient is 1: monic for a polynomial in t.
     if p.is_zero():
         return p
-    return p * p.leading_coeff_lex().inverse()
+    lead = p.leading_coeff_lex()
+    return p if lead == p.field.one() else p * lead.inverse()
 
 
 def _content(p: MultiPoly, var: str) -> MultiPoly:
@@ -704,6 +389,130 @@ def multi_gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     return _normalized(c * g)
 
 
+def squarefree_decomposition(p: MultiPoly) -> list[tuple[MultiPoly, int]]:
+    """Yun's decomposition of a polynomial in t: p = unit * prod q_k^k with the
+    q_k squarefree and coprime.
+
+    Only the nonconstant q_k are returned, each monic with its multiplicity.
+    """
+    if p.is_zero():
+        raise ZeroInputError("squarefree decomposition of the zero polynomial")
+    out: list[tuple[MultiPoly, int]] = []
+    if p.is_constant():
+        return out
+    deriv = p.derivative("t")
+    a = multi_gcd(p, deriv)
+    b = p.exact_div(a)
+    d = deriv.exact_div(a) - b.derivative("t")
+    k = 1
+    while not b.is_constant():
+        g = multi_gcd(b, d)
+        if not g.is_constant():
+            out.append((g, k))
+        b = b.exact_div(g)
+        d = d.exact_div(g) - b.derivative("t")
+        k += 1
+    return out
+
+
+class PlacePoly:
+    """A place of the base line: a monic squarefree polynomial in t, or infinity."""
+
+    __slots__ = ("poly",)
+
+    def __init__(self, poly: MultiPoly | None):
+        if poly is not None:
+            if poly.is_constant():
+                raise ValueError("a finite place needs a nonconstant polynomial")
+            poly = _normalized(poly)
+        self.poly = poly
+
+    @property
+    def is_infinite(self) -> bool:
+        return self.poly is None
+
+    def degree(self) -> int:
+        return 1 if self.poly is None else self.poly.degree_in("t")
+
+    def __eq__(self, other):
+        return isinstance(other, PlacePoly) and other.poly == self.poly
+
+    def __hash__(self):
+        return hash(("PlacePoly", self.poly))
+
+    def __repr__(self):
+        return f"PlacePoly({self})"
+
+    def __str__(self):
+        return "infinity" if self.poly is None else str(self.poly)
+
+
+def vanishing_order(p: MultiPoly, place: MultiPoly | PlacePoly) -> int | float:
+    """Largest e with place^e dividing p; INF for the zero polynomial."""
+    if isinstance(place, PlacePoly):
+        if place.is_infinite:
+            raise ValueError("vanishing_order handles finite places only")
+        place = place.poly
+    if place.is_constant():
+        raise ValueError("a place must be a nonconstant polynomial")
+    if p.is_zero():
+        return INF
+    order = 0
+    while True:
+        try:
+            p = p.exact_div(place)
+        except ArithmeticError:
+            return order
+        order += 1
+
+
+def gcd_free_basis(polys: list[MultiPoly]) -> list[tuple[PlacePoly, tuple[int, ...]]]:
+    """Pairwise-coprime squarefree factors with exact exponents.
+
+    Returns [(place, (e_1, ..., e_m))] such that each input P_j, a polynomial
+    in t, equals a unit times the product of place^e_j over the basis, and
+    the vanishing order of P_j at every root of a basis element is exactly
+    the listed exponent.
+    """
+    if not polys:
+        return []
+    for p in polys:
+        if p.is_zero():
+            raise ZeroInputError("gcd_free_basis requires nonzero inputs")
+    # Each input's Yun factors, with the multiplicity in that input's slot:
+    # roots of different multiplicity are already separated within one
+    # input; refinement then separates them across inputs.
+    queue = []
+    for j, p in enumerate(polys):
+        for q, mult in squarefree_decomposition(p):
+            exps = [0] * len(polys)
+            exps[j] = mult
+            queue.append((q, exps))
+    # Refine to a pairwise coprime set.  Every input stays the product of
+    # part^exps[j] over the queue and the basis: splitting f = d f' and
+    # g = d g' gives d the sum of both vectors.  The parts are monic and
+    # squarefree, so every split stays so; the degree multiset strictly
+    # decreases.
+    basis: list[tuple[MultiPoly, list[int]]] = []
+    while queue:
+        f, ef = queue.pop()
+        for i, (g, eg) in enumerate(basis):
+            d = multi_gcd(f, g)
+            if d.is_constant():
+                continue
+            basis[i] = (d, [a + b for a, b in zip(ef, eg)])
+            rest_g = g.exact_div(d)
+            if not rest_g.is_constant():
+                queue.append((rest_g, eg))
+            f = f.exact_div(d)
+            if f.is_constant():
+                break
+        if not f.is_constant():
+            basis.append((f, ef))
+    basis.sort(key=lambda part: str(part[0]))
+    return [(PlacePoly(f), tuple(exps)) for f, exps in basis]
+
+
 class RationalFunction:
     """A reduced fraction of MultiPoly values.
 
@@ -761,10 +570,6 @@ class RationalFunction:
     @classmethod
     def gen(cls, field, var: str):
         return cls(MultiPoly.gen(field, var))
-
-    @classmethod
-    def from_unipoly(cls, p: UniPoly, var: str | None = None):
-        return cls(MultiPoly.from_unipoly(p, var))
 
     def is_zero(self) -> bool:
         return self.num.is_zero()

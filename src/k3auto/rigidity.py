@@ -28,6 +28,11 @@ from math import gcd, lcm
 from typing import Iterable
 
 
+# graph_automorphisms gives up beyond this many automorphisms.  The fixture
+# graph has 240.
+MAX_AUTOMORPHISMS = 20_000
+
+
 class RigidityError(ValueError):
     """Base class for inconsistencies in the fixed-point calculus."""
 
@@ -623,7 +628,12 @@ def compose_actions(a1: GraphAction, a2: GraphAction) -> GraphAction:
 
 
 def graph_automorphisms(config: CurveConfig) -> list[dict[str, str]]:
-    """All automorphisms, by backtracking on degree and neighborhood data."""
+    """All automorphisms, by backtracking on degree and neighborhood data.
+
+    The search stops with a ValueError once it finds more than
+    MAX_AUTOMORPHISMS: interchangeable isolated curves alone make the group
+    grow factorially.
+    """
 
     def signature(v):
         return (
@@ -643,6 +653,10 @@ def graph_automorphisms(config: CurveConfig) -> list[dict[str, str]]:
     def extend(i):
         if i == len(order):
             out.append(dict(assignment))
+            if len(out) > MAX_AUTOMORPHISMS:
+                raise ValueError(
+                    f"the graph has more than {MAX_AUTOMORPHISMS} automorphisms"
+                )
             return
         v = order[i]
         for w in candidates[v]:

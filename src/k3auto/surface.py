@@ -17,9 +17,7 @@ from .polyring import (
     MultiPoly,
     PlacePoly,
     RationalFunction,
-    UniPoly,
     gcd_free_basis,
-    vanishing_order,
 )
 
 INFINITY = PlacePoly(None)
@@ -105,12 +103,12 @@ class WeierstrassModel:
 
     __slots__ = ("field", "A", "B", "_disc", "rhs")
 
-    def __init__(self, field: CyclotomicField, A: UniPoly, B: UniPoly):
-        if A.var != "t" or B.var != "t":
+    def __init__(self, field: CyclotomicField, A: MultiPoly, B: MultiPoly):
+        if any(p.uses_var(v) for p in (A, B) for v in "xy"):
             raise ValueError("A and B must be polynomials in t")
-        if A.degree() > 8:
+        if A.degree_in("t") > 8:
             raise ValueError("deg A must be at most 8 for a K3-bounded model")
-        if B.degree() > 12:
+        if B.degree_in("t") > 12:
             raise ValueError("deg B must be at most 12 for a K3-bounded model")
         self.field = field
         self.A = A
@@ -120,11 +118,9 @@ class WeierstrassModel:
             raise ValueError("discriminant vanishes identically: not an elliptic surface")
         # x^3 + A(t) x + B(t), the square of y, built once for the function field.
         x = MultiPoly.gen(field, "x")
-        self.rhs = RationalFunction(
-            x ** 3 + MultiPoly.from_unipoly(A) * x + MultiPoly.from_unipoly(B)
-        )
+        self.rhs = RationalFunction(x ** 3 + A * x + B)
 
-    def discriminant(self) -> UniPoly:
+    def discriminant(self) -> MultiPoly:
         """The short-form discriminant -16 (4 A^3 + 27 B^2)."""
         return self._disc
 
@@ -170,11 +166,24 @@ class FiberInventory:
         return out
 
 
-def _order_at_infinity(poly: UniPoly, bound: int) -> int | float:
+def _order_at_infinity(poly: MultiPoly, bound: int) -> int | float:
     # v_s of s^bound * p(1/s) at s = 0, i.e. bound - deg p; INF for p = 0.
     if poly.is_zero():
         return INF
-    return bound - poly.degree()
+    return bound - poly.degree_in("t")
+
+
+def _place_orders(polys) -> list[tuple[PlacePoly, list]]:
+    """The gcd-free basis of the nonzero polys, each place with one vanishing
+    order per input: its basis exponent, or INF for a zero input."""
+    nonzero = [i for i, p in enumerate(polys) if not p.is_zero()]
+    out = []
+    for place, exps in gcd_free_basis([polys[i] for i in nonzero]):
+        orders = [INF] * len(polys)
+        for i, e in zip(nonzero, exps):
+            orders[i] = e
+        out.append((place, orders))
+    return out
 
 
 def classify_all(model: WeierstrassModel) -> FiberInventory:
@@ -186,19 +195,8 @@ def classify_all(model: WeierstrassModel) -> FiberInventory:
     elliptic surfaces they are.
     """
     delta = model.discriminant()
-    triple = (model.A, model.B, delta)
-    nonzero_slots = [i for i, p in enumerate(triple) if not p.is_zero()]
-    basis = gcd_free_basis([triple[i] for i in nonzero_slots])
-
-    def orders_at(exps):
-        vals = [INF, INF, INF]
-        for slot, e in zip(nonzero_slots, exps):
-            vals[slot] = e
-        return vals
-
     fibers = []
-    for place, exps in basis:
-        vA, vB, vD = orders_at(exps)
+    for place, (vA, vB, vD) in _place_orders((model.A, model.B, delta)):
         if vD == 0:
             continue
         ftype = classify_place(vA, vB, vD)
@@ -248,11 +246,8 @@ def minimalize(model: WeierstrassModel) -> WeierstrassModel:
     """
     A, B = model.A, model.B
     while True:
-        nonzero = [p for p in (A, B) if not p.is_zero()]
         offender = None
-        for place, _ in gcd_free_basis(nonzero):
-            vA = vanishing_order(A, place) if not A.is_zero() else INF
-            vB = vanishing_order(B, place) if not B.is_zero() else INF
+        for place, (vA, vB) in _place_orders((A, B)):
             if vA >= 4 and vB >= 6:
                 offender = place
                 break
@@ -262,10 +257,8 @@ def minimalize(model: WeierstrassModel) -> WeierstrassModel:
             raise NonLinearNonMinimalPlaceError(
                 f"non-minimal at place {offender} of degree {offender.degree()}"
             )
-        p4 = offender.poly ** 4
-        p6 = offender.poly ** 6
-        A = A // p4 if not A.is_zero() else A
-        B = B // p6 if not B.is_zero() else B
+        A = A.exact_div(offender.poly ** 4)
+        B = B.exact_div(offender.poly ** 6)
 
 
 def is_k3(model: WeierstrassModel) -> bool:

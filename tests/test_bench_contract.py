@@ -1,0 +1,33 @@
+"""The benchmark's hold on the package.
+
+perfbench/ reaches into k3auto by module attribute: the tracer wraps the
+SPANNED callables by name, and the maps workload builds its translation
+models through the name ``UniPoly``.  A rename in k3auto breaks the benchmark
+without breaking any other test, so these checks run the benchmark's own
+code against the package.
+"""
+import importlib
+import sys
+from pathlib import Path
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+sys.path.insert(0, str(PERFBENCH))
+
+import tracing  # noqa: E402
+import workloads  # noqa: E402
+
+
+def test_every_spanned_path_resolves():
+    for module_name, path in tracing.SPANNED:
+        obj = importlib.import_module(f"k3auto.{module_name}")
+        for part in path.split("."):
+            obj = getattr(obj, part)
+        assert callable(obj), f"{module_name}.{path}"
+
+
+def test_first_maps_round_runs_its_translation_jobs():
+    first_round = next(workloads.maps_rounds(1))
+    translations = [job for job in first_round if job.kind == "translation"]
+    assert len(translations) == len(workloads.TRANSLATION_STRATA)
+    for job in translations:
+        assert job.check(job.run()) is None

@@ -334,6 +334,73 @@ def test_lattice_unknown_name_exits_2(capsys):
     assert "input error" in err
 
 
+@pytest.mark.parametrize("expr, rank", [("D3000", 3000), ("A100000", 100000), ("A32+A33", 65)])
+def test_lattice_over_the_rank_bound_exits_2_at_once(capsys, expr, rank):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "lattice", "expr", expr)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == f"input error: lattice rank {rank} exceeds the bound 64\n"
+
+
+def test_lattice_at_the_rank_bound_reports(capsys):
+    code, out, _ = run_cli(capsys, "lattice", "expr", "A64")
+    assert code == 0
+    assert "rank = 64" in out
+    assert "invariant_factors = (65)" in out
+
+
+def test_lattice_graph_over_the_rank_bound_exits_2(capsys, tmp_path):
+    path = tmp_path / "big_graph.txt"
+    path.write_text("".join(f"vertex C{i}\n" for i in range(65)))
+    code, out, err = run_cli(capsys, "lattice", "graph", str(path))
+    assert (code, out) == (2, "")
+    assert err == "input error: lattice rank 65 exceeds the bound 64\n"
+
+
+def _isolated_curves_graph(tmp_path, isolated):
+    # The edge w - v1 plus `isolated` curves meeting nothing: the group is
+    # 2 * isolated!.
+    lines = ["vertex w", "vertex v1", "edge w v1"]
+    lines += [f"vertex v{i}" for i in range(2, isolated + 2)]
+    path = tmp_path / f"isolated{isolated}.txt"
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+def test_enumerate_over_the_automorphism_bound_exits_2_at_once(capsys, tmp_path):
+    path = _isolated_curves_graph(tmp_path, 12)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "rigidity", path, "enumerate", "--n", "2", "--c", "1")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == "input error: the graph has more than 20000 automorphisms\n"
+
+
+def test_enumerate_below_the_automorphism_bound_runs(capsys, tmp_path):
+    # 2 * 7! = 10,080 automorphisms.
+    path = _isolated_curves_graph(tmp_path, 7)
+    code, out, _ = run_cli(capsys, "rigidity", path, "enumerate", "--n", "2", "--c", "1")
+    assert code == 0
+    assert out.splitlines()[0] == "classes = 4"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["check-map", SURFACE, "nosuch"], f"no map named 'nosuch' in {SURFACE}"),
+        (["rigidity", GRAPH, "census", "nosuch"], "no action named 'nosuch' in the graph file"),
+        (["rigidity", GRAPH, "compose", "sigma", "inv(nosuch)"],
+         "no action named 'nosuch' in the graph file"),
+    ],
+    ids=["check-map", "census", "compose"],
+)
+def test_unknown_names_from_the_command_line_carry_no_line(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"input error: {message}\n"
+
+
 def test_json_outputs_are_stable(capsys):
     code, out1, _ = run_cli(capsys, "classify", SURFACE, "--json")
     assert code == 0

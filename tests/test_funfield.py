@@ -25,11 +25,11 @@ from k3auto.funfield import (
     verify_morphism,
 )
 from k3auto.parser import parse_expression
-from k3auto.polyring import MultiPoly, RationalFunction, UniPoly
+from k3auto.polyring import MultiPoly, RationalFunction
 from k3auto.surface import WeierstrassModel
 
 F = cyclotomic_field(16)
-T = UniPoly.gen(F, "t")
+T = MultiPoly.gen(F, "t")
 XYT = {"x", "y", "t"}
 
 
@@ -37,7 +37,7 @@ import functools
 
 
 def model():
-    return WeierstrassModel(F, T ** 3 * (T ** 4 - 1), UniPoly.zero(F, "t"))
+    return WeierstrassModel(F, T ** 3 * (T ** 4 - 1), MultiPoly.zero(F))
 
 
 @functools.lru_cache(maxsize=None)
@@ -77,9 +77,7 @@ def test_field_element_axioms():
     assert a * (b + c) == a * b + a * c
     assert (a * b) * c == a * (b * c)
     assert a * a.inverse() == FieldElement.const(m, 1)
-    assert (y * y) == x ** 3 + FieldElement.from_ratfunc(
-        m, RationalFunction.from_unipoly(m.A)
-    ) * x
+    assert (y * y) == x ** 3 + FieldElement.from_ratfunc(m, RationalFunction(m.A)) * x
 
 
 def test_sigma_is_a_morphism():
@@ -215,17 +213,17 @@ def _random_section_model(rng):
     # Choose x(t), y(t) and a small A; then B := y^2 - x^3 - A x puts the
     # section on the curve by construction.
     coeffs = lambda n: [rng.randint(-2, 2) for _ in range(n)]
-    x = UniPoly.from_int_coeffs(F, coeffs(rng.randint(1, 2)))
-    y = UniPoly.from_int_coeffs(F, coeffs(rng.randint(1, 2)))
-    A = UniPoly.from_int_coeffs(F, coeffs(rng.randint(1, 2)))
+    x = MultiPoly.from_int_coeffs(F, coeffs(rng.randint(1, 2)))
+    y = MultiPoly.from_int_coeffs(F, coeffs(rng.randint(1, 2)))
+    A = MultiPoly.from_int_coeffs(F, coeffs(rng.randint(1, 2)))
     B = y * y - x ** 3 - A * x
-    if B.degree() > 12 or A.degree() > 8:
+    if B.degree_in("t") > 12 or A.degree_in("t") > 8:
         return None
     try:
         mdl = WeierstrassModel(F, A, B)
     except ValueError:
         return None
-    sec = Section(RationalFunction.from_unipoly(x), RationalFunction.from_unipoly(y))
+    sec = Section(RationalFunction(x), RationalFunction(y))
     assert sec.on_model(mdl)
     return mdl, sec
 
@@ -379,7 +377,7 @@ def _pair(e):
 
 def _small_model():
     # x^3 + (t + 1) x + t: low degree in t keeps the norms' gcds cheap.
-    return WeierstrassModel(F, T + UniPoly.constant(F, 1), T)
+    return WeierstrassModel(F, T + 1, T)
 
 
 def test_normalize_matches_split_y_reference():

@@ -12,7 +12,7 @@ from k3auto.parser import (
     parse_expression,
     parse_univariate,
 )
-from k3auto.polyring import MultiPoly, RationalFunction, UniPoly
+from k3auto.polyring import MultiPoly, RationalFunction
 
 F = cyclotomic_field(16)
 XYT = {"x", "y", "t"}
@@ -20,7 +20,7 @@ XYT = {"x", "y", "t"}
 
 def test_parse_base_polynomial():
     p = parse_univariate("t^3*(t^4-1)", "t", F)
-    t = UniPoly.gen(F, "t")
+    t = MultiPoly.gen(F, "t")
     assert p == t ** 7 - t ** 3
 
 

@@ -9,38 +9,47 @@ from k3auto.polyring import (
     MultiPoly,
     PlacePoly,
     RationalFunction,
-    UniPoly,
     ZeroInputError,
     gcd_free_basis,
     multi_gcd,
-    squarefree_part,
-    uni_gcd,
     vanishing_order,
 )
 
 F = cyclotomic_field(16)
-T = UniPoly.gen(F, "t")
+T = MultiPoly.gen(F, "t")
+ZERO = MultiPoly.zero(F)
 
 
 def upoly(*int_coeffs):
-    return UniPoly.from_int_coeffs(F, int_coeffs)
+    return MultiPoly.from_int_coeffs(F, int_coeffs)
 
 
-def test_unipoly_basic_arithmetic():
+def divides(d, p):
+    try:
+        p.exact_div(d)
+    except ArithmeticError:
+        return False
+    return True
+
+
+def test_polynomial_in_t_basic_arithmetic():
     p = T ** 2 - 1
     q = T + 1
     assert p == (T - 1) * (T + 1)
-    assert divmod(p, q) == (T - 1, UniPoly.zero(F, "t"))
-    assert (p * q).degree() == 3
+    assert p.exact_div(q) == T - 1
+    assert (p * q).degree_in("t") == 3
     assert (p - p).is_zero()
+    assert upoly(1, 0, -2) == 1 - 2 * T ** 2
+    with pytest.raises(ArithmeticError):
+        p.exact_div(T + 2)
 
 
-def test_uni_gcd_examples():
-    assert uni_gcd(T ** 2 - 1, T ** 3 - 1) == T - 1
-    assert uni_gcd(T ** 4 - 1, T) == upoly(1)
+def test_multi_gcd_in_t_examples():
+    assert multi_gcd(T ** 2 - 1, T ** 3 - 1) == T - 1
+    assert multi_gcd(T ** 4 - 1, T) == upoly(1)
     p = upoly(2, 0, 4)  # 2 + 4t^2, monic form t^2 + 1/2
-    assert uni_gcd(p, UniPoly.zero(F, "t")) == p.monic()
-    assert uni_gcd(UniPoly.zero(F, "t"), UniPoly.zero(F, "t")).is_zero()
+    assert multi_gcd(p, ZERO) == p * Fraction(1, 4)
+    assert multi_gcd(ZERO, ZERO).is_zero()
 
 
 def test_gcd_divides_and_is_maximal():
@@ -51,23 +60,20 @@ def test_gcd_divides_and_is_maximal():
         c = upoly(*[rng.randint(-3, 3) for _ in range(rng.randint(1, 3))])
         if a.is_zero() or b.is_zero() or c.is_zero():
             continue
-        g = uni_gcd(a * c, b * c)
-        assert (a * c % g).is_zero()
-        assert (b * c % g).is_zero()
+        g = multi_gcd(a * c, b * c)
+        assert divides(g, a * c)
+        assert divides(g, b * c)
         # any common divisor divides it: c is a common divisor
-        assert (g % c.monic()).is_zero()
-
-
-def test_squarefree_part():
-    p = (T ** 2) * (T ** 4 - 1)
-    assert squarefree_part(p) == (T * (T ** 4 - 1)).monic()
+        assert divides(c, g)
 
 
 def test_vanishing_order_examples():
     p = T ** 7 - T ** 3  # t^3 (t^4 - 1)
     assert vanishing_order(p, T) == 3
     assert vanishing_order(p, T ** 4 - 1) == 1
-    assert vanishing_order(UniPoly.zero(F, "t"), T) == INF
+    assert vanishing_order(ZERO, T) == INF
+    with pytest.raises(ValueError):
+        vanishing_order(p, upoly(2))
 
 
 def test_vanishing_order_additivity():
@@ -92,7 +98,22 @@ def test_gcd_free_basis_simple_cases():
     basis = gcd_free_basis([T ** 2 - 1, T - 1])
     assert {str(p): e for p, e in basis} == {"t - 1": (1, 1), "t + 1": (1, 0)}
     with pytest.raises(ZeroInputError):
-        gcd_free_basis([UniPoly.zero(F, "t")])
+        gcd_free_basis([ZERO])
+
+
+def _assert_basis_invariants(inputs, basis):
+    polys = [place.poly for place, _ in basis]
+    # pairwise coprime and squarefree
+    for i in range(len(polys)):
+        assert multi_gcd(polys[i], polys[i].derivative("t")).is_constant()
+        for j in range(i + 1, len(polys)):
+            assert multi_gcd(polys[i], polys[j]).is_constant()
+    # reconstruction: unit * prod f_i^{e_ij} == P_j
+    for j, poly in enumerate(inputs):
+        rebuilt = MultiPoly.constant(F, 1)
+        for place, exps in basis:
+            rebuilt = rebuilt * place.poly ** exps[j]
+        assert poly.exact_div(rebuilt).is_constant()
 
 
 def test_gcd_free_basis_reconstruction_random():
@@ -107,21 +128,32 @@ def test_gcd_free_basis_reconstruction_random():
             if poly.is_constant():
                 poly = poly * atoms[0]
             inputs.append(poly)
+        _assert_basis_invariants(inputs, gcd_free_basis(inputs))
+
+
+def test_gcd_free_basis_exponents_match_vanishing_orders():
+    # Differential: the exponents gcd_free_basis tracks through its
+    # refinement against vanishing_order's repeated division.  The atoms
+    # overlap (t^2 - 1 and t - 1, t^4 - 1 and t^2 + 1), so parts of different
+    # inputs split and merge; coefficients are rational and in Q(zeta_16).
+    rng = random.Random(808)
+    z = F.zeta(1)
+    atoms = [
+        T, T - 1, T ** 2 - 1, T ** 2 + 1, T ** 4 - 1,
+        T - z, T ** 2 + z ** 3 * T - Fraction(1, 2), T + z ** 5 + 2,
+    ]
+    for _ in range(60):
+        inputs = []
+        for _ in range(rng.randint(1, 3)):
+            poly = MultiPoly.constant(F, z ** rng.randrange(16) * rng.choice((1, -2, Fraction(3, 5))))
+            for atom in rng.sample(atoms, rng.randint(1, 4)):
+                poly = poly * atom ** rng.randint(1, 3)
+            inputs.append(poly)
         basis = gcd_free_basis(inputs)
-        # pairwise coprime and squarefree
-        polys = [place.poly for place, _ in basis]
-        for i in range(len(polys)):
-            assert uni_gcd(polys[i], polys[i].derivative()).is_constant()
-            for j in range(i + 1, len(polys)):
-                assert uni_gcd(polys[i], polys[j]).is_constant()
-        # reconstruction: unit * prod f_i^{e_ij} == P_j
-        for j, poly in enumerate(inputs):
-            rebuilt = UniPoly.constant(F, 1, "t")
-            for (place, exps) in basis:
-                rebuilt = rebuilt * place.poly ** exps[j]
-            ratio = divmod(poly, rebuilt)
-            assert ratio[1].is_zero()
-            assert ratio[0].is_constant()
+        for place, exps in basis:
+            assert exps == tuple(vanishing_order(p, place) for p in inputs)
+            assert any(exps)
+        _assert_basis_invariants(inputs, basis)
 
 
 def test_place_poly_invariants():
@@ -129,7 +161,7 @@ def test_place_poly_invariants():
     assert str(place) == "t - 1"
     assert place.degree() == 1
     with pytest.raises(ValueError):
-        PlacePoly(UniPoly.constant(F, 3, "t"))
+        PlacePoly(MultiPoly.constant(F, 3))
 
 
 def test_multipoly_arithmetic_and_views():
@@ -235,6 +267,47 @@ def _random_nonzero_multipoly(rng):
         p = _random_multipoly(rng)
         if not p.is_zero():
             return p
+
+
+def _reference_exact_div(a, divisor):
+    # Plain long division: the remainder is a new MultiPoly after every
+    # quotient term.  exact_div updates one dict instead.
+    if divisor.is_constant():
+        return a * divisor.constant_value().inverse()
+    rem = a
+    quo = {}
+    de = max(divisor.terms)
+    dc_inv = divisor.terms[de].inverse()
+    while not rem.is_zero():
+        re = max(rem.terms)
+        qe = (re[0] - de[0], re[1] - de[1], re[2] - de[2])
+        if min(qe) < 0:
+            raise ArithmeticError("division is not exact")
+        qc = rem.terms[re] * dc_inv
+        quo[qe] = qc
+        rem = rem - MultiPoly.monomial(F, qe, qc) * divisor
+    return MultiPoly(F, quo)
+
+
+def _division_outcome(divide, a, divisor):
+    try:
+        return divide(a, divisor)
+    except ArithmeticError:
+        return "inexact"
+
+
+def test_exact_div_matches_reference_loop():
+    rng = random.Random(41)
+    inexact = 0
+    for _ in range(150):
+        divisor = _random_nonzero_multipoly(rng)
+        a = _random_multipoly(rng) * divisor
+        if rng.random() < 0.5:
+            a = a + _random_nonzero_multipoly(rng)
+        want = _division_outcome(_reference_exact_div, a, divisor)
+        assert _division_outcome(MultiPoly.exact_div, a, divisor) == want
+        inexact += want == "inexact"
+    assert 40 < inexact < 110
 
 
 def test_rational_function_equality_agrees_with_cross_multiplication():

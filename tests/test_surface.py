@@ -3,7 +3,7 @@ import random
 import pytest
 
 from k3auto.cyclotomic import cyclotomic_field
-from k3auto.polyring import INF, UniPoly, vanishing_order
+from k3auto.polyring import INF, MultiPoly, vanishing_order
 from k3auto.surface import (
     FiberInventory,
     NonLinearNonMinimalPlaceError,
@@ -20,8 +20,12 @@ from k3auto.surface import (
 )
 
 F = cyclotomic_field(16)
-T = UniPoly.gen(F, "t")
-ZERO = UniPoly.zero(F, "t")
+T = MultiPoly.gen(F, "t")
+ZERO = MultiPoly.zero(F)
+
+
+def const(value):
+    return MultiPoly.constant(F, value)
 
 
 def order16_model():
@@ -35,10 +39,18 @@ def test_discriminant_of_the_main_model():
 
 
 def test_discriminant_constants():
-    w = WeierstrassModel(F, ZERO, UniPoly.constant(F, 1, "t"))
-    assert w.discriminant() == UniPoly.constant(F, -432, "t")
+    w = WeierstrassModel(F, ZERO, const(1))
+    assert w.discriminant() == const(-432)
     with pytest.raises(ValueError):
-        WeierstrassModel(F, UniPoly.constant(F, -3, "t"), UniPoly.constant(F, 2, "t"))
+        WeierstrassModel(F, const(-3), const(2))
+
+
+@pytest.mark.parametrize("var", ["x", "y"])
+def test_model_coefficients_must_be_polynomials_in_t(var):
+    v = MultiPoly.gen(F, var)
+    for A, B in ((T + v, const(1)), (T, T * v ** 2), (v, ZERO)):
+        with pytest.raises(ValueError, match="A and B must be polynomials in t"):
+            WeierstrassModel(F, A, B)
 
 
 def test_classify_place_table():
@@ -88,7 +100,7 @@ def test_classify_all_main_model():
 
 def test_classify_all_generic_multiplicative():
     # A = t, B = 1: only I_n fibers at finite places.
-    w = WeierstrassModel(F, T, UniPoly.constant(F, 1, "t"))
+    w = WeierstrassModel(F, T, const(1))
     inv = classify_all(w)
     for f in inv.fibers:
         if not f.place.is_infinite:
@@ -117,13 +129,13 @@ def test_classify_all_ii_star():
 def test_minimalize():
     w = WeierstrassModel(F, T ** 4, T ** 6)
     m = minimalize(w)
-    assert m.A == UniPoly.constant(F, 1, "t")
-    assert m.B == UniPoly.constant(F, 1, "t")
+    assert m.A == const(1)
+    assert m.B == const(1)
     assert minimalize(order16_model()) == order16_model()
     w = WeierstrassModel(F, T ** 8, T ** 12)
     m = minimalize(w)
-    assert m.A == UniPoly.constant(F, 1, "t")
-    assert m.B == UniPoly.constant(F, 1, "t")
+    assert m.A == const(1)
+    assert m.B == const(1)
     bad = WeierstrassModel(F, (T ** 2 + 1) ** 4, ZERO)
     with pytest.raises(NonLinearNonMinimalPlaceError):
         minimalize(bad)
@@ -143,10 +155,7 @@ def test_twist_invariance_of_fiber_types():
     w = order16_model()
 
     def reversed_poly(p, bound):
-        coeffs = [F.zero()] * (bound + 1)
-        for k, c in enumerate(p.coeffs):
-            coeffs[bound - k] = c
-        return UniPoly(F, "t", coeffs)
+        return MultiPoly(F, {(0, 0, bound - e[2]): c for e, c in p.terms.items()})
 
     twisted = WeierstrassModel(F, reversed_poly(w.A, 8), reversed_poly(w.B, 12))
     assert classify_all(twisted).counts() == classify_all(w).counts()
@@ -171,8 +180,8 @@ def test_random_models_classify_totally():
     rng = random.Random(11)
     produced = 0
     for _ in range(20):
-        A = UniPoly.from_int_coeffs(F, [rng.randint(-2, 2) for _ in range(rng.randint(1, 5))])
-        B = UniPoly.from_int_coeffs(F, [rng.randint(-2, 2) for _ in range(rng.randint(1, 5))])
+        A = MultiPoly.from_int_coeffs(F, [rng.randint(-2, 2) for _ in range(rng.randint(1, 5))])
+        B = MultiPoly.from_int_coeffs(F, [rng.randint(-2, 2) for _ in range(rng.randint(1, 5))])
         try:
             w = minimalize(WeierstrassModel(F, A, B))
         except (ValueError, NonLinearNonMinimalPlaceError):
