@@ -3,7 +3,8 @@
 Subcommands: classify, check-map, rigidity (census / power / compose /
 enumerate), lattice (expr / graph / genus-equal).  Reports are deterministic
 plain text; --json emits the same data with stable key order.  Exit codes:
-0 success, 1 verification failed, 2 input error.
+0 success, 1 verification failed (errors.VerificationFailure), 2 input error
+(errors.InputError, or a file that cannot be read or written).
 """
 from __future__ import annotations
 
@@ -11,41 +12,25 @@ import argparse
 import json
 import sys
 
-from .files import (
-    InputError,
-    load_graph_file,
-    load_surface_file,
-    parse_lattice_expression,
-)
-from .funfield import (
-    NotAMorphismError,
-    NotConstantFactorError,
-    OrderBoundExceededError,
-    ambient_scalar,
-    map_order,
-    omega_factor,
-)
+from .errors import InputError, VerificationFailure
+from .files import load_graph_file, load_surface_file, parse_lattice_expression
+from .funfield import NotAMorphismError, ambient_scalar, map_order, omega_factor
 from .lattice import (
     discriminant_data,
     from_curve_config,
     genus_equal,
     signature,
 )
-from .parser import ExpressionSyntaxError
 from .rigidity import (
-    RigidityError,
     census,
     compose_actions,
+    cycles,
     enumerate_actions,
     inverse_action,
     power,
     to_dot,
 )
 from .surface import classify_all, format_report
-
-
-class VerificationFailure(Exception):
-    """Computation finished but the verified property does not hold."""
 
 
 def _fmt_zeta(value) -> str:
@@ -92,7 +77,7 @@ def cmd_classify(args) -> int:
 def cmd_check_map(args) -> int:
     model, maps = load_surface_file(args.surface)
     if args.map not in maps:
-        raise ValueError(f"no map named {args.map!r} in {args.surface}")
+        raise InputError(f"no map named {args.map!r} in {args.surface}")
     m = maps[args.map]
     try:
         factor = omega_factor(m)  # verifies the morphism first
@@ -179,7 +164,7 @@ def _resolve_action(actions, name: str):
     if name.startswith("inv(") and name.endswith(")"):
         return inverse_action(_resolve_action(actions, name[4:-1]))
     if name not in actions:
-        raise ValueError(f"no action named {name!r} in the graph file")
+        raise InputError(f"no action named {name!r} in the graph file")
     return actions[name]
 
 
@@ -204,16 +189,16 @@ def cmd_rigidity(args) -> int:
             except ValueError:
                 census_filter = ()
             if len(census_filter) != 2:
-                raise ValueError(f"--filter takes two integers N,k, got {args.filter!r}")
+                raise InputError(f"--filter takes two integers N,k, got {args.filter!r}")
         classes = enumerate_actions(config, args.n, args.c, census_filter)
         lines = [f"classes = {len(classes)}"]
         class_data = []
         for i, act in enumerate(classes):
             cen = census(act)
-            cycles = _cycle_notation(act.perm)
-            lines.append(f"class {i} | perm = {cycles} | N = {cen.N} | k = {cen.k}")
+            perm = _cycle_notation(act.perm)
+            lines.append(f"class {i} | perm = {perm} | N = {cen.N} | k = {cen.k}")
             class_data.append(
-                {"perm": cycles, "N": cen.N, "k": cen.k, "n": act.n, "c": act.c}
+                {"perm": perm, "N": cen.N, "k": cen.k, "n": act.n, "c": act.c}
             )
         text, data = "\n".join(lines), {"classes": class_data}
         action = classes[0] if classes else None
@@ -225,21 +210,7 @@ def cmd_rigidity(args) -> int:
 
 
 def _cycle_notation(perm: dict[str, str]) -> str:
-    seen = set()
-    cycles = []
-    for v in sorted(perm):
-        if v in seen or perm[v] == v:
-            seen.add(v)
-            continue
-        cycle = [v]
-        seen.add(v)
-        w = perm[v]
-        while w != v:
-            cycle.append(w)
-            seen.add(w)
-            w = perm[w]
-        cycles.append("(" + " ".join(cycle) + ")")
-    return "".join(cycles) if cycles else "()"
+    return "".join(f"({' '.join(c)})" for c in cycles(perm) if len(c) > 1) or "()"
 
 
 def _lattice_report(name: str, G) -> tuple[str, dict]:
@@ -346,16 +317,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (
-        VerificationFailure,
-        RigidityError,
-        NotAMorphismError,
-        NotConstantFactorError,
-        OrderBoundExceededError,
-    ) as err:
+    except VerificationFailure as err:
         print(f"verification failed: {err}", file=sys.stderr)
         return 1
-    except (InputError, ExpressionSyntaxError, OSError, ValueError) as err:
+    except (InputError, OSError) as err:
         print(f"input error: {err}", file=sys.stderr)
         return 2
 

@@ -30,6 +30,7 @@ from __future__ import annotations
 import re
 
 from .cyclotomic import cyclotomic_field
+from .errors import InputError
 from .funfield import SurfaceMap
 from .lattice import GramMatrix, direct_sum, named_lattice
 from .parser import parse_expression, parse_univariate
@@ -39,14 +40,6 @@ from .surface import WeierstrassModel
 
 
 MAX_FIELD_ORDER = 1024
-
-
-class InputError(ValueError):
-    """Malformed input file; carries the line number."""
-
-    def __init__(self, message: str, line: int):
-        super().__init__(f"line {line}: {message}")
-        self.line = line
 
 
 def _logical_lines(text: str):
@@ -169,9 +162,17 @@ def load_surface_text(text: str) -> tuple[WeierstrassModel, dict[str, SurfaceMap
     return model, maps
 
 
+def _read_text(path) -> str:
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        raise InputError(str(err), data.count(b"\n", 0, err.start) + 1) from None
+
+
 def load_surface_file(path) -> tuple[WeierstrassModel, dict[str, SurfaceMap]]:
-    with open(path, encoding="utf-8") as handle:
-        return load_surface_text(handle.read())
+    return load_surface_text(_read_text(path))
 
 
 _PERM_CYCLE = re.compile(r"\(([^()]*)\)")
@@ -253,13 +254,12 @@ def load_graph_text(text: str) -> tuple[CurveConfig, dict[str, GraphAction]]:
 
 
 def load_graph_file(path) -> tuple[CurveConfig, dict[str, GraphAction]]:
-    with open(path, encoding="utf-8") as handle:
-        return load_graph_text(handle.read())
+    return load_graph_text(_read_text(path))
 
 
 def parse_lattice_expression(expr: str) -> GramMatrix:
     """A '+'-separated sum of named lattices, e.g. 'U(2)+E8+D4'."""
     names = [part.strip() for part in expr.split("+")]
     if not names or any(not n for n in names):
-        raise ValueError(f"cannot parse lattice expression {expr!r}")
+        raise InputError(f"cannot parse lattice expression {expr!r}")
     return direct_sum([named_lattice(name) for name in names])

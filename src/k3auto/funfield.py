@@ -8,6 +8,7 @@ of x, y, t in that normal form, so map equality is a finite comparison.
 from __future__ import annotations
 
 from .cyclotomic import CycloNum
+from .errors import VerificationFailure
 from .polyring import MultiPoly, RationalFunction
 from .surface import WeierstrassModel
 
@@ -16,7 +17,7 @@ class ZeroDenominatorOnSurfaceError(ZeroDivisionError):
     """A denominator reduces to zero in the function field."""
 
 
-class NotAMorphismError(ValueError):
+class NotAMorphismError(VerificationFailure):
     """The candidate map does not preserve the surface equation.
 
     ``residual`` is the nonzero morphism_residual that showed it, when the
@@ -28,11 +29,11 @@ class NotAMorphismError(ValueError):
         self.residual = residual
 
 
-class NotConstantFactorError(ValueError):
+class NotConstantFactorError(VerificationFailure):
     """The 2-form factor failed to reduce to a constant."""
 
 
-class OrderBoundExceededError(ValueError):
+class OrderBoundExceededError(VerificationFailure):
     """No power of the map reached the identity within the bound."""
 
 

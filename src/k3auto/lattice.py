@@ -13,15 +13,17 @@ from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
 
+from .errors import InputError
+
 # Largest Gram matrix built: checked on the requested rank before any rows.
 MAX_LATTICE_RANK = 64
 
 
-class UnknownLatticeError(ValueError):
+class UnknownLatticeError(InputError):
     """No lattice of that name is built in."""
 
 
-class GroupTooLargeError(ValueError):
+class GroupTooLargeError(InputError):
     """The discriminant group exceeds the brute-force comparison bound."""
 
 
@@ -60,7 +62,7 @@ class GramMatrix:
 
 def _check_rank(rank: int) -> None:
     if rank > MAX_LATTICE_RANK:
-        raise ValueError(f"lattice rank {rank} exceeds the bound {MAX_LATTICE_RANK}")
+        raise InputError(f"lattice rank {rank} exceeds the bound {MAX_LATTICE_RANK}")
 
 
 def _adjacency_gram(n: int, edges: list[tuple[int, int]]) -> GramMatrix:
@@ -184,11 +186,6 @@ def signature(G: GramMatrix) -> tuple[int, int]:
             for l in active:
                 m[k][l] -= a * (alpha[k] * beta[l] + alpha[l] * beta[k])
     return pos, neg
-
-
-def rank(G: GramMatrix) -> int:
-    p, q = signature(G)
-    return p + q
 
 
 def determinant(G: GramMatrix) -> int:

@@ -11,16 +11,18 @@ Grammar (whitespace insensitive)::
 ``z`` denotes the generator zeta_n of the active cyclotomic field; the field
 order is supplied out of band.  ``^`` takes nonnegative integer exponents up
 to MAX_EXPONENT, and a power is rejected before it is expanded when its total
-degree would exceed MAX_POWER_DEGREE.  Printing a parsed value and parsing it
-again is the identity.
+degree would exceed MAX_POWER_DEGREE.  Parentheses nest at most MAX_NESTING
+deep, which keeps the recursive descent within the interpreter's stack.
+Printing a parsed value and parsing it again is the identity.
 """
 from __future__ import annotations
 
 from .cyclotomic import CyclotomicField
+from .errors import InputError
 from .polyring import MultiPoly, RationalFunction
 
 
-class ExpressionSyntaxError(ValueError):
+class ExpressionSyntaxError(InputError):
     """Malformed expression text; carries the offending position."""
 
     def __init__(self, message: str, position: int):
@@ -40,6 +42,7 @@ class ZeroDenominatorError(ZeroDivisionError):
 
 MAX_EXPONENT = 1024
 MAX_POWER_DEGREE = 64
+MAX_NESTING = 64
 
 _OPS = set("+-*/^()")
 
@@ -79,6 +82,7 @@ class _Parser:
     def __init__(self, src: str, allowed_vars: set[str], field: CyclotomicField):
         self.tokens = _tokenize(src)
         self.pos = 0
+        self.depth = 0
         self.vars = allowed_vars
         self.field = field
 
@@ -171,8 +175,14 @@ class _Parser:
                 return RationalFunction.gen(self.field, text)
             raise UnknownVariableError(text, pos)
         if kind == "(":
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise ExpressionSyntaxError(
+                    f"parentheses nested deeper than {MAX_NESTING}", pos
+                )
             value = self.expr()
             self.expect(")")
+            self.depth -= 1
             return value
         raise ExpressionSyntaxError(
             f"unexpected {text!r}" if text else "unexpected end of input", pos

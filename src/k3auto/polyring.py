@@ -280,6 +280,10 @@ def _normalized(p: MultiPoly) -> MultiPoly:
 
 
 def _content(p: MultiPoly, var: str) -> MultiPoly:
+    idx = _VAR_INDEX[var]
+    if p.terms and all(sum(e) == e[idx] for e in p.terms):
+        # Nonzero and in var alone: the coefficients are units of the field.
+        return MultiPoly.constant(p.field, 1)
     acc = MultiPoly.zero(p.field)
     for coeff in p.coeffs_in(var).values():
         acc = multi_gcd(acc, coeff)

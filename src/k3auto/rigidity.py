@@ -27,13 +27,14 @@ from dataclasses import dataclass
 from math import gcd, lcm
 from typing import Iterable
 
+from .errors import InputError, VerificationFailure
 
 # graph_automorphisms gives up beyond this many automorphisms.  The fixture
 # graph has 240.
 MAX_AUTOMORPHISMS = 20_000
 
 
-class RigidityError(ValueError):
+class RigidityError(VerificationFailure):
     """Base class for inconsistencies in the fixed-point calculus."""
 
 
@@ -122,42 +123,22 @@ class CurveConfig:
         return True
 
 
-def _perm_power(perm: dict[str, str], m: int) -> dict[str, str]:
-    out = {}
-    for v in perm:
-        w = v
-        for _ in range(m):
-            w = perm[w]
-        out[v] = w
-    return out
-
-
-def _perm_order(perm: dict[str, str]) -> int:
-    out = 1
-    seen = set()
-    for v in perm:
+def cycles(perm: dict[str, str]) -> list[tuple[str, ...]]:
+    """The cycles of perm, fixed points included, each starting at its least
+    vertex, ordered by that vertex."""
+    seen: set[str] = set()
+    out = []
+    for v in sorted(perm):
         if v in seen:
             continue
-        length = 0
-        w = v
-        while True:
-            w = perm[w]
-            length += 1
+        cycle = [v]
+        w = perm[v]
+        while w != v:
             seen.add(w)
-            if w == v:
-                break
-        out = lcm(out, length)
+            cycle.append(w)
+            w = perm[w]
+        out.append(tuple(cycle))
     return out
-
-
-def _cycle_length(perm: dict[str, str], v: str) -> int:
-    length = 0
-    w = v
-    while True:
-        w = perm[w]
-        length += 1
-        if w == v:
-            return length
 
 
 @dataclass(frozen=True)
@@ -231,7 +212,7 @@ class GraphAction:
         for w in self.weights.values():
             g = gcd(g, w)
         weight_order = self.n // g if g else 1
-        return lcm(_perm_order(self.perm), max(weight_order, 1))
+        return lcm(*map(len, cycles(self.perm)), max(weight_order, 1))
 
     # -- canonical form ----------------------------------------------------
 
@@ -279,8 +260,9 @@ class GraphAction:
         n, c = self.n, self.c
         if not config.is_automorphism(self.perm):
             raise RigidityError("permutation is not a graph automorphism")
-        stable = set(self.stable_curves())
-        for curve in self.pointwise:
+        stable = dict.fromkeys(self.stable_curves())
+        cycle_length = _neighbour_cycle_lengths(config, self.perm, stable)
+        for curve in sorted(self.pointwise):
             if curve not in stable:
                 raise RigidityError(f"pointwise-fixed curve {curve} is mobile")
             for d in config.neighbors(curve):
@@ -328,10 +310,10 @@ class GraphAction:
                 )
             rotation = n // gcd(n, w1)
             for d in config.neighbors(curve):
-                if self.perm[d] != d and _cycle_length(self.perm, d) != rotation:
+                if self.perm[d] != d and cycle_length[d] != rotation:
                     raise InconsistentCycleError(
                         f"orbit of {d} on {curve} has length "
-                        f"{_cycle_length(self.perm, d)}, rotation order is {rotation}"
+                        f"{cycle_length[d]}, rotation order is {rotation}"
                     )
 
     # -- census --------------------------------------------------------------
@@ -373,15 +355,24 @@ class GraphAction:
         )
 
 
+def _neighbour_cycle_lengths(config, perm, stable) -> dict[str, int]:
+    """The cycle length of every mobile curve that meets a stable one.  perm
+    maps the set of those curves onto itself, so their cycles are the cycles
+    of perm restricted to it."""
+    mobile = {d: perm[d] for v in stable for d in config.neighbors(v) if d not in stable}
+    return {d: len(cyc) for cyc in cycles(mobile) for d in cyc}
+
+
 def _frame(config, perm):
     """The part of a saturation that depends on the permutation alone: the
-    stable curves, the fixed edge points on each and the edge behind each
-    fixed point, in canonical edge order, and for each stable curve the cycle
-    lengths of its mobile neighbours, each with the first neighbour that has
-    it."""
+    stable curves in vertex order (a dict used as an ordered set, so every
+    walk over them is the same on every run), the fixed edge points on each
+    and the edge behind each fixed point, in canonical edge order, and for
+    each stable curve the cycle lengths of its mobile neighbours, each with
+    the first neighbour that has it."""
     if not config.is_automorphism(perm):
         raise RigidityError("permutation is not a graph automorphism")
-    stable = {v for v in config.vertices if perm[v] == v}
+    stable = dict.fromkeys(v for v in config.vertices if perm[v] == v)
     fixed_points: dict[str, list[str]] = {v: [] for v in stable}
     edge_of: dict[str, tuple[str, str, int]] = {}
     for (a, b), mult in sorted(config.edges.items()):
@@ -390,12 +381,13 @@ def _frame(config, perm):
             fixed_points[a].append(pid)
             fixed_points[b].append(pid)
             edge_of[pid] = (a, b, mult)
+    cycle_length = _neighbour_cycle_lengths(config, perm, stable)
     orbit_lengths: dict[str, dict[int, str]] = {}
     for curve in stable:
         lengths: dict[int, str] = {}
         for d in config.neighbors(curve):
             if d not in stable:
-                lengths.setdefault(_cycle_length(perm, d), d)
+                lengths.setdefault(cycle_length[d], d)
         if lengths:
             orbit_lengths[curve] = lengths
     return stable, fixed_points, edge_of, orbit_lengths
@@ -462,7 +454,7 @@ def _saturate(config, perm, n, c, seeds, free_seeds=None, frame=None) -> GraphAc
             set_weight(curve, pid, 0)
 
     # A stable curve with three or more fixed points must be the identity.
-    for curve in sorted(stable):
+    for curve in stable:
         if len(fixed_points[curve]) >= 3:
             mark_pointwise(curve)
 
@@ -548,10 +540,11 @@ def power(action: GraphAction, m: int) -> GraphAction:
     of the inverse and a huge m costs no more than a small one.
     """
     n = action.n
-    m %= lcm(n, _perm_order(action.perm))
+    perm_cycles = cycles(action.perm)
+    m %= lcm(n, *map(len, perm_cycles))
     g = gcd(n, m)
     n2 = n // g
-    perm2 = _perm_power(action.perm, m)
+    perm2 = {cyc[i]: cyc[(i + m) % len(cyc)] for cyc in perm_cycles for i in range(len(cyc))}
     seeds = {}
     free_seeds: dict[str, list[int]] = {}
     for curve in action.stable_curves():
@@ -630,7 +623,7 @@ def compose_actions(a1: GraphAction, a2: GraphAction) -> GraphAction:
 def graph_automorphisms(config: CurveConfig) -> list[dict[str, str]]:
     """All automorphisms, by backtracking on degree and neighborhood data.
 
-    The search stops with a ValueError once it finds more than
+    The search stops with an InputError once it finds more than
     MAX_AUTOMORPHISMS: interchangeable isolated curves alone make the group
     grow factorially.
     """
@@ -654,7 +647,7 @@ def graph_automorphisms(config: CurveConfig) -> list[dict[str, str]]:
         if i == len(order):
             out.append(dict(assignment))
             if len(out) > MAX_AUTOMORPHISMS:
-                raise ValueError(
+                raise InputError(
                     f"the graph has more than {MAX_AUTOMORPHISMS} automorphisms"
                 )
             return
@@ -758,11 +751,11 @@ def enumerate_actions(config, n, c, census_filter=None) -> list[GraphAction]:
     orbit, each represented by its first survivor in scan order.
     """
     if n < 1:
-        raise ValueError(f"order must be at least 1, got {n}")
+        raise InputError(f"order must be at least 1, got {n}")
     if n > 64:
-        raise ValueError("order bound for enumeration is 64")
+        raise InputError("order bound for enumeration is 64")
     if len(config.vertices) > 64:
-        raise ValueError("vertex bound for enumeration is 64")
+        raise InputError("vertex bound for enumeration is 64")
     auts = graph_automorphisms(config)
     seen: set[tuple] = set()
     classes: dict[tuple, GraphAction] = {}

@@ -12,6 +12,7 @@ import re
 from dataclasses import dataclass
 
 from .cyclotomic import CyclotomicField
+from .errors import InputError
 from .polyring import (
     INF,
     MultiPoly,
@@ -23,11 +24,11 @@ from .polyring import (
 INFINITY = PlacePoly(None)
 
 
-class NonMinimalError(ValueError):
+class NonMinimalError(InputError):
     """Vanishing orders admit a 4/6/12 twist down: the model is not minimal."""
 
 
-class UnclassifiableError(ValueError):
+class UnclassifiableError(InputError):
     """The vanishing-order triple matches no row of the fiber table."""
 
 
@@ -196,9 +197,10 @@ def classify_all(model: WeierstrassModel) -> FiberInventory:
     """
     delta = model.discriminant()
     fibers = []
-    for place, (vA, vB, vD) in _place_orders((model.A, model.B, delta)):
+
+    def add_fiber(place, vA, vB, vD):
         if vD == 0:
-            continue
+            return
         ftype = classify_place(vA, vB, vD)
         fibers.append(
             KodairaFiber(
@@ -212,6 +214,9 @@ def classify_all(model: WeierstrassModel) -> FiberInventory:
                 multiplicity=place.degree(),
             )
         )
+
+    for place, (vA, vB, vD) in _place_orders((model.A, model.B, delta)):
+        add_fiber(place, vA, vB, vD)
     # Place at infinity via the fixed 8/12/24 twist, minimalized there.
     vA = _order_at_infinity(model.A, 8)
     vB = _order_at_infinity(model.B, 12)
@@ -220,20 +225,7 @@ def classify_all(model: WeierstrassModel) -> FiberInventory:
         vA -= 4
         vB -= 6
         vD -= 12
-    if vD != 0:
-        ftype = classify_place(vA, vB, vD)
-        fibers.append(
-            KodairaFiber(
-                place=INFINITY,
-                type=ftype,
-                vA=vA,
-                vB=vB,
-                vD=vD,
-                euler=euler_number(ftype),
-                components=component_count(ftype),
-                multiplicity=1,
-            )
-        )
+    add_fiber(INFINITY, vA, vB, vD)
     fibers.sort(key=KodairaFiber.sort_key)
     total = sum(f.euler * f.multiplicity for f in fibers)
     return FiberInventory(fibers=tuple(fibers), euler_total=total)

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import k3auto
 from k3auto import funfield
 from k3auto.cli import main
 from k3auto.files import parse_lattice_expression
@@ -275,12 +280,26 @@ def test_non_positive_field_order_exits_2_with_line(capsys, tmp_path):
     _assert_input_error_at(code, err, line)
 
 
+def test_non_utf8_file_exits_2_with_line(capsys, tmp_path):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b'field_order = 16\nA = "t\xff"\nB = "0"\n')
+    code, out, err = run_cli(capsys, "classify", str(path))
+    _assert_input_error_at(code, err, 2)
+    assert out == ""
+
+
 @pytest.mark.parametrize(
     "command, old, new",
     [
         ("classify", 'A = "t^3*(t^4-1)"', 'A = "(t+1)^3000"'),
         ("check-map", 'x = "z^6*x"', 'x = "(x+y)^100"'),
         ("classify", "field_order = 16", "field_order = 100000"),
+        pytest.param(
+            "classify",
+            'A = "t^3*(t^4-1)"',
+            'A = "' + "(" * 3000 + "t" + ")" * 3000 + '"',
+            id="nested-parentheses",
+        ),
     ],
 )
 def test_oversized_input_exits_2_with_line_before_expanding(capsys, tmp_path, command, old, new):
@@ -399,6 +418,30 @@ def test_unknown_names_from_the_command_line_carry_no_line(capsys, argv, message
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
     assert err == f"input error: {message}\n"
+
+
+def test_underdetermined_action_message_is_the_same_under_every_hash_seed(tmp_path):
+    # Without the C6-C7 and a5-b5 edges, sigma leaves several stable curves
+    # underdetermined; the message names the least of them, whatever order
+    # the string hashes put a set of curve names in.
+    text = fixture_path("order16_graph.txt").read_text(encoding="utf-8")
+    path = tmp_path / "cut.txt"
+    path.write_text(text.replace("edge C6 C7\n", "").replace("edge a5 b5 x2\n", ""))
+    src = str(Path(k3auto.__file__).resolve().parent.parent)
+    errors = set()
+    for seed in ("0", "1", "4"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "k3auto.cli", "rigidity", str(path), "census", "sigma"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 2
+        errors.add(proc.stderr)
+    assert errors == {
+        "input error: line 60: action 'sigma': stable curve C7 is underdetermined"
+        " after propagation\n"
+    }
 
 
 def test_json_outputs_are_stable(capsys):

@@ -5,6 +5,7 @@ import pytest
 from k3auto.cyclotomic import cyclotomic_field
 from k3auto.parser import (
     MAX_EXPONENT,
+    MAX_NESTING,
     MAX_POWER_DEGREE,
     ExpressionSyntaxError,
     UnknownVariableError,
@@ -117,3 +118,13 @@ def test_power_bounds_checked_before_expanding():
             parse_expression(src, XYT, F)
         assert info.value.position == pos
         assert str(info.value) == f"{message} (at position {pos})"
+
+
+def test_nesting_bound_checked_before_recursing():
+    deep = "(" * MAX_NESTING + "t" + ")" * MAX_NESTING
+    assert parse_expression(deep, XYT, F) == MultiPoly.gen(F, "t")
+    with pytest.raises(ExpressionSyntaxError) as info:
+        parse_expression("(" * 3000 + "t" + ")" * 3000, XYT, F)
+    assert str(info.value) == (
+        f"parentheses nested deeper than {MAX_NESTING} (at position {MAX_NESTING})"
+    )

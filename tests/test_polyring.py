@@ -52,6 +52,22 @@ def test_multi_gcd_in_t_examples():
     assert multi_gcd(ZERO, ZERO).is_zero()
 
 
+def test_multi_gcd_in_t_recurses_only_for_the_content_gcd(monkeypatch):
+    # A nonzero polynomial in t alone has content 1, so no gcd is spent on it.
+    from k3auto import polyring
+
+    calls = []
+    inner = polyring.multi_gcd
+
+    def counted(p, q):
+        calls.append((p, q))
+        return inner(p, q)
+
+    monkeypatch.setattr(polyring, "multi_gcd", counted)
+    assert polyring.multi_gcd(T ** 2 - 1, T ** 3 - 1) == T - 1
+    assert len(calls) == 2
+
+
 def test_gcd_divides_and_is_maximal():
     rng = random.Random(7)
     for _ in range(15):

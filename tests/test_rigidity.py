@@ -16,12 +16,12 @@ from k3auto.rigidity import (
     TooManyFixedPointsError,
     _frame,
     _orbit_keys,
-    _perm_order,
     _saturate,
     _transport,
     canonical_key,
     census,
     compose_actions,
+    cycles,
     edge_point_id,
     enumerate_actions,
     graph_automorphisms,
@@ -301,7 +301,7 @@ def test_enumerate_trivial_order():
 
 def test_power_exponent_is_taken_modulo_the_period():
     for act in BUNDLE.actions.values():
-        period = lcm(act.n, _perm_order(act.perm))
+        period = lcm(act.n, *map(len, cycles(act.perm)))
         for m in range(-period, 2 * period + 1):
             assert action_data([power(act, m)]) == action_data([power(act, m + period)])
         inv = inverse_action(act)
