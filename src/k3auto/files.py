@@ -57,13 +57,18 @@ def _unquote(value: str) -> str:
 
 
 def _split_blocks(text: str, kind: str):
-    """(top-level lines, {name: block lines}) for [kind.name] sections."""
+    """(top-level lines, {name: block lines}, top end) for [kind.name]
+    sections; the top-level section ends at the first header, or at the last
+    line if there is none."""
     top: list[tuple[int, str]] = []
     blocks: dict[str, list[tuple[int, str]]] = {}
     current: list[tuple[int, str]] | None = None
+    top_end = max(len(text.splitlines()), 1)
     for lineno, line in _logical_lines(text):
         header = re.fullmatch(r"\[([a-z]+)\.([A-Za-z0-9_]+)\]", line)
         if header:
+            if current is None:
+                top_end = lineno
             if header.group(1) != kind:
                 raise InputError(
                     f"unexpected block kind [{header.group(1)}.*]; expected [{kind}.*]",
@@ -79,7 +84,7 @@ def _split_blocks(text: str, kind: str):
             current.append((lineno, line))
         else:
             top.append((lineno, line))
-    return top, blocks
+    return top, blocks, top_end
 
 
 def _key_values(lines) -> dict[str, tuple[int, str]]:
@@ -111,11 +116,11 @@ def _positive_int(kv, key: str) -> int:
 
 
 def load_surface_text(text: str) -> tuple[WeierstrassModel, dict[str, SurfaceMap]]:
-    top, blocks = _split_blocks(text, "map")
+    top, blocks, top_end = _split_blocks(text, "map")
     kv = _key_values(top)
     for required in ("field_order", "A", "B"):
         if required not in kv:
-            raise InputError(f"missing {required!r}", 1)
+            raise InputError(f"missing {required!r}", top_end)
     order = _positive_int(kv, "field_order")
     if order > MAX_FIELD_ORDER:
         raise InputError(
@@ -198,15 +203,15 @@ def _parse_perm(src: str, vertices, lineno: int) -> dict[str, str]:
 
 
 def load_graph_text(text: str) -> tuple[CurveConfig, dict[str, GraphAction]]:
-    top, blocks = _split_blocks(text, "action")
-    vertices: list[str] = []
-    edges: list[tuple[str, str, int]] = []
+    top, blocks, _top_end = _split_blocks(text, "action")
+    vertices: list[tuple[int, str]] = []
+    edges: list[tuple[int, tuple[str, str, int]]] = []
     for lineno, line in top:
         parts = line.split()
         if parts[0] == "vertex":
             if len(parts) != 2:
                 raise InputError("vertex lines read: vertex NAME", lineno)
-            vertices.append(parts[1])
+            vertices.append((lineno, parts[1]))
         elif parts[0] == "edge":
             if len(parts) not in (3, 4):
                 raise InputError("edge lines read: edge A B [x2]", lineno)
@@ -215,13 +220,22 @@ def load_graph_text(text: str) -> tuple[CurveConfig, dict[str, GraphAction]]:
                 if parts[3] != "x2":
                     raise InputError(f"unknown edge marker {parts[3]!r}", lineno)
                 mult = 2
-            edges.append((parts[1], parts[2], mult))
+            edges.append((lineno, (parts[1], parts[2], mult)))
         else:
             raise InputError(f"unknown directive {parts[0]!r}", lineno)
+    line = 1
+
+    def tracked(items):
+        # CurveConfig checks each item as it draws it, so an error is about
+        # the item drawn last.
+        nonlocal line
+        for line, item in items:
+            yield item
+
     try:
-        config = CurveConfig(vertices, edges)
+        config = CurveConfig(tracked(vertices), tracked(edges))
     except ValueError as err:
-        raise InputError(str(err), 1) from err
+        raise InputError(str(err), line) from err
 
     actions: dict[str, GraphAction] = {}
     for name, lines in blocks.items():

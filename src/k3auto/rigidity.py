@@ -68,15 +68,22 @@ def edge_point_id(a: str, b: str) -> str:
 
 
 class CurveConfig:
-    """Incidence graph of rational curves with edge multiplicities 1 or 2."""
+    """Incidence graph of rational curves with edge multiplicities 1 or 2.
+
+    Each vertex and each edge is checked as soon as it is drawn from its
+    iterable, all vertices first, so a loader that tracks the item it last
+    handed out knows which one a ValueError is about.
+    """
 
     __slots__ = ("vertices", "edges", "adj")
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[tuple[str, str, int]]):
-        self.vertices = tuple(sorted(set(vertices)))
-        for v in self.vertices:
+        names = set()
+        for v in vertices:
             if ":" in v or "." in v:
                 raise ValueError(f"vertex name {v!r} clashes with point-id syntax")
+            names.add(v)
+        self.vertices = tuple(sorted(names))
         self.edges = {}
         self.adj = {v: {} for v in self.vertices}
         for a, b, mult in edges:
@@ -702,30 +709,49 @@ def _transport(action: GraphAction, g: dict[str, str]) -> GraphAction:
     return GraphAction(config, action.n, action.c, perm, weights, pointwise, free_points)
 
 
-def _orbit_keys(action: GraphAction, auts) -> set[tuple]:
-    """The reduced keys of the action's orbit under the automorphisms auts.
+def _conjugacy_classes(config, auts):
+    """The conjugacy classes of the automorphism group auts (a list), each
+    represented by its first member p in list order.
 
-    Every g in auts is r h with h in the centraliser C of the permutation and
-    r the first automorphism that conjugates it to g perm g^-1, so the orbit
-    is the C-orbit transported along one r per conjugate.
+    Yields (p, transporters, centraliser): transporters maps the position in
+    auts of each conjugate q of p, in increasing order, to the first r in
+    auts with r p r^-1 = q; centraliser lists the g with g p g^-1 = p in
+    list order.
+
+    A permutation g is held as the bytes g[0] g[1] ... of its vertex indices
+    and as the translation table that applies it to such bytes (enumeration
+    allows at most 64 vertices), so conjugating by all of auts takes two
+    bytes.translate calls per automorphism.
     """
-    own = frozenset(action.perm.items())
-    centraliser = []
-    coset_reps: dict[frozenset, dict[str, str]] = {}
-    for g in auts:
-        conj = frozenset((g[v], g[w]) for v, w in action.perm.items())
-        if conj == own:
-            centraliser.append(g)
-        coset_reps.setdefault(conj, g)
+    index = {v: i for i, v in enumerate(config.vertices)}
+    perms = [bytes(index[g[v]] for v in config.vertices) for g in auts]
+    position = {t: i for i, t in enumerate(perms)}
+    inverses = [bytes(sorted(range(len(t)), key=t.__getitem__)) for t in perms]
+    fixed_tail = bytes(range(len(index), 256))
+    tables = [t + fixed_tail for t in perms]
+    classified: set[int] = set()
+    for i, p in enumerate(tables):
+        if i in classified:
+            continue
+        # g p g^-1 maps u to g[p[g^-1[u]]].
+        conjugates = [
+            position[g_inv.translate(p).translate(g)] for g, g_inv in zip(tables, inverses)
+        ]
+        # The reversed pairs leave each conjugate with its first transporter.
+        transporters = dict(zip(reversed(conjugates), reversed(auts)))
+        centraliser = [r for j, r in zip(conjugates, auts) if j == i]
+        classified.update(transporters)
+        yield auts[i], dict(sorted(transporters.items())), centraliser
+
+
+def _centraliser_orbit(action: GraphAction, centraliser) -> dict[tuple, GraphAction]:
+    """The images of the action under the centraliser of its permutation,
+    one per reduced key: the members of its orbit with the same permutation."""
     images = {}
     for h in centraliser:
         image = _transport(action, h)
         images.setdefault(image.reduced_key(), image)
-    return {
-        _transport(image, r).reduced_key()
-        for r in coset_reps.values()
-        for image in images.values()
-    }
+    return images
 
 
 def canonical_key(action: GraphAction, automorphisms=None):
@@ -739,16 +765,22 @@ def enumerate_actions(config, n, c, census_filter=None) -> list[GraphAction]:
     """All consistent actions of the given order and volume exponent, up to
     conjugation by graph automorphisms.
 
-    For every automorphism the anchor is the first fixed edge flag in
-    canonical order; every anchor weight in Z_n is attempted, inconsistent or
-    underdetermined combinations are dropped.  The optional filter keeps
-    actions whose census matches (N, k).  The orbit of the first survivor of
-    each class is built once: its images under the centraliser of its
-    permutation, each transported along one automorphism per conjugate of
-    the permutation.  Every reduced key of the orbit is recorded; a later
-    survivor whose reduced key is recorded is conjugate to it and is dropped.
-    The classes come out sorted by their canonical_key, the least key of the
-    orbit, each represented by its first survivor in scan order.
+    The survivors are those of a scan over every automorphism q in the order
+    of graph_automorphisms, anchored at the first fixed edge flag of q in
+    canonical order with every anchor weight in Z_n; inconsistent or
+    underdetermined combinations are dropped.  Saturation commutes with
+    relabelling, so the scan runs once per conjugacy class of automorphisms.
+    With p the first member of the class and r_q the first automorphism that
+    conjugates p to q, the survivor for q at weight w is the saturation on p
+    from the pull-back of q's anchor along r_q, transported along r_q; each
+    distinct pull-back is saturated once per weight.  Two survivors on p are
+    conjugate only under the centraliser C(p), and survivors of different
+    classes never are, so each class of actions is one C(p)-orbit of
+    survivors, censused once for the optional filter, which keeps actions
+    whose census matches (N, k).  It is represented by its survivor with the
+    least (position of q, w).  The classes come out sorted by their
+    canonical_key, the least reduced key of the orbit: the C(p)-orbit
+    transported along every r_q.
     """
     if n < 1:
         raise InputError(f"order must be at least 1, got {n}")
@@ -757,29 +789,39 @@ def enumerate_actions(config, n, c, census_filter=None) -> list[GraphAction]:
     if len(config.vertices) > 64:
         raise InputError("vertex bound for enumeration is 64")
     auts = graph_automorphisms(config)
-    seen: set[tuple] = set()
     classes: dict[tuple, GraphAction] = {}
-    for perm in auts:
+    for perm, transporters, centraliser in _conjugacy_classes(config, auts):
         frame = _frame(config, perm)
-        edge_of = frame[2]
-        if not edge_of:
+        fixed_edges = frame[2].values()
+        if not fixed_edges:
             continue
-        pid = next(iter(edge_of))
-        anchor = (edge_of[pid][0], pid)
-        for w in range(n):
-            try:
-                action = _saturate(config, perm, n, c, {anchor: w}, frame=frame)
-            except RigidityError:
-                continue
-            if action.reduced_key() in seen:
-                continue
-            if census_filter is not None:
-                cens = action.census()
-                if (cens.N, cens.k) != tuple(census_filter):
+        # The first fixed edge of q = r p r^-1 is the fixed edge of p whose
+        # image under r comes first; its flag is on the lesser image.
+        anchors: dict[tuple[str, str], dict[str, str]] = {}
+        for r in transporters.values():
+            a, b, _mult = min(fixed_edges, key=lambda e: edge_key(r[e[0]], r[e[1]]))
+            anchors.setdefault((a if r[a] < r[b] else b, edge_point_id(a, b)), r)
+        seen: set[tuple] = set()
+        for anchor, r in anchors.items():
+            for w in range(n):
+                try:
+                    action = _saturate(config, perm, n, c, {anchor: w}, frame=frame)
+                except RigidityError:
                     continue
-            orbit = _orbit_keys(action, auts)
-            seen.update(orbit)
-            classes[min(orbit)] = action
+                if action.reduced_key() in seen:
+                    continue
+                images = _centraliser_orbit(action, centraliser)
+                seen.update(images)
+                if census_filter is not None:
+                    cens = action.census()
+                    if (cens.N, cens.k) != tuple(census_filter):
+                        continue
+                orbit = {
+                    _transport(image, g).reduced_key()
+                    for g in transporters.values()
+                    for image in images.values()
+                }
+                classes[min(orbit)] = _transport(action, r)
     return [classes[key] for key in sorted(classes)]
 
 

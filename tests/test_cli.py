@@ -280,6 +280,38 @@ def test_non_positive_field_order_exits_2_with_line(capsys, tmp_path):
     _assert_input_error_at(code, err, line)
 
 
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        # Blanking vertex C1 leaves the edge C1 C2 on line 29.
+        ("vertex C1", "", "line 29: edge touches unknown vertex: C1, C2"),
+        ("edge C2 C3", "edge C1 C2", "line 30: duplicate edge ('C1', 'C2')"),
+        ("edge C3 C4", "edge C3 C3", "line 31: self-intersection edge at C3"),
+        ("vertex a1", "vertex a.1", "line 16: vertex name 'a.1' clashes with point-id syntax"),
+    ],
+)
+def test_graph_error_names_the_line_of_its_vertex_or_edge(capsys, tmp_path, old, new, message):
+    path, _line = _edit_fixture(tmp_path, GRAPH, old, new)
+    code, out, err = run_cli(capsys, "rigidity", path, "census", "sigma")
+    assert (code, out, err) == (2, "", f"input error: {message}\n")
+
+
+@pytest.mark.parametrize("key", ["field_order", "A", "B"])
+def test_missing_surface_key_names_the_end_of_the_top_section(capsys, tmp_path, key):
+    # The top-level section of the fixture ends at [map.sigma] on line 11.
+    old = next(line for line in Path(SURFACE).read_text().splitlines() if line.startswith(key))
+    path, _line = _edit_fixture(tmp_path, SURFACE, old, "")
+    code, out, err = run_cli(capsys, "classify", path)
+    assert (code, out, err) == (2, "", f"input error: line 11: missing {key!r}\n")
+
+
+def test_missing_surface_key_without_maps_names_the_last_line(capsys, tmp_path):
+    path = tmp_path / "no_maps.txt"
+    path.write_text('field_order = 16\nA = "t^3*(t^4-1)"\n\n# no B\n', encoding="utf-8")
+    code, out, err = run_cli(capsys, "classify", str(path))
+    assert (code, out, err) == (2, "", "input error: line 4: missing 'B'\n")
+
+
 def test_non_utf8_file_exits_2_with_line(capsys, tmp_path):
     path = tmp_path / "latin1.txt"
     path.write_bytes(b'field_order = 16\nA = "t\xff"\nB = "0"\n')

@@ -14,8 +14,9 @@ from k3auto.rigidity import (
     InconsistentCycleError,
     RigidityError,
     TooManyFixedPointsError,
+    _centraliser_orbit,
+    _conjugacy_classes,
     _frame,
-    _orbit_keys,
     _saturate,
     _transport,
     canonical_key,
@@ -451,20 +452,68 @@ def test_early_orbit_rule_matches_final_validation_on_small_graphs(config, n, da
     assert_early_orbit_rule_is_sound(config, graph_automorphisms(config), (n,), c)
 
 
-def assert_orbit_keys_match_full_transport(actions, auts):
-    for action in actions:
-        want = {_transport(action, g).reduced_key() for g in auts}
-        assert _orbit_keys(action, auts) == want
+def conjugate(g, p):
+    """g p g^-1."""
+    return {g[v]: g[w] for v, w in p.items()}
 
 
-def test_orbit_keys_match_full_transport_on_fixture():
+def conjugacy_classes_by_search(auts):
+    """Aut(G) split into classes by conjugating every member by every g."""
+    classes = []
+    for p in auts:
+        if any(p in members for _p, members, _c in classes):
+            continue
+        members = []
+        for g in auts:
+            q = conjugate(g, p)
+            if q not in members:
+                members.append(q)
+        members.sort(key=auts.index)
+        classes.append((p, members, [g for g in auts if conjugate(g, p) == p]))
+    return classes
+
+
+def test_conjugacy_classes_match_a_search_on_fixture():
     auts = graph_automorphisms(CFG)
+    got = list(_conjugacy_classes(CFG, auts))
+    want = conjugacy_classes_by_search(auts)
+    assert len(got) == 14
+    assert [(p, [auts[j] for j in tr], centraliser) for p, tr, centraliser in got] == want
+    for p, transporters, _centraliser in got:
+        for j, r in transporters.items():
+            assert r == next(g for g in auts if conjugate(g, p) == auts[j])
+
+
+def assert_centraliser_orbits_match_full_transport(config, actions):
+    """Each action, moved onto the representative p of its conjugacy class,
+    has as its centraliser orbit exactly the members of its Aut(G)-orbit with
+    permutation p, and that orbit transported along the transporters of p is
+    the whole Aut(G)-orbit."""
+    auts = graph_automorphisms(config)
+    classes = list(_conjugacy_classes(config, auts))
+    for action in actions:
+        j = auts.index(action.perm)
+        p, transporters, centraliser = next(cls for cls in classes if j in cls[1])
+        moved = _transport(action, {w: v for v, w in transporters[j].items()})
+        assert moved.perm == p
+        want = {_transport(action, g).reduced_key() for g in auts}
+        images = _centraliser_orbit(moved, centraliser)
+        assert set(images) == {key for key in want if key[2] == tuple(sorted(p.items()))}
+        orbit = {
+            _transport(image, g).reduced_key()
+            for g in transporters.values()
+            for image in images.values()
+        }
+        assert orbit == want
+
+
+def test_centraliser_orbits_match_full_transport_on_fixture():
     actions = enumerate_actions(CFG, 16, 1) + enumerate_actions(CFG, 8, 3)
     actions += list(BUNDLE.actions.values())
-    assert_orbit_keys_match_full_transport(actions, auts)
+    assert_centraliser_orbits_match_full_transport(CFG, actions)
 
 
-def test_orbit_keys_follow_the_centraliser_on_a_chain():
+def test_centraliser_orbits_follow_the_centraliser_on_a_chain():
     # On the fixture every centraliser fixes its class, so the images under
     # the centraliser are exercised here: swapping the ends of a chain of
     # three curves moves an action of trivial permutation whose end weights
@@ -473,43 +522,100 @@ def test_orbit_keys_follow_the_centraliser_on_a_chain():
     auts = graph_automorphisms(cfg)
     actions = enumerate_actions(cfg, 8, 1)
     assert any(len({_transport(a, g).reduced_key() for g in auts}) > 1 for a in actions)
-    assert_orbit_keys_match_full_transport(actions, auts)
+    assert_centraliser_orbits_match_full_transport(cfg, actions)
 
 
 @settings(max_examples=60, deadline=None)
 @given(small_configs(), st.sampled_from([1, 2, 4, 6]), st.data())
-def test_orbit_keys_match_full_transport_on_small_graphs(config, n, data):
+def test_centraliser_orbits_match_full_transport_on_small_graphs(config, n, data):
     c = data.draw(st.integers(0, n - 1))
-    auts = graph_automorphisms(config)
-    assert_orbit_keys_match_full_transport(enumerate_actions(config, n, c), auts)
+    assert_centraliser_orbits_match_full_transport(config, enumerate_actions(config, n, c))
+
+
+def count_calls(monkeypatch, *targets):
+    """Count the calls of each (owner, function name) in targets, by name."""
+    calls = {}
+    for owner, name in targets:
+        calls[name] = 0
+        original = getattr(owner, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+    return calls
 
 
 def test_enumeration_transports_once_per_class(monkeypatch):
-    # Each of the 8 classes transports its first survivor along the
-    # centraliser of its permutation (330 in all) and each distinct image
-    # along one automorphism per conjugate (the 150 orbit members); the
-    # reference transports all 150 survivors along Aut(G), 36,000 calls.
-    # One automorphism check per automorphism (240) plus one in the
-    # validation of each of the 150 saturations that reach it: the
-    # orbit-length rule stops the rest during propagation (5,729 checks in
-    # the reference).
-    calls = {"transport": 0, "is_automorphism": 0}
-    transport = rigidity._transport
-    is_automorphism = CurveConfig.is_automorphism
-
-    def counted_transport(action, g):
-        calls["transport"] += 1
-        return transport(action, g)
-
-    def counted_is_automorphism(self, perm):
-        calls["is_automorphism"] += 1
-        return is_automorphism(self, perm)
-
-    monkeypatch.setattr(rigidity, "_transport", counted_transport)
-    monkeypatch.setattr(CurveConfig, "is_automorphism", counted_is_automorphism)
+    # Aut(G) of the fixture has 240 members in 14 conjugacy classes, all with
+    # a fixed edge; their representatives have 14 distinct pulled-back
+    # anchors in all, so 14 * 16 = 224 saturations (the reference, one scan
+    # per automorphism, makes 3,840).  One frame per class (14 automorphism
+    # checks) plus one check in the validation of each of the 8 saturations
+    # that reach it.  Each of the 8 classes of actions transports its survivor
+    # along the centraliser of its permutation (330 in all), each distinct
+    # image along one automorphism per conjugate (the 150 orbit members), and
+    # its representative along its transporter (8).  The census runs once
+    # per class of actions in the filtered run; rejecting a class records its
+    # centraliser orbit, so no conjugate survivor is censused again.
+    calls = count_calls(
+        monkeypatch,
+        (rigidity, "_saturate"),
+        (rigidity, "_transport"),
+        (CurveConfig, "is_automorphism"),
+        (GraphAction, "census"),
+    )
     classes = enumerate_actions(CFG, 16, 1)
     assert len(classes) == 8
-    assert calls == {"transport": 330 + 150, "is_automorphism": 240 + 150}
+    assert calls == {
+        "_saturate": 224,
+        "_transport": 330 + 150 + 8,
+        "is_automorphism": 14 + 8,
+        "census": 0,
+    }
+    calls.update(dict.fromkeys(calls, 0))
+    assert len(enumerate_actions(CFG, 16, 1, (10, 1))) == 1
+    assert calls["census"] == 8
+
+
+# The D4 diagram in Bourbaki's labels: centre e2, ends e1, e3, e4.  The class
+# of the transposition (e3 e4) holds (e1 e3), whose first fixed edge e2:e3
+# has its flag on e2; pulled back to (e3 e4) that is e2 on e1:e2, while
+# (e3 e4) anchors on e1, so the class is saturated from two anchors.
+D4 = CurveConfig(["e1", "e2", "e3", "e4"], [("e1", "e2", 1), ("e2", "e3", 1), ("e2", "e4", 1)])
+
+
+def test_a_class_with_two_anchors_matches_the_reference(monkeypatch):
+    calls = count_calls(monkeypatch, (rigidity, "_saturate"))
+    found = 0
+    for n in (2, 3, 4, 6, 8):
+        for c in range(n):
+            calls["_saturate"] = 0
+            got = enumerate_actions(D4, n, c)
+            # identity: one anchor; the transpositions: two; the 3-cycles fix no edge.
+            assert calls["_saturate"] == 3 * n
+            want = reference_enumerate_actions(D4, n, c)
+            assert action_data(got) == action_data(want)
+            found += len(got)
+            for counts in sorted({(a.census().N, a.census().k) for a in want}):
+                assert action_data(enumerate_actions(D4, n, c, counts)) == action_data(
+                    reference_enumerate_actions(D4, n, c, counts)
+                )
+    assert found > 0
+
+
+def test_interchangeable_curves_cost_one_saturation_per_class_and_weight(monkeypatch):
+    # The edge w-v1 and 7 isolated curves: Aut(G) = Z/2 x S7 has 10,080
+    # members in 30 conjugacy classes.  The 15 classes that fix w and v1 (one
+    # per cycle type of S7) have the fixed edge, each with one anchor; the
+    # reference saturates once per weight for each of the 5,040 automorphisms
+    # that fix the edge.
+    cfg = CurveConfig(["w", "v1"] + [f"x{i}" for i in range(7)], [("w", "v1", 1)])
+    calls = count_calls(monkeypatch, (rigidity, "_saturate"))
+    classes = enumerate_actions(cfg, 2, 1)
+    assert len(classes) == 4
+    assert calls["_saturate"] == 15 * 2
 
 
 @pytest.mark.xfail(
