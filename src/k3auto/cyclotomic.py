@@ -12,6 +12,7 @@ numerators and denominators are.
 from __future__ import annotations
 
 import functools
+import itertools
 from fractions import Fraction
 from math import gcd
 
@@ -60,18 +61,75 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
+# split_prime searches above this bound, so that a fixed nonzero value in
+# F_p is a root of a given low-degree polynomial only by a rare accident.
+_SPLIT_PRIME_FLOOR = 2 ** 30
+
+
+def _is_prime(m: int) -> bool:
+    # Miller-Rabin to the prime bases up to 17, which decides every odd
+    # m > 17 below 3.4 * 10^14 (Jaeschke 1993); split_prime asks about
+    # m > 2^30 only.
+    if m >= 341_550_071_728_321:
+        raise ValueError("primality bound exceeded")
+    if m % 2 == 0:
+        return False
+    d, s = m - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in (2, 3, 5, 7, 11, 13, 17):
+        x = pow(a, d, m)
+        if x in (1, m - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
+            return False
+    return True
+
+
+@functools.lru_cache(maxsize=None)
+def split_prime(n: int) -> tuple[int, int]:
+    """The least prime p > 2^30 with p = 1 mod n, and zeta_bar in F_p of exact order n.
+
+    zeta_bar is a root of Phi_n modulo p, so zeta -> zeta_bar is a ring map
+    from Z[zeta_n] onto F_p.  It extends to every element whose denominator
+    is prime to p.  zeta_bar is a^((p-1)/n) for the least a >= 2 that gives
+    exact order n.
+
+    >>> split_prime(16)
+    (1073741857, 980524046)
+    >>> p, z = split_prime(1024)
+    >>> p % 1024, pow(z, 1024, p), pow(z, 512, p) == p - 1
+    (1, 1, True)
+    """
+    if n < 1:
+        raise ValueError("order must be a positive integer")
+    p = (_SPLIT_PRIME_FLOOR // n + 1) * n + 1
+    while not _is_prime(p):
+        p += n
+    proper_divisors = [d for d in range(1, n) if n % d == 0]
+    for a in itertools.count(2):
+        z = pow(a, (p - 1) // n, p)
+        if all(pow(z, d, p) != 1 for d in proper_divisors):
+            return p, z
+
+
 class CyclotomicField:
     """The field Q(zeta_n), presented as Q[x] / (Phi_n(x)).
 
     One field instance per order is shared through :func:`cyclotomic_field`;
     elements of different orders never mix silently.  The field caches its
-    zero and one, and on first use the n powers of zeta and the integer
-    matrices of the Galois automorphisms that ``CycloNum.inverse`` applies.
+    zero and one, and on first use the n powers of zeta, the integer
+    matrices of the Galois automorphisms that ``CycloNum.inverse`` applies,
+    and the residue map of ``CycloNum.mod_p``.
     """
 
     __slots__ = (
         "order", "minimal_polynomial", "degree", "_reduction",
-        "_zero", "_one", "_powers", "_galois",
+        "_zero", "_one", "_powers", "_galois", "_residues",
     )
 
     def __init__(self, order: int):
@@ -87,6 +145,7 @@ class CyclotomicField:
         self._one = CycloNum(self, (1,) + (0,) * (deg - 1), 1)
         self._powers: tuple[CycloNum, ...] | None = None
         self._galois: tuple | None = None
+        self._residues: tuple[int, tuple[int, ...]] | None = None
 
     def __repr__(self) -> str:
         return f"CyclotomicField({self.order})"
@@ -139,6 +198,16 @@ class CyclotomicField:
         if self._powers is None:
             self._powers = tuple(self.zeta(k) for k in range(self.order))
         return self._powers
+
+    def residue_map(self) -> tuple[int, tuple[int, ...]]:
+        """(p, images of 1, zeta, ..., zeta^(degree-1) in F_p), cached.
+
+        p and the image of zeta come from :func:`split_prime`.
+        """
+        if self._residues is None:
+            p, z = split_prime(self.order)
+            self._residues = (p, tuple(pow(z, k, p) for k in range(self.degree)))
+        return self._residues
 
     def _conjugation_maps(self) -> tuple:
         # For each unit k != 1 mod n, the automorphism sigma_k: zeta -> zeta^k
@@ -354,6 +423,17 @@ class CycloNum:
         if not self.is_rational():
             raise ValueError(f"{self} is not rational")
         return Fraction(self.num[0], self.den)
+
+    def mod_p(self) -> int | None:
+        """The image in F_p under the field's ``residue_map``, or None when p
+        divides the denominator."""
+        p, powers = self.field.residue_map()
+        residue = sum(c * w for c, w in zip(self.num, powers))
+        if self.den == 1:
+            return residue % p
+        if self.den % p == 0:
+            return None
+        return residue * pow(self.den, -1, p) % p
 
     def as_zeta_power(self) -> int | None:
         """The exponent k with self == zeta^k, or None.

@@ -354,11 +354,79 @@ def _subresultant_gcd(p: MultiPoly, q: MultiPoly, var: str) -> MultiPoly:
     return b.exact_div(_content(b, var))
 
 
+# Where coprime_mod_p evaluates the variables other than the main one,
+# indexed like the exponent triples (x, y, t).
+_EVAL_POINTS = (1_000_003, 2_000_029, 3_000_017)
+
+
+def _image_mod_p(p: MultiPoly, var: str, prime: int) -> list[int] | None:
+    # p in F_p[var], constant term first, with deg_var(p) + 1 entries: each
+    # coefficient through CycloNum.mod_p, the other variables at
+    # _EVAL_POINTS.  None when the prime divides a coefficient denominator.
+    idx = _VAR_INDEX[var]
+    out = [0] * (p.degree_in(var) + 1)
+    for e, c in p.terms.items():
+        v = c.mod_p()
+        if v is None:
+            return None
+        for i, k in enumerate(e):
+            if k and i != idx:
+                v = v * pow(_EVAL_POINTS[i], k, prime) % prime
+        out[e[idx]] = (out[e[idx]] + v) % prime
+    return out
+
+
+def _gcd_degree_mod_p(a: list[int], b: list[int], prime: int) -> int:
+    # Degree of gcd(a, b) in F_p[var] by Euclid's algorithm, -1 when both
+    # are 0; coefficient lists constant term first.
+    a, b = list(a), list(b)
+    while a and not a[-1]:
+        a.pop()
+    while b and not b[-1]:
+        b.pop()
+    while b:
+        db = len(b) - 1
+        inv = pow(b[-1], -1, prime)
+        while len(a) > db:
+            c = a.pop() * inv % prime
+            shift = len(a) - db
+            for i in range(db):
+                a[shift + i] = (a[shift + i] - c * b[i]) % prime
+            while a and not a[-1]:
+                a.pop()
+        a, b = b, a
+    return len(a) - 1
+
+
+def coprime_mod_p(p: MultiPoly, q: MultiPoly, var: str) -> bool:
+    """True only when gcd(p, q) is proved to have degree 0 in var.
+
+    Both sides go to F_p[var] by a ring map phi: zeta to the image in
+    ``CyclotomicField.residue_map``, the other variables to fixed points.
+    phi is defined on the coefficients whose denominators the prime does
+    not divide, a discrete valuation ring R (Z[zeta] localised at the
+    kernel of zeta -> zeta_bar).  By Gauss's lemma over R, g = gcd(p, q), scaled to
+    be primitive over R, divides p and q in R[x, y, t], so phi g divides
+    phi p and phi q.  When phi keeps the leading coefficient in var of p
+    (or of q), it keeps that of g, so deg gcd(phi p, phi q) >= deg_var g:
+    an image gcd of degree 0 is a proof (Brown's degree bound, 1971).  A
+    vanishing leading coefficient, the prime dividing a denominator or an
+    image gcd of positive degree proves nothing, and the answer is False.
+    """
+    prime = p.field.residue_map()[0]
+    a = _image_mod_p(p, var, prime)
+    b = _image_mod_p(q, var, prime)
+    if a is None or b is None or not (a[-1] or b[-1]):
+        return False
+    return _gcd_degree_mod_p(a, b, prime) == 0
+
+
 def multi_gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     """GCD in Q(zeta)[x, y, t], normalized so the lex-leading coefficient is 1.
 
     Subresultant pseudo-remainder sequences with the main variable chosen in
     the fixed order y, x, t; common monomial factors are split off first.
+    Primitive parts that ``coprime_mod_p`` proves coprime skip the sequence.
     """
     if p.is_zero():
         return _normalized(q)
@@ -389,8 +457,10 @@ def multi_gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     cp = _content(p, var)
     cq = _content(q, var)
     c = multi_gcd(cp, cq)
-    g = _subresultant_gcd(p.exact_div(cp), q.exact_div(cq), var)
-    return _normalized(c * g)
+    p, q = p.exact_div(cp), q.exact_div(cq)
+    if coprime_mod_p(p, q, var):
+        return _normalized(c)
+    return _normalized(c * _subresultant_gcd(p, q, var))
 
 
 def squarefree_decomposition(p: MultiPoly) -> list[tuple[MultiPoly, int]]:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -10,6 +11,7 @@ import pytest
 import k3auto
 from k3auto import funfield
 from k3auto.cli import main
+from k3auto.cyclotomic import CycloNum
 from k3auto.files import parse_lattice_expression
 from k3auto.fixtures import fixture_path
 from k3auto.lattice import determinant
@@ -92,6 +94,30 @@ def test_check_map_not_a_morphism_exits_1(capsys, tmp_path):
         "residual = (1 + z^4)*x*t^7 + (-1 - z^4)*x*t^3\n"
     )
     assert err == "verification failed: map 'broken' is not a morphism\n"
+
+
+def test_check_map_with_a_large_coprime_gcd(capsys, monkeypatch):
+    # The morphism residual of this map needs the gcd of two coprime
+    # polynomials of x-degree 5 and 8 and t-degree 25 and 42; the
+    # subresultant PRS alone spends 561,672 scalar multiplications on it.
+    # The output bytes are those of the PRS-only computation.
+    calls = []
+    mul = CycloNum.__mul__
+
+    def counted(a, b):
+        calls.append(None)
+        return mul(a, b)
+
+    monkeypatch.setattr(CycloNum, "__mul__", counted)
+    path = Path(__file__).with_name("slow_gcd_surface.txt")
+    code, out, err = run_cli(capsys, "check-map", str(path), "sigma")
+    assert code == 1
+    assert out.startswith("map = sigma\nwell_defined = no\nresidual = ")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "3be9122ba974e764f221ae6f024b62bda2270a0b173ec4a01df003f458d34fac"
+    )
+    assert err == "verification failed: map 'sigma' is not a morphism\n"
+    assert len(calls) < 10_000
 
 
 @pytest.mark.parametrize(

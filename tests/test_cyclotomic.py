@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 
@@ -9,7 +9,9 @@ from k3auto.cyclotomic import (
     MixedFieldsError,
     cyclotomic_field,
     cyclotomic_polynomial,
+    split_prime,
 )
+from k3auto.files import MAX_FIELD_ORDER
 
 F16 = cyclotomic_field(16)
 
@@ -136,3 +138,48 @@ def test_phi16_relation_holds():
     z = F16.zeta()
     assert z ** 8 + F16.one() == F16.zero()
     assert z ** 16 == F16.one()
+
+
+def _is_prime_by_trial_division(m):
+    return m > 1 and all(m % d for d in range(2, isqrt(m) + 1))
+
+
+def _prime_divisors(m):
+    return [q for q in range(2, m + 1) if m % q == 0 and _is_prime_by_trial_division(q)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 16, 105, MAX_FIELD_ORDER])
+def test_split_prime_has_a_root_of_unity_of_exact_order_n(n):
+    p, z = split_prime(n)
+    assert p > 2 ** 30
+    assert _is_prime_by_trial_division(p)
+    assert (p - 1) % n == 0
+    assert 0 < z < p
+    assert pow(z, n, p) == 1
+    for q in _prime_divisors(n):
+        assert pow(z, n // q, p) != 1
+    # zeta_bar is a root of Phi_n mod p, so zeta -> zeta_bar is well defined.
+    assert sum(c * pow(z, k, p) for k, c in enumerate(cyclotomic_polynomial(n))) % p == 0
+
+
+@pytest.mark.parametrize("n", [1, 3, 16, 105])
+def test_mod_p_is_a_ring_map(n):
+    field = cyclotomic_field(n)
+    p = field.residue_map()[0]
+    rng = random.Random(n)
+    for _ in range(20):
+        a = _random_element(rng, field)
+        b = _random_element(rng, field)
+        assert (a + b).mod_p() == (a.mod_p() + b.mod_p()) % p
+        assert (a * b).mod_p() == a.mod_p() * b.mod_p() % p
+        if not a.is_zero() and a.mod_p():
+            assert a.inverse().mod_p() * a.mod_p() % p == 1
+    assert field.zeta().mod_p() == split_prime(n)[1]
+    assert field.from_rational(Fraction(3, 2)).mod_p() == 3 * pow(2, -1, p) % p
+
+
+def test_mod_p_refuses_a_denominator_divisible_by_p():
+    p = F16.residue_map()[0]
+    assert F16.element([Fraction(1, p), 1]).mod_p() is None
+    assert F16.element([Fraction(1, 2 * p)]).mod_p() is None
+    assert F16.from_rational(p).mod_p() == 0

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from k3auto import polyring
 from k3auto.cyclotomic import cyclotomic_field
 from k3auto.polyring import (
     INF,
@@ -10,6 +11,7 @@ from k3auto.polyring import (
     PlacePoly,
     RationalFunction,
     ZeroInputError,
+    coprime_mod_p,
     gcd_free_basis,
     multi_gcd,
     vanishing_order,
@@ -54,8 +56,6 @@ def test_multi_gcd_in_t_examples():
 
 def test_multi_gcd_in_t_recurses_only_for_the_content_gcd(monkeypatch):
     # A nonzero polynomial in t alone has content 1, so no gcd is spent on it.
-    from k3auto import polyring
-
     calls = []
     inner = polyring.multi_gcd
 
@@ -431,3 +431,107 @@ def test_rational_function_arithmetic_matches_full_gcd_reference():
             _same(f / g, _ref_quotient(f, g))
         for n in (0, 2) if f.is_zero() else (-1, 0, 2):
             _same(f ** n, _ref_power(f, n))
+
+
+# The certificate in multi_gcd against the subresultant PRS, which stays the
+# reference: with coprime_mod_p switched off, multi_gcd is the PRS alone.
+
+
+def _prs_gcd(monkeypatch, p, q):
+    with monkeypatch.context() as m:
+        m.setattr(polyring, "coprime_mod_p", lambda p, q, var: False)
+        return polyring.multi_gcd(p, q)
+
+
+def _main_var_primitive_parts(p, q):
+    # The main variable of multi_gcd's PRS step, for p and q that both use
+    # it, and the primitive parts it hands to the certificate.
+    var = next(v for v in polyring._GCD_VAR_ORDER if p.uses_var(v) or q.uses_var(v))
+    assert p.uses_var(var) and q.uses_var(var)
+    pp = p.exact_div(polyring._content(p, var))
+    qq = q.exact_div(polyring._content(q, var))
+    return var, pp, qq
+
+
+def _zeta_poly(rng, names, max_terms, max_deg=2):
+    # A polynomial in every variable of names, with zeta_16 coefficients.
+    gens = [MultiPoly.gen(F, v) for v in names]
+    while True:
+        out = MultiPoly.zero(F)
+        for _ in range(rng.randint(2, max_terms)):
+            coeff = F.zeta(rng.randrange(16)) * rng.choice((-2, -1, 1, Fraction(1, 3), 3))
+            term = MultiPoly.constant(F, coeff)
+            for g in gens:
+                term = term * g ** rng.randint(0, max_deg)
+            out = out + term
+        if all(out.uses_var(v) for v in names):
+            return out
+
+
+def _gcd_pairs(rng, names):
+    # Random pairs, most of them coprime, and pairs with a planted common
+    # factor.  Every polynomial uses every variable, so the planted factor is
+    # not constant in the main variable and the certificate must not prove it.
+    for _ in range(10):
+        yield "random", _zeta_poly(rng, names, 4), _zeta_poly(rng, names, 4)
+        h = _zeta_poly(rng, names, 2, 1)
+        yield "planted", _zeta_poly(rng, names, 3) * h, _zeta_poly(rng, names, 3) * h
+
+
+@pytest.mark.parametrize("names", ["xt", "xyt"])
+def test_multi_gcd_matches_the_subresultant_reference(monkeypatch, names):
+    rng = random.Random(1971)
+    proved = {"random": 0, "planted": 0}
+    for kind, p, q in _gcd_pairs(rng, names):
+        assert multi_gcd(p, q) == _prs_gcd(monkeypatch, p, q)
+        var, pp, qq = _main_var_primitive_parts(p, q)
+        if coprime_mod_p(pp, qq, var):
+            assert polyring._subresultant_gcd(pp, qq, var) == MultiPoly.constant(F, 1)
+            proved[kind] += 1
+    assert proved["random"] >= 6
+    assert proved["planted"] == 0
+
+
+def _count_prs(monkeypatch):
+    calls = []
+    inner = polyring._subresultant_gcd
+
+    def counted(p, q, var):
+        calls.append(var)
+        return inner(p, q, var)
+
+    monkeypatch.setattr(polyring, "_subresultant_gcd", counted)
+    return calls
+
+
+def _assert_reaches_the_prs(monkeypatch, p, q, want):
+    assert not coprime_mod_p(p, q, "x")
+    calls = _count_prs(monkeypatch)
+    assert multi_gcd(p, q) == want
+    assert "x" in calls
+
+
+def test_certificate_falls_back_when_the_leading_coefficients_vanish(monkeypatch):
+    # g's leading coefficient t - t0 vanishes at the evaluation point t0, so
+    # the images of p and q are x + 2 and x + 3: coprime, although g divides
+    # both.  Only the leading-coefficient check keeps this from a wrong proof.
+    x, t = MultiPoly.gen(F, "x"), MultiPoly.gen(F, "t")
+    g = (t - polyring._EVAL_POINTS[2]) * x + 1
+    _assert_reaches_the_prs(monkeypatch, g * (x + 2), g * (x + 3), polyring._normalized(g))
+
+
+def test_certificate_falls_back_when_p_divides_a_denominator(monkeypatch):
+    x, t = MultiPoly.gen(F, "x"), MultiPoly.gen(F, "t")
+    prime = F.residue_map()[0]
+    g = x + t * Fraction(1, prime)
+    _assert_reaches_the_prs(monkeypatch, g * (x + 2), g * (x + t), g)
+    # Coprime inputs with such a denominator take the PRS too.
+    one = MultiPoly.constant(F, 1)
+    _assert_reaches_the_prs(monkeypatch, x ** 2 + t * Fraction(1, prime), x + 1, one)
+
+
+def test_certificate_falls_back_when_the_gcd_is_not_constant(monkeypatch):
+    x, t = MultiPoly.gen(F, "x"), MultiPoly.gen(F, "t")
+    z = F.zeta(1)
+    g = x * z + t ** 2 - 1
+    _assert_reaches_the_prs(monkeypatch, g * (x - t), g * (x * t + z), polyring._normalized(g))
