@@ -390,24 +390,93 @@ def omega_factor(m: SurfaceMap) -> CycloNum:
     return factor.constant_value()
 
 
-def _order_and_last_power(m: SurfaceMap, max_order: int) -> tuple[int, SurfaceMap]:
-    # The least k <= max_order with m^k the identity, and m^(k - 1).
-    prev, acc = SurfaceMap.identity(m.model), m
-    for k in range(1, max_order + 1):
-        if acc.is_identity():
-            return k, prev
-        prev, acc = acc, compose(m, acc)
-    raise OrderBoundExceededError(f"order exceeds {max_order}")
+def _mobius_order(w: RationalFunction, max_order: int) -> int:
+    """Least e <= max_order with w composed with itself e times equal to t.
+
+    Only a Moebius map w = (a t + b) / (c t + d) can have finite order, and
+    its e-th iterate is t exactly when the matrix [[a, b], [c, d]] raised to
+    e is scalar.
+
+    >>> from k3auto.cyclotomic import cyclotomic_field
+    >>> F = cyclotomic_field(16)
+    >>> t = RationalFunction.gen(F, "t")
+    >>> _mobius_order(t * F.zeta(4), 64), _mobius_order(1 / t, 64)
+    (4, 2)
+    >>> _mobius_order(t + 1, 64)
+    Traceback (most recent call last):
+    ...
+    k3auto.funfield.OrderBoundExceededError: order exceeds 64
+    >>> _mobius_order(t * t, 64)
+    Traceback (most recent call last):
+    ...
+    k3auto.funfield.OrderBoundExceededError: order exceeds 64
+    """
+    exceeded = OrderBoundExceededError(f"order exceeds {max_order}")
+    num, den = w.num, w.den
+    if max(num.degree_in("t"), den.degree_in("t")) != 1:
+        raise exceeded
+    zero = w.field.zero()
+    a, b = (num.terms.get((0, 0, k), zero) for k in (1, 0))
+    c, d = (den.terms.get((0, 0, k), zero) for k in (1, 0))
+    p, q, r, s = a, b, c, d
+    for e in range(1, max_order + 1):
+        if q.is_zero() and r.is_zero() and p == s:
+            return e
+        p, q, r, s = p * a + q * c, p * b + q * d, r * a + s * c, r * b + s * d
+    raise exceeded
+
+
+def _power(squares: list[SurfaceMap], n: int) -> SurfaceMap:
+    # m^n for n >= 1, where squares = [m, m^2, m^4, ...] grows in place as
+    # far as n needs, so later powers reuse the squares.
+    acc = None
+    for i in range(n.bit_length()):
+        if i == len(squares):
+            squares.append(compose(squares[-1], squares[-1]))
+        if n >> i & 1:
+            acc = squares[i] if acc is None else compose(acc, squares[i])
+    return acc
+
+
+def _order_walk(m: SurfaceMap, max_order: int):
+    # (e, j, squares, M^(j - 1)) with e the base order, M = m^e and M^j the
+    # identity, so the order is e j; M^0 is None.  The t-image of m^k is w
+    # iterated k times, so e divides the order and only the powers of M are
+    # candidates.
+    e = _mobius_order(m.w, max_order)
+    squares = [m]
+    step = _power(squares, e)
+    prev, acc, j = None, step, 1
+    while not acc.is_identity():
+        if e * (j + 1) > max_order:
+            raise OrderBoundExceededError(f"order exceeds {max_order}")
+        prev, acc, j = acc, compose(step, acc), j + 1
+    return e, j, squares, prev
 
 
 def map_order(m: SurfaceMap, max_order: int = 64) -> int:
-    """Least k <= max_order with m^k the identity."""
-    return _order_and_last_power(m, max_order)[0]
+    """Least k <= max_order with m^k the identity.
+
+    The base order e comes first, from w alone (``_mobius_order``); then
+    M = m^e is formed by repeated squaring, and the order is e j for the
+    least j with M^j the identity.
+    """
+    e, j, _, _ = _order_walk(m, max_order)
+    return e * j
 
 
 def inverse(m: SurfaceMap, max_order: int = 64) -> SurfaceMap:
-    """m^(order - 1); maps in scope all have finite small order."""
-    return _order_and_last_power(m, max_order)[1]
+    """m^(order - 1); maps in scope all have finite small order.
+
+    It reuses the powers that ``map_order`` forms: with M = m^e and order
+    e j, it is M^(j - 1) after m^(e - 1), and m^(e - 1) is built from the
+    squares of m.
+    """
+    e, _, squares, walked = _order_walk(m, max_order)
+    if e == 1:
+        return SurfaceMap.identity(m.model) if walked is None else walked
+    head = _power(squares, e - 1)
+    return head if walked is None else compose(walked, head)
 
 
 class Section:

@@ -14,6 +14,7 @@ identical vanishing data.
 """
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from typing import Iterable
 
@@ -168,7 +169,7 @@ class MultiPoly:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative exponent on a polynomial")
-        result = MultiPoly.constant(self.field, 1)
+        result = _one(self.field)
         base = self
         while n:
             if n & 1:
@@ -268,6 +269,13 @@ class MultiPoly:
 UniPoly = MultiPoly
 
 
+@functools.lru_cache(maxsize=None)
+def _one(field: CyclotomicField) -> MultiPoly:
+    # The constant 1 of a field, shared by every denominator, gcd and power
+    # that is 1; a MultiPoly is never changed after it is built.
+    return MultiPoly.constant(field, 1)
+
+
 _GCD_VAR_ORDER = ("y", "x", "t")
 
 
@@ -283,7 +291,7 @@ def _content(p: MultiPoly, var: str) -> MultiPoly:
     idx = _VAR_INDEX[var]
     if p.terms and all(sum(e) == e[idx] for e in p.terms):
         # Nonzero and in var alone: the coefficients are units of the field.
-        return MultiPoly.constant(p.field, 1)
+        return _one(p.field)
     acc = MultiPoly.zero(p.field)
     for coeff in p.coeffs_in(var).values():
         acc = multi_gcd(acc, coeff)
@@ -334,7 +342,7 @@ def _subresultant_gcd(p: MultiPoly, q: MultiPoly, var: str) -> MultiPoly:
     # GCD of the var-primitive parts, by the subresultant PRS: growth is
     # controlled by exact divisions instead of recursive content gcds.
     field = p.field
-    one = MultiPoly.constant(field, 1)
+    one = _one(field)
     a, b = (p, q) if p.degree_in(var) >= q.degree_in(var) else (q, p)
     g = one
     h = one
@@ -447,7 +455,7 @@ def multi_gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
         None,
     )
     if var is None:
-        return MultiPoly.constant(p.field, 1)
+        return _one(p.field)
     if not (p.uses_var(var) and q.uses_var(var)):
         # One side is free of the main variable: the gcd divides that side's
         # content, so recurse on the content directly.
@@ -602,7 +610,7 @@ class RationalFunction:
 
     def __init__(self, num: MultiPoly, den: MultiPoly | None = None):
         if den is None:
-            den = MultiPoly.constant(num.field, 1)
+            den = _one(num.field)
         if den.is_zero():
             raise ZeroDivisionError("zero denominator in a rational function")
         if not (num.is_zero() or den.is_constant()):
@@ -623,7 +631,7 @@ class RationalFunction:
         # Scale so the lex-leading coefficient of den is 1; zero is 0/1.
         field = num.field
         if num.is_zero():
-            den = MultiPoly.constant(field, 1)
+            den = _one(field)
         else:
             lead = den.leading_coeff_lex()
             if lead != field.one():
@@ -639,7 +647,7 @@ class RationalFunction:
 
     @classmethod
     def constant(cls, field, value):
-        return cls(MultiPoly.constant(field, value))
+        return cls._coprime(MultiPoly.constant(field, value), _one(field))
 
     @classmethod
     def gen(cls, field, var: str):

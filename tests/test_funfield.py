@@ -1,3 +1,5 @@
+import functools
+import itertools
 import random
 
 import pytest
@@ -31,9 +33,6 @@ from k3auto.surface import WeierstrassModel
 F = cyclotomic_field(16)
 T = MultiPoly.gen(F, "t")
 XYT = {"x", "y", "t"}
-
-
-import functools
 
 
 def model():
@@ -261,8 +260,8 @@ def test_translation_by_generic_section_is_morphism():
     assert omega_factor(tr) == F.one()
 
 
-def test_inverse_reuses_the_powers_of_the_order_loop(monkeypatch):
-    sigma_alt = named_maps()["sigma_alt"]
+def _counting_compose(monkeypatch):
+    # From here on, every funfield.compose call appends to the returned list.
     calls = []
     counted = funfield.compose
 
@@ -271,11 +270,41 @@ def test_inverse_reuses_the_powers_of_the_order_loop(monkeypatch):
         return counted(m1, m2)
 
     monkeypatch.setattr(funfield, "compose", counting)
+    return calls
+
+
+def test_order_walks_the_powers_of_m_to_the_base_order(monkeypatch):
+    sigma_alt = named_maps()["sigma_alt"]
+    calls = _counting_compose(monkeypatch)
+    assert map_order(sigma_alt) == 16
+    # w = z^4 t has order 4: m^2 and m^4 by squaring, then M = m^4 to M^2,
+    # M^3 and M^4, five compositions where m, m^2, ..., m^16 took fifteen.
+    assert len(calls) == 5
+
+
+def test_inverse_reuses_the_powers_of_the_order_loop(monkeypatch):
+    sigma_alt = named_maps()["sigma_alt"]
+    calls = _counting_compose(monkeypatch)
     inv = inverse(sigma_alt)
-    # sigma_alt^2, ..., sigma_alt^16: fifteen compositions, none repeated.
-    assert len(calls) == 15
+    # The five of map_order, then m^3 = m o m^2 from the squares and
+    # M^3 o m^3 = m^15.
+    assert len(calls) == 7
     monkeypatch.undo()
     assert compose(sigma_alt, inv).is_identity()
+
+
+def test_base_of_no_finite_order_is_refused_before_any_composition(monkeypatch):
+    m = model()
+    t2 = SurfaceMap(
+        m,
+        FieldElement.coordinate(m, "x"),
+        FieldElement.coordinate(m, "y"),
+        RationalFunction.gen(F, "t") ** 2,
+    )
+    calls = _counting_compose(monkeypatch)
+    with pytest.raises(OrderBoundExceededError, match="^order exceeds 64$"):
+        map_order(t2, 64)
+    assert calls == []
 
 
 def test_order_bound_is_exact():
@@ -288,6 +317,54 @@ def test_order_bound_is_exact():
                 map_order(mp, bound)
         assert map_order(mp, order) == order
         assert compose(inverse(mp, order), mp).is_identity()
+
+
+def _reference_order_and_last_power(m, max_order):
+    # The order loop as it stood before the base order: the least
+    # k <= max_order with m^k the identity, and m^(k - 1), by composing m
+    # with itself one step at a time.
+    prev, acc = SurfaceMap.identity(m.model), m
+    for k in range(1, max_order + 1):
+        if acc.is_identity():
+            return k, prev
+        prev, acc = acc, compose(m, acc)
+    raise OrderBoundExceededError(f"order exceeds {max_order}")
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except OrderBoundExceededError as exc:
+        return ("error", str(exc))
+
+
+def test_order_and_inverse_match_the_linear_reference():
+    m = model()
+    gens = list(named_maps().values()) + [SurfaceMap.identity(m)]
+    pool = gens + [
+        functools.reduce(compose, word)
+        for length in (2, 3)
+        for word in itertools.product(gens, repeat=length)
+    ]
+    rng = random.Random(12)
+    for _ in range(10):
+        a, b, c = (rng.randrange(16) for _ in range(3))
+        pool.append(SurfaceMap.scaling(m, F.zeta(a), F.zeta(b), F.zeta(c)))
+    # A scaling that fixes t and one of base order 2.
+    pool.append(SurfaceMap.scaling(m, F.zeta(6), F.zeta(4), F.one()))
+    pool.append(SurfaceMap.scaling(m, F.zeta(3), F.zeta(1), F.zeta(8)))
+    zero = RationalFunction.constant(F, 0)
+    pool.append(translation_map(m, Section(zero, zero)))
+    orders = set()
+    for mp in dict.fromkeys(pool):
+        order = _reference_order_and_last_power(mp, 64)[0]
+        orders.add(order)
+        for bound in {0, 1, order - 1, order, 64}:
+            ref = _outcome(_reference_order_and_last_power, mp, bound)
+            assert _outcome(map_order, mp, bound) == (ref if ref[0] == "error" else ref[0])
+            got = _outcome(inverse, mp, bound)
+            assert got == (ref if ref[0] == "error" else ref[1])
+    assert orders == {1, 2, 4, 8, 16}
 
 
 # Reference: the function-field arithmetic, normalize and compose as they
