@@ -1,8 +1,9 @@
 """Batch command-line front end.
 
 Subcommands: classify, check-map, rigidity (census / power / compose /
-enumerate), lattice (expr / graph / genus-equal).  Reports are deterministic
-plain text; --json emits the same data with stable key order.  Exit codes:
+enumerate), lattice (expr / graph / genus-equal).  Each report is one
+deterministic record: --json prints it with stable key order, and the plain
+text renders the same record as ``key = value`` lines.  Exit codes:
 0 success, 1 verification failed (errors.VerificationFailure), 2 input error
 (errors.InputError, or a file that cannot be read or written).
 """
@@ -15,14 +16,9 @@ import sys
 from .errors import InputError, VerificationFailure
 from .files import load_graph_file, load_surface_file, parse_lattice_expression
 from .funfield import NotAMorphismError, ambient_scalar, map_order, omega_factor
-from .lattice import (
-    discriminant_data,
-    from_curve_config,
-    genus_equal,
-    signature,
-)
+from .lattice import discriminant_data, from_curve_config, genus_equal, signature
+from .polyring import INF
 from .rigidity import (
-    census,
     compose_actions,
     cycles,
     enumerate_actions,
@@ -30,7 +26,7 @@ from .rigidity import (
     power,
     to_dot,
 )
-from .surface import classify_all, format_report
+from .surface import classify_all
 
 
 def _fmt_zeta(value) -> str:
@@ -42,35 +38,46 @@ def _fmt_zeta(value) -> str:
     return str(value)
 
 
-def _emit(args, text: str, data: dict) -> None:
-    if getattr(args, "json", False):
+def _fmt_value(value) -> str:
+    if isinstance(value, bool):
+        return "yes" if value else "no"
+    if value is None:
+        return "none"
+    if isinstance(value, list):
+        return f"({', '.join(str(v) for v in value)})"
+    return str(value)
+
+
+def _emit(args, data: dict, lines: dict[str, list[str]] | None = None) -> None:
+    """Print the report record as JSON under --json, else as ``key = value``
+    lines; ``lines`` maps a structured key to the hand-written lines for it."""
+    if args.json:
         print(json.dumps(data, sort_keys=True, indent=2))
-    else:
-        print(text)
+        return
+    lines = lines or {}
+    text = []
+    for key, value in data.items():
+        text.extend(lines.get(key, [f"{key} = {_fmt_value(value)}"]))
+    print("\n".join(text))
 
 
 def cmd_classify(args) -> int:
     model, _maps = load_surface_file(args.surface)
     inv = classify_all(model)
-    text = format_report(inv)
-    data = {
-        "fibers": [
-            {
-                "place": str(f.place),
-                "type": f.type,
-                "vA": None if f.vA == float("inf") else int(f.vA),
-                "vB": None if f.vB == float("inf") else int(f.vB),
-                "vDelta": None if f.vD == float("inf") else int(f.vD),
-                "euler": f.euler,
-                "components": f.components,
-                "multiplicity": f.multiplicity,
-            }
-            for f in inv.fibers
-        ],
-        "euler_total": inv.euler_total,
-        "is_k3": inv.euler_total == 24,
-    }
-    _emit(args, text, data)
+    fibers = []
+    for f in inv.fibers:
+        vA, vB, vD = (None if v == INF else int(v) for v in (f.vA, f.vB, f.vD))
+        fibers.append({"place": str(f.place), "type": f.type, "vA": vA, "vB": vB,
+                       "vDelta": vD, "euler": f.euler, "components": f.components,
+                       "multiplicity": f.multiplicity})
+    table = [
+        f"{f['place']} | {f['type']} | "
+        + " ".join("inf" if f[v] is None else str(f[v]) for v in ("vA", "vB", "vDelta"))
+        + f" | {f['euler']} | {f['multiplicity']}"
+        for f in fibers
+    ]
+    data = {"fibers": fibers, "euler_total": inv.euler_total, "is_k3": inv.euler_total == 24}
+    _emit(args, data, {"fibers": table})
     return 0
 
 
@@ -86,58 +93,26 @@ def cmd_check_map(args) -> int:
             raise VerificationFailure(
                 f"map {args.map!r} sends the surface to a curve: {err}"
             ) from err
-        _emit(
-            args,
-            f"map = {args.map}\nwell_defined = no\nresidual = {err.residual}",
-            {"map": args.map, "well_defined": False, "residual": str(err.residual)},
-        )
+        _emit(args, {"map": args.map, "well_defined": False, "residual": str(err.residual)})
         raise VerificationFailure(f"map {args.map!r} is not a morphism") from err
     scalar = ambient_scalar(m)
     order = map_order(m, args.max_order)
     factor_order = factor.multiplicative_order(args.max_order)
-    primitive = factor_order == order
-    symplectic = factor == model.field.one()
-    lines = [
-        f"map = {args.map}",
-        "well_defined = yes",
-        f"ambient_scalar = {_fmt_zeta(scalar) if scalar is not None else 'none'}",
-        f"omega_factor = {_fmt_zeta(factor)}",
-        f"omega_order = {factor_order}",
-        f"map_order = {order}",
-        f"primitive = {'yes' if primitive else 'no'}",
-        f"symplectic = {'yes' if symplectic else 'no'}",
-    ]
-    data = {
+    _emit(args, {
         "map": args.map,
         "well_defined": True,
         "ambient_scalar": _fmt_zeta(scalar) if scalar is not None else None,
         "omega_factor": _fmt_zeta(factor),
         "omega_order": factor_order,
         "map_order": order,
-        "primitive": primitive,
-        "symplectic": symplectic,
-    }
-    _emit(args, "\n".join(lines), data)
+        "primitive": factor_order == order,
+        "symplectic": factor == model.field.one(),
+    })
     return 0
 
 
-def _census_report(name: str, action) -> tuple[str, dict]:
-    cen = census(action)
-    lines = [
-        f"action = {name}",
-        f"n = {action.n}",
-        f"c = {action.c}",
-        f"N = {cen.N}",
-        f"k = {cen.k}",
-    ]
-    for curve in cen.curves:
-        lines.append(f"fixed-curve {curve}")
-    for p in cen.points:
-        if p.weights is None:
-            weight_text = "-"
-        else:
-            weight_text = " ".join(f"{cv}={w}" for cv, w in p.weights)
-        lines.append(f"fixed-point {p.location} | {p.kind} | {weight_text}")
+def _census_report(name: str, action) -> tuple[dict, dict]:
+    cen = action.census()
     data = {
         "action": name,
         "n": action.n,
@@ -146,17 +121,20 @@ def _census_report(name: str, action) -> tuple[str, dict]:
         "k": cen.k,
         "fixed_curves": list(cen.curves),
         "fixed_points": [
-            {
-                "location": p.location,
-                "kind": p.kind,
-                "weights": None
-                if p.weights is None
-                else {cv: w for cv, w in p.weights},
-            }
+            {"location": p.location, "kind": p.kind,
+             "weights": None if p.weights is None else dict(p.weights)}
             for p in cen.points
         ],
     }
-    return "\n".join(lines), data
+    return data, {
+        "fixed_curves": [f"fixed-curve {curve}" for curve in data["fixed_curves"]],
+        "fixed_points": [
+            f"fixed-point {p['location']} | {p['kind']} | "
+            + ("-" if p["weights"] is None
+               else " ".join(f"{cv}={w}" for cv, w in p["weights"].items()))
+            for p in data["fixed_points"]
+        ],
+    }
 
 
 def _resolve_action(actions, name: str):
@@ -172,15 +150,15 @@ def cmd_rigidity(args) -> int:
     config, actions = load_graph_file(args.graph)
     if args.rigidity_cmd == "census":
         action = _resolve_action(actions, args.action)
-        text, data = _census_report(args.action, action)
+        data, lines = _census_report(args.action, action)
     elif args.rigidity_cmd == "power":
         action = power(_resolve_action(actions, args.action), args.m)
-        text, data = _census_report(f"{args.action}^{args.m}", action)
+        data, lines = _census_report(f"{args.action}^{args.m}", action)
     elif args.rigidity_cmd == "compose":
         action = compose_actions(
             _resolve_action(actions, args.first), _resolve_action(actions, args.second)
         )
-        text, data = _census_report(f"{args.first} o {args.second}", action)
+        data, lines = _census_report(f"{args.first} o {args.second}", action)
     else:  # enumerate
         census_filter = None
         if args.filter is not None:
@@ -191,21 +169,21 @@ def cmd_rigidity(args) -> int:
             if len(census_filter) != 2:
                 raise InputError(f"--filter takes two integers N,k, got {args.filter!r}")
         classes = enumerate_actions(config, args.n, args.c, census_filter)
-        lines = [f"classes = {len(classes)}"]
         class_data = []
-        for i, act in enumerate(classes):
-            cen = census(act)
+        for act in classes:
+            cen = act.census()
             perm = _cycle_notation(act.perm)
-            lines.append(f"class {i} | perm = {perm} | N = {cen.N} | k = {cen.k}")
-            class_data.append(
-                {"perm": perm, "N": cen.N, "k": cen.k, "n": act.n, "c": act.c}
-            )
-        text, data = "\n".join(lines), {"classes": class_data}
+            class_data.append({"perm": perm, "N": cen.N, "k": cen.k, "n": act.n, "c": act.c})
+        data = {"classes": class_data}
+        lines = {"classes": [f"classes = {len(class_data)}"] + [
+            f"class {i} | perm = {c['perm']} | N = {c['N']} | k = {c['k']}"
+            for i, c in enumerate(class_data)
+        ]}
         action = classes[0] if classes else None
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as handle:
             handle.write(to_dot(config, action))
-    _emit(args, text, data)
+    _emit(args, data, lines)
     return 0
 
 
@@ -213,22 +191,11 @@ def _cycle_notation(perm: dict[str, str]) -> str:
     return "".join(f"({' '.join(c)})" for c in cycles(perm) if len(c) > 1) or "()"
 
 
-def _lattice_report(name: str, G) -> tuple[str, dict]:
+def _lattice_report(name: str, G) -> tuple[dict, dict]:
     p, q = signature(G)
     dd = discriminant_data(G)
     # |det| is the product of the Smith invariants and its sign is (-1)^q.
-    det = 0
-    if p + q == G.size:
-        det = (-1) ** q * dd.order
-    lines = [
-        f"lattice = {name}",
-        f"rank = {p + q}",
-        f"signature = ({p}, {q})",
-        f"det = {det}",
-        f"invariant_factors = ({', '.join(str(d) for d in dd.invariant_factors)})",
-    ]
-    for i, qv in enumerate(dd.q_values):
-        lines.append(f"q(g{i + 1}) = {qv} mod 2")
+    det = (-1) ** q * dd.order if p + q == G.size else 0
     data = {
         "lattice": name,
         "rank": p + q,
@@ -237,24 +204,22 @@ def _lattice_report(name: str, G) -> tuple[str, dict]:
         "invariant_factors": list(dd.invariant_factors),
         "q_values": [str(v) for v in dd.q_values],
     }
-    return "\n".join(lines), data
+    return data, {
+        "q_values": [f"q(g{i + 1}) = {v} mod 2" for i, v in enumerate(data["q_values"])]
+    }
 
 
 def cmd_lattice(args) -> int:
     if args.lattice_cmd == "expr":
-        G = parse_lattice_expression(args.expr)
-        text, data = _lattice_report(args.expr, G)
+        data, lines = _lattice_report(args.expr, parse_lattice_expression(args.expr))
     elif args.lattice_cmd == "graph":
         config, _actions = load_graph_file(args.graph)
-        G = from_curve_config(config)
-        text, data = _lattice_report(args.graph, G)
+        data, lines = _lattice_report(args.graph, from_curve_config(config))
     else:  # genus-equal
         G1 = parse_lattice_expression(args.first)
         G2 = parse_lattice_expression(args.second)
-        equal = genus_equal(G1, G2)
-        text = f"genus_equal = {'yes' if equal else 'no'}"
-        data = {"genus_equal": equal}
-    _emit(args, text, data)
+        data, lines = {"genus_equal": genus_equal(G1, G2)}, None
+    _emit(args, data, lines)
     return 0
 
 

@@ -34,7 +34,6 @@ from .errors import InputError
 from .funfield import SurfaceMap
 from .lattice import GramMatrix, direct_sum, named_lattice
 from .parser import parse_expression, parse_univariate
-from .polyring import MultiPoly, RationalFunction
 from .rigidity import CurveConfig, GraphAction, edge_point_id, propagate
 from .surface import WeierstrassModel
 
@@ -158,8 +157,6 @@ def load_surface_text(text: str) -> tuple[WeierstrassModel, dict[str, SurfaceMap
         ex = component("x", {"x", "y", "t"})
         ey = component("y", {"x", "y", "t"})
         et = component("t", {"t"})
-        if isinstance(et, MultiPoly):
-            et = RationalFunction(et)
         try:
             maps[name] = SurfaceMap.from_expressions(model, ex, ey, et)
         except (ValueError, ZeroDivisionError) as err:

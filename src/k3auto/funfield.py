@@ -8,7 +8,7 @@ of x, y, t in that normal form, so map equality is a finite comparison.
 from __future__ import annotations
 
 from .cyclotomic import CycloNum
-from .errors import VerificationFailure
+from .errors import InputError, VerificationFailure
 from .polyring import MultiPoly, RationalFunction
 from .surface import WeierstrassModel
 
@@ -390,6 +390,12 @@ def omega_factor(m: SurfaceMap) -> CycloNum:
     return factor.constant_value()
 
 
+# The largest order bound map_order and inverse accept.  The base order
+# costs one 2x2 matrix step per unit of the bound, so a larger bound would
+# let a map of infinite order such as t -> t + 1 run for minutes.
+MAX_ORDER = 4096
+
+
 def _mobius_order(w: RationalFunction, max_order: int) -> int:
     """Least e <= max_order with w composed with itself e times equal to t.
 
@@ -443,6 +449,8 @@ def _order_walk(m: SurfaceMap, max_order: int):
     # identity, so the order is e j; M^0 is None.  The t-image of m^k is w
     # iterated k times, so e divides the order and only the powers of M are
     # candidates.
+    if max_order > MAX_ORDER:
+        raise InputError(f"max_order {max_order} exceeds the bound {MAX_ORDER}")
     e = _mobius_order(m.w, max_order)
     squares = [m]
     step = _power(squares, e)
@@ -455,7 +463,7 @@ def _order_walk(m: SurfaceMap, max_order: int):
 
 
 def map_order(m: SurfaceMap, max_order: int = 64) -> int:
-    """Least k <= max_order with m^k the identity.
+    """Least k <= max_order with m^k the identity; max_order <= MAX_ORDER.
 
     The base order e comes first, from w alone (``_mobius_order``); then
     M = m^e is formed by repeated squaring, and the order is e j for the

@@ -415,7 +415,6 @@ def genus_equal(G1: GramMatrix, G2: GramMatrix) -> bool:
                 seen.add(img)
             return len(seen) == d2.order
         d = d1.invariant_factors[i]
-        unit = tuple(int(j == i) for j in range(len(d1.invariant_factors)))
         want_q = d1.q_values[i] % 2
         for cand in by_order_q.get((d, want_q), ()):
             ok = True

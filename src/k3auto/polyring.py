@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from typing import Iterable
 
 from .cyclotomic import CycloNum, CyclotomicField
 

@@ -256,20 +256,3 @@ def minimalize(model: WeierstrassModel) -> WeierstrassModel:
 def is_k3(model: WeierstrassModel) -> bool:
     """True exactly when the fiber Euler numbers sum to 24."""
     return classify_all(model).euler_total == 24
-
-
-def _fmt_order(v) -> str:
-    return "inf" if v == INF else str(int(v))
-
-
-def format_report(inv: FiberInventory) -> str:
-    """Deterministic plain-text fiber report."""
-    lines = []
-    for f in inv.fibers:
-        lines.append(
-            f"{f.place} | {f.type} | {_fmt_order(f.vA)} {_fmt_order(f.vB)} "
-            f"{_fmt_order(f.vD)} | {f.euler} | {f.multiplicity}"
-        )
-    lines.append(f"euler_total = {inv.euler_total}")
-    lines.append(f"is_k3 = {'yes' if inv.euler_total == 24 else 'no'}")
-    return "\n".join(lines)

@@ -35,6 +35,43 @@ def test_classify_fixture(capsys):
     assert out.count("III") >= 2
 
 
+def test_classify_report_is_deterministic(capsys):
+    code, out, _ = run_cli(capsys, "classify", SURFACE)
+    assert code == 0
+    assert run_cli(capsys, "classify", SURFACE)[1] == out
+    assert out.splitlines() == [
+        "t | III* | 3 inf 9 | 9 | 1",
+        "t^4 - 1 | III | 1 inf 3 | 3 | 4",
+        "infinity | III | 1 inf 3 | 3 | 1",
+        "euler_total = 24",
+        "is_k3 = yes",
+    ]
+
+
+def test_classify_zero_A_prints_inf_and_null(capsys, tmp_path):
+    # A = 0 makes v(A) infinite at every place: "inf" in the text table and
+    # null in the JSON record the table is rendered from.
+    path = tmp_path / "zero_a.txt"
+    path.write_text('field_order = 4\nA = "0"\nB = "t^5+1"\n')
+    code, out, _ = run_cli(capsys, "classify", str(path))
+    assert code == 0
+    assert out.splitlines() == [
+        "t^5 + 1 | II | inf 1 2 | 2 | 5",
+        "infinity | II | inf 1 2 | 2 | 1",
+        "euler_total = 12",
+        "is_k3 = no",
+    ]
+    code, out, _ = run_cli(capsys, "classify", str(path), "--json")
+    assert code == 0
+    data = json.loads(out)
+    assert [(f["type"], f["vA"], f["vB"], f["vDelta"]) for f in data["fibers"]] == [
+        ("II", None, 1, 2),
+        ("II", None, 1, 2),
+    ]
+    assert data["euler_total"] == 12
+    assert data["is_k3"] is False
+
+
 def test_classify_rational_elliptic(capsys, tmp_path):
     path = tmp_path / "rational.txt"
     path.write_text('field_order = 16\nA = "t"\nB = "0"\n')
@@ -164,6 +201,28 @@ def test_check_map_order_bound_is_a_verdict(capsys):
         assert code == 1
         assert out == ""
         assert err == f"verification failed: order exceeds {bound}\n"
+
+
+def test_check_map_order_bound_above_the_limit_exits_2_at_once(capsys, tmp_path):
+    # t -> t + 1 has no finite order; at the limit it is still refuted (exit
+    # 1), and past the limit the bound itself is rejected before any map is
+    # composed.
+    path = tmp_path / "shift.txt"
+    path.write_text(
+        'field_order = 4\nA = "1"\nB = "0"\n\n[map.shift]\nx = "x"\ny = "y"\nt = "t+1"\n'
+    )
+    limit = funfield.MAX_ORDER
+    code, out, err = run_cli(capsys, "check-map", str(path), "shift", "--max-order", str(limit))
+    assert code == 1
+    assert err == f"verification failed: order exceeds {limit}\n"
+    for surface, name in ((SURFACE, "sigma"), (str(path), "shift")):
+        for bound in (limit + 1, 10 ** 8):
+            start = time.perf_counter()
+            code, out, err = run_cli(capsys, "check-map", surface, name, "--max-order", str(bound))
+            assert time.perf_counter() - start < 1.0
+            assert code == 2
+            assert out == ""
+            assert err == f"input error: max_order {bound} exceeds the bound {limit}\n"
 
 
 def test_rigidity_census(capsys):

@@ -14,7 +14,6 @@ from k3auto.surface import (
     classify_place,
     component_count,
     euler_number,
-    format_report,
     is_k3,
     minimalize,
 )
@@ -160,18 +159,6 @@ def test_twist_invariance_of_fiber_types():
     twisted = WeierstrassModel(F, reversed_poly(w.A, 8), reversed_poly(w.B, 12))
     assert classify_all(twisted).counts() == classify_all(w).counts()
     assert classify_all(twisted).euler_total == classify_all(w).euler_total
-
-
-def test_format_report_deterministic():
-    inv = classify_all(order16_model())
-    text = format_report(inv)
-    assert text == format_report(classify_all(order16_model()))
-    lines = text.splitlines()
-    assert lines[0] == "t | III* | 3 inf 9 | 9 | 1"
-    assert lines[1] == "t^4 - 1 | III | 1 inf 3 | 3 | 4"
-    assert lines[2] == "infinity | III | 1 inf 3 | 3 | 1"
-    assert lines[3] == "euler_total = 24"
-    assert lines[4] == "is_k3 = yes"
 
 
 def test_random_models_classify_totally():
