@@ -21,6 +21,21 @@ class MixedFieldsError(ValueError):
     """Operands belong to cyclotomic fields of different order."""
 
 
+def power(base, e: int, one):
+    """base ** e for an int e >= 0 by square-and-multiply, in any ring whose
+    elements multiply with *; one is the unit, returned for e = 0.  No
+    product involves one and no square is formed past the top bit of e, so
+    base ** 1 is base itself."""
+    result = None
+    while True:
+        if e & 1:
+            result = base if result is None else result * base
+        e >>= 1
+        if not e:
+            return one if result is None else result
+        base = base * base
+
+
 def _exact_monic_div(num: list[int], den: list[int]) -> list[int]:
     # Exact division of integer coefficient lists (constant term first) by a
     # monic divisor; the remainder must vanish.
@@ -354,14 +369,7 @@ class CycloNum:
     def __pow__(self, exponent: int) -> "CycloNum":
         if exponent < 0:
             return self.inverse() ** (-exponent)
-        result = self.field.one()
-        base = self
-        while exponent:
-            if exponent & 1:
-                result = result * base
-            base = base * base
-            exponent >>= 1
-        return result
+        return power(self, exponent, self.field.one())
 
     def inverse(self) -> "CycloNum":
         """Multiplicative inverse, through the norm to Q.

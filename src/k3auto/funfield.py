@@ -7,7 +7,7 @@ of x, y, t in that normal form, so map equality is a finite comparison.
 """
 from __future__ import annotations
 
-from .cyclotomic import CycloNum
+from .cyclotomic import CycloNum, power
 from .errors import InputError, VerificationFailure
 from .polyring import MultiPoly, RationalFunction
 from .surface import WeierstrassModel
@@ -87,22 +87,21 @@ class FieldElement:
             raise ValueError("component must be free of y; use normalize instead")
         return cls(model, r, RationalFunction.constant(model.field, 0))
 
-    def _check(self, other: "FieldElement"):
+    def _match(self, other) -> "FieldElement":
+        if isinstance(other, (int, CycloNum)):
+            return FieldElement.const(self.model, other)
         if other.model != self.model:
             raise ValueError("elements live on different models")
+        return other
 
     def __add__(self, other):
-        if isinstance(other, (int, CycloNum)):
-            other = FieldElement.const(self.model, other)
-        self._check(other)
+        other = self._match(other)
         return FieldElement(self.model, self.a + other.a, self.b + other.b)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, (int, CycloNum)):
-            other = FieldElement.const(self.model, other)
-        self._check(other)
+        other = self._match(other)
         return FieldElement(self.model, self.a - other.a, self.b - other.b)
 
     def __neg__(self):
@@ -111,7 +110,7 @@ class FieldElement:
     def __mul__(self, other):
         if isinstance(other, (int, CycloNum)):
             return FieldElement(self.model, self.a * other, self.b * other)
-        self._check(other)
+        other = self._match(other)
         a, b, c, d = self.a, self.b, other.a, other.b
         if d.is_zero():
             return FieldElement(self.model, a * c, b * c)
@@ -125,9 +124,7 @@ class FieldElement:
         # (a + b y) / (c + d y) = ((ac - bd rhs) + (bc - ad) y) / (c^2 - d^2 rhs);
         # the norm is y-free and vanishes only for the zero element since rhs
         # is not a square.
-        if isinstance(other, (int, CycloNum)):
-            other = FieldElement.const(self.model, other)
-        self._check(other)
+        other = self._match(other)
         if other.is_zero():
             raise ZeroDenominatorOnSurfaceError("element is zero in the function field")
         a, b, c, d = self.a, self.b, other.a, other.b
@@ -146,14 +143,7 @@ class FieldElement:
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
-        result = FieldElement.const(self.model, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(self, n, FieldElement.const(self.model, 1))
 
     def is_zero(self) -> bool:
         return self.a.is_zero() and self.b.is_zero()
@@ -449,6 +439,8 @@ def _order_walk(m: SurfaceMap, max_order: int):
     # identity, so the order is e j; M^0 is None.  The t-image of m^k is w
     # iterated k times, so e divides the order and only the powers of M are
     # candidates.
+    if max_order < 0:
+        raise InputError(f"max_order {max_order} is below 0")
     if max_order > MAX_ORDER:
         raise InputError(f"max_order {max_order} exceeds the bound {MAX_ORDER}")
     e = _mobius_order(m.w, max_order)
@@ -463,7 +455,7 @@ def _order_walk(m: SurfaceMap, max_order: int):
 
 
 def map_order(m: SurfaceMap, max_order: int = 64) -> int:
-    """Least k <= max_order with m^k the identity; max_order <= MAX_ORDER.
+    """Least k <= max_order with m^k the identity; 0 <= max_order <= MAX_ORDER.
 
     The base order e comes first, from w alone (``_mobius_order``); then
     M = m^e is formed by repeated squaring, and the order is e j for the

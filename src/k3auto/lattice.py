@@ -148,43 +148,28 @@ def signature(G: GramMatrix) -> tuple[int, int]:
     pos = neg = 0
     while active:
         pivot = next((i for i in active if m[i][i] != 0), None)
-        if pivot is not None:
-            if m[pivot][pivot] > 0:
-                pos += 1
-            else:
-                neg += 1
-            d = m[pivot][pivot]
-            active.remove(pivot)
-            for i in active:
-                f = m[i][pivot] / d
-                if f:
-                    for j in active:
-                        m[i][j] -= f * m[pivot][j]
-            continue
-        pair = None
+        if pivot is None:
+            pair = next(((i, j) for i in active for j in active if m[i][j] != 0), None)
+            if pair is None:
+                break  # only the radical remains
+            # Every active diagonal entry is zero, so the congruence
+            # v_i -> v_i + v_j makes entry (i, i) equal to 2 m[i][j] != 0.
+            pivot, j = pair
+            for k in active:
+                m[pivot][k] += m[j][k]
+            for k in active:
+                m[k][pivot] += m[k][j]
+        if m[pivot][pivot] > 0:
+            pos += 1
+        else:
+            neg += 1
+        d = m[pivot][pivot]
+        active.remove(pivot)
         for i in active:
-            for j in active:
-                if i != j and m[i][j] != 0:
-                    pair = (i, j)
-                    break
-            if pair:
-                break
-        if pair is None:
-            break  # only the radical remains
-        # All active diagonal entries are zero here, so (i, j) spans a
-        # hyperbolic plane: signature contribution (1, 1), and the congruence
-        # v_k -> v_k - (m[k][j]/a) v_i - (m[k][i]/a) v_j clears the pair.
-        i, j = pair
-        a = m[i][j]
-        pos += 1
-        neg += 1
-        active.remove(i)
-        active.remove(j)
-        alpha = {k: m[k][j] / a for k in active}
-        beta = {k: m[k][i] / a for k in active}
-        for k in active:
-            for l in active:
-                m[k][l] -= a * (alpha[k] * beta[l] + alpha[l] * beta[k])
+            f = m[i][pivot] / d
+            if f:
+                for j in active:
+                    m[i][j] -= f * m[pivot][j]
     return pos, neg
 
 

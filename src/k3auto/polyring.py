@@ -17,7 +17,7 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 
-from .cyclotomic import CycloNum, CyclotomicField
+from .cyclotomic import CycloNum, CyclotomicField, power
 
 INF = float("inf")
 
@@ -168,19 +168,13 @@ class MultiPoly:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative exponent on a polynomial")
-        result = _one(self.field)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(self, n, _one(self.field))
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, CycloNum)):
-            other = MultiPoly.constant(self.field, other)
-        return isinstance(other, MultiPoly) and other.terms == self.terms
+        other = self._match(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other.terms == self.terms
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))

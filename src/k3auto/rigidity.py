@@ -167,8 +167,8 @@ class GraphAction:
     """A consistent weighted action: permutation, volume exponent, weights.
 
     Weights are exponents mod n at flags (curve, point id); free fixed points
-    carry ids "<curve>.free<i>".  Pointwise-fixed curves record weight 0 at
-    each of their marked points.
+    carry ids "<curve>.free<i>", the only point ids without a ":".
+    Pointwise-fixed curves record weight 0 at each of their marked points.
     """
 
     __slots__ = ("config", "n", "c", "perm", "weights", "pointwise", "free_points")
@@ -213,29 +213,22 @@ class GraphAction:
         ws = [w for (c, _), w in self.weights.items() if c == curve]
         return min(ws) if ws else None
 
+    def _weight_gcd(self) -> int:
+        """gcd(n, c, every weight): n over it is the order of the weights."""
+        return gcd(self.n, self.c, *self.weights.values())
+
     def order(self) -> int:
-        g = self.n
-        g = gcd(g, self.c)
-        for w in self.weights.values():
-            g = gcd(g, w)
-        weight_order = self.n // g if g else 1
-        return lcm(*map(len, cycles(self.perm)), max(weight_order, 1))
+        return lcm(*map(len, cycles(self.perm)), self.n // self._weight_gcd())
 
     # -- canonical form ----------------------------------------------------
 
     def reduced_key(self):
-        g = self.n
-        g = gcd(g, self.c)
-        for w in self.weights.values():
-            g = gcd(g, w)
-        if g == 0:
-            g = self.n
+        g = self._weight_gcd()
         n2 = self.n // g
         flags = []
         for (curve, point), w in self.weights.items():
-            if point.startswith(f"{curve}.free"):
-                continue
-            flags.append((curve, point, (w % self.n) // g))
+            if ":" in point:
+                flags.append((curve, point, (w % self.n) // g))
         frees = []
         for curve, pids in sorted(self.free_points.items()):
             ws = sorted(((self.weights[(curve, p)] % self.n) // g) for p in pids)
@@ -263,27 +256,22 @@ class GraphAction:
 
     def validate(self):
         """Recheck every rule; raises RigidityError on any violation."""
-        config = self.config
         n, c = self.n, self.c
-        if not config.is_automorphism(self.perm):
-            raise RigidityError("permutation is not a graph automorphism")
-        stable = dict.fromkeys(self.stable_curves())
-        cycle_length = _neighbour_cycle_lengths(config, self.perm, stable)
+        stable, _fixed_points, edge_of, orbit_lengths = _frame(self.config, self.perm)
         for curve in sorted(self.pointwise):
             if curve not in stable:
                 raise RigidityError(f"pointwise-fixed curve {curve} is mobile")
-            for d in config.neighbors(curve):
-                if d not in stable:
-                    raise InconsistentCycleError(
-                        f"pointwise-fixed curve {curve} meets mobile curve {d}"
-                    )
+            if curve in orbit_lengths:
+                d = next(iter(orbit_lengths[curve].values()))
+                raise InconsistentCycleError(
+                    f"pointwise-fixed curve {curve} meets mobile curve {d}"
+                )
         for (curve, point), w in self.weights.items():
             if curve not in stable:
                 raise RigidityError(f"weight on mobile curve {curve}")
             if not 0 <= w < n:
                 raise RigidityError("weight out of range")
-        for a, b, mult in self.fixed_edge_points():
-            pid = edge_point_id(a, b)
+        for pid, (a, b, mult) in edge_of.items():
             wa = self.weight_at(a, pid)
             wb = self.weight_at(b, pid)
             if wa is None or wb is None:
@@ -315,13 +303,7 @@ class GraphAction:
                 raise InconsistentCycleError(
                     f"projective-line rule fails on {curve}: weights {w1}, {w2}"
                 )
-            rotation = n // gcd(n, w1)
-            for d in config.neighbors(curve):
-                if self.perm[d] != d and cycle_length[d] != rotation:
-                    raise InconsistentCycleError(
-                        f"orbit of {d} on {curve} has length "
-                        f"{cycle_length[d]}, rotation order is {rotation}"
-                    )
+            _check_rotation(curve, w1, n, orbit_lengths)
 
     # -- census --------------------------------------------------------------
 
@@ -362,21 +344,14 @@ class GraphAction:
         )
 
 
-def _neighbour_cycle_lengths(config, perm, stable) -> dict[str, int]:
-    """The cycle length of every mobile curve that meets a stable one.  perm
-    maps the set of those curves onto itself, so their cycles are the cycles
-    of perm restricted to it."""
-    mobile = {d: perm[d] for v in stable for d in config.neighbors(v) if d not in stable}
-    return {d: len(cyc) for cyc in cycles(mobile) for d in cyc}
-
-
 def _frame(config, perm):
     """The part of a saturation that depends on the permutation alone: the
     stable curves in vertex order (a dict used as an ordered set, so every
     walk over them is the same on every run), the fixed edge points on each
     and the edge behind each fixed point, in canonical edge order, and for
-    each stable curve the cycle lengths of its mobile neighbours, each with
-    the first neighbour that has it."""
+    each stable curve with a mobile neighbour the cycle lengths of those
+    neighbours, each with the first neighbour that has it (so the first
+    entry holds the first mobile neighbour)."""
     if not config.is_automorphism(perm):
         raise RigidityError("permutation is not a graph automorphism")
     stable = dict.fromkeys(v for v in config.vertices if perm[v] == v)
@@ -388,7 +363,10 @@ def _frame(config, perm):
             fixed_points[a].append(pid)
             fixed_points[b].append(pid)
             edge_of[pid] = (a, b, mult)
-    cycle_length = _neighbour_cycle_lengths(config, perm, stable)
+    # perm maps the mobile curves that meet a stable one onto themselves, so
+    # their cycles are the cycles of perm restricted to them.
+    mobile = {d: perm[d] for v in stable for d in config.neighbors(v) if d not in stable}
+    cycle_length = {d: len(cyc) for cyc in cycles(mobile) for d in cyc}
     orbit_lengths: dict[str, dict[int, str]] = {}
     for curve in stable:
         lengths: dict[int, str] = {}
@@ -398,6 +376,18 @@ def _frame(config, perm):
         if lengths:
             orbit_lengths[curve] = lengths
     return stable, fixed_points, edge_of, orbit_lengths
+
+
+def _check_rotation(curve, w, n, orbit_lengths):
+    """The projective-line rule on orbits: a curve that rotates with nonzero
+    weight w has rotation order n / gcd(n, w), and so must every orbit of its
+    mobile neighbours."""
+    rotation = n // gcd(n, w)
+    for length, d in orbit_lengths.get(curve, {}).items():
+        if length != rotation:
+            raise InconsistentCycleError(
+                f"orbit of {d} on {curve} has length {length}, rotation order is {rotation}"
+            )
 
 
 def _saturate(config, perm, n, c, seeds, free_seeds=None, frame=None) -> GraphAction:
@@ -432,26 +422,18 @@ def _saturate(config, perm, n, c, seeds, free_seeds=None, frame=None) -> GraphAc
                 raise InconsistentCycleError(
                     f"nonzero weight {w} on pointwise-fixed curve {curve}"
                 )
-            # A nonzero weight makes the curve rotate, so every orbit of
-            # neighbours on it must have the rotation order (as in validate).
-            rotation = n // gcd(n, w)
-            for length, d in orbit_lengths.get(curve, {}).items():
-                if length != rotation:
-                    raise InconsistentCycleError(
-                        f"orbit of {d} on {curve} has length {length}, "
-                        f"rotation order is {rotation}"
-                    )
+            _check_rotation(curve, w, n, orbit_lengths)
         weights[key] = w
         queue.append(key)
 
     def mark_pointwise(curve):
         if curve in pointwise:
             return
-        for d in config.neighbors(curve):
-            if d not in stable:
-                raise InconsistentCycleError(
-                    f"curve {curve} forced pointwise fixed but neighbor {d} moves"
-                )
+        if curve in orbit_lengths:
+            d = next(iter(orbit_lengths[curve].values()))
+            raise InconsistentCycleError(
+                f"curve {curve} forced pointwise fixed but neighbor {d} moves"
+            )
         if free[curve]:
             raise InconsistentCycleError(
                 f"curve {curve} is pointwise fixed yet carries free points"
@@ -550,23 +532,15 @@ def power(action: GraphAction, m: int) -> GraphAction:
     perm_cycles = cycles(action.perm)
     m %= lcm(n, *map(len, perm_cycles))
     g = gcd(n, m)
-    n2 = n // g
     perm2 = {cyc[i]: cyc[(i + m) % len(cyc)] for cyc in perm_cycles for i in range(len(cyc))}
-    seeds = {}
-    free_seeds: dict[str, list[int]] = {}
-    for curve in action.stable_curves():
-        curve_w = action.curve_weight(curve)
-        becomes_pointwise = curve_w is not None and (m * curve_w) % n == 0
-        for pid in action.free_points.get(curve, ()):
-            if becomes_pointwise:
-                continue  # the free point melts into the fixed curve
-            w = (m * action.weights[(curve, pid)]) % n
-            free_seeds.setdefault(curve, []).append(w // g)
-    for (curve, pid), w in action.weights.items():
-        if pid.startswith(f"{curve}.free"):
-            continue
-        seeds[(curve, pid)] = ((m * w) % n) // g
-    return _saturate(action.config, perm2, n2, ((m * action.c) % n) // g, seeds, free_seeds)
+    # A free weight that m scales to 0 melts into a pointwise-fixed curve in
+    # _saturate.
+    seeds = {flag: ((m * w) % n) // g for flag, w in action.weights.items() if ":" in flag[1]}
+    free_seeds = {
+        curve: [((m * action.weights[(curve, pid)]) % n) // g for pid in pids]
+        for curve, pids in action.free_points.items()
+    }
+    return _saturate(action.config, perm2, n // g, ((m * action.c) % n) // g, seeds, free_seeds)
 
 
 def inverse_action(action: GraphAction) -> GraphAction:
@@ -584,12 +558,9 @@ def compose_actions(a1: GraphAction, a2: GraphAction) -> GraphAction:
     c = (a1.c * s1 + a2.c * s2) % n
 
     def defined(action, scale, curve, pid):
-        if action.perm[curve] != curve:
+        a, b = pid.split(":")
+        if action.perm[a] != a or action.perm[b] != b:
             return None
-        if ":" in pid:
-            a, b = pid.split(":")
-            if action.perm[a] != a or action.perm[b] != b:
-                return None
         w = action.weight_at(curve, pid)
         return None if w is None else (w * scale) % n
 
@@ -701,10 +672,9 @@ def _transport(action: GraphAction, g: dict[str, str]) -> GraphAction:
             new_pids.append(new_pid)
         free_points[target] = new_pids
     for (curve, pid), w in action.weights.items():
-        if pid.startswith(f"{curve}.free"):
-            continue
-        a, b = pid.split(":")
-        weights[(g[curve], edge_point_id(g[a], g[b]))] = w
+        if ":" in pid:
+            a, b = pid.split(":")
+            weights[(g[curve], edge_point_id(g[a], g[b]))] = w
     pointwise = {g[v] for v in action.pointwise}
     return GraphAction(config, action.n, action.c, perm, weights, pointwise, free_points)
 

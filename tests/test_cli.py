@@ -225,6 +225,14 @@ def test_check_map_order_bound_above_the_limit_exits_2_at_once(capsys, tmp_path)
             assert err == f"input error: max_order {bound} exceeds the bound {limit}\n"
 
 
+def test_check_map_negative_order_bound_exits_2(capsys):
+    for bound in ("-1", "-3"):
+        code, out, err = run_cli(capsys, "check-map", SURFACE, "sigma", "--max-order", bound)
+        assert code == 2
+        assert out == ""
+        assert err == f"input error: max_order {bound} is below 0\n"
+
+
 def test_rigidity_census(capsys):
     code, out, _ = run_cli(capsys, "rigidity", GRAPH, "census", "sigma")
     assert code == 0

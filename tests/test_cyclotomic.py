@@ -183,3 +183,11 @@ def test_mod_p_refuses_a_denominator_divisible_by_p():
     assert F16.element([Fraction(1, p), 1]).mod_p() is None
     assert F16.element([Fraction(1, 2 * p)]).mod_p() is None
     assert F16.from_rational(p).mod_p() == 0
+
+
+def test_power_equals_repeated_multiplication():
+    base = F16.zeta(3) + Fraction(1, 2)
+    product = F16.one()
+    for e in range(21):
+        assert base ** e == product
+        product = product * base

@@ -516,3 +516,12 @@ def test_division_matches_inverse_reference():
         assert _pair(p / q) == (a.num, a.den, b.num, b.den)
         checked += 1
     assert checked >= 5
+
+
+def test_power_equals_repeated_multiplication():
+    m = model()
+    base = FieldElement.coordinate(m, "y") * F.zeta(3)
+    product = FieldElement.const(m, 1)
+    for e in range(21):
+        assert base ** e == product
+        product = product * base

@@ -230,3 +230,70 @@ def test_even_symmetry_validation():
         GramMatrix([[1]])
     with pytest.raises(ValueError):
         GramMatrix([[0, 1], [2, 0]])
+
+
+def _reference_signature(G):
+    """signature with a separate hyperbolic-pair step: when every active
+    diagonal entry is zero, a nonzero (i, j) spans a hyperbolic plane that
+    counts (1, 1) and is split off by a congruence."""
+    n = G.size
+    m = [[Fraction(v) for v in row] for row in G.entries]
+    active = list(range(n))
+    pos = neg = 0
+    while active:
+        pivot = next((i for i in active if m[i][i] != 0), None)
+        if pivot is not None:
+            if m[pivot][pivot] > 0:
+                pos += 1
+            else:
+                neg += 1
+            d = m[pivot][pivot]
+            active.remove(pivot)
+            for i in active:
+                f = m[i][pivot] / d
+                if f:
+                    for j in active:
+                        m[i][j] -= f * m[pivot][j]
+            continue
+        pair = next(((i, j) for i in active for j in active if i != j and m[i][j] != 0), None)
+        if pair is None:
+            break
+        i, j = pair
+        a = m[i][j]
+        pos += 1
+        neg += 1
+        active.remove(i)
+        active.remove(j)
+        alpha = {k: m[k][j] / a for k in active}
+        beta = {k: m[k][i] / a for k in active}
+        for k in active:
+            for l in active:
+                m[k][l] -= a * (alpha[k] * beta[l] + alpha[l] * beta[k])
+    return pos, neg
+
+
+def _seeded_gram(rng):
+    n = rng.randint(1, 8)
+    zero_diagonal = rng.random() < 0.6
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = 0 if zero_diagonal else rng.choice([-4, -2, 0, 0, 2])
+        for j in range(i + 1, n):
+            rows[i][j] = rows[j][i] = rng.choice([-2, -1, 0, 0, 0, 1, 3])
+    return GramMatrix(rows)
+
+
+def test_signature_matches_the_hyperbolic_pair_reference():
+    rng = random.Random(14)
+    zero_diagonals = 0
+    for _ in range(600):
+        G = _seeded_gram(rng)
+        zero_diagonals += not any(G.entries[i][i] for i in range(G.size))
+        assert signature(G) == _reference_signature(G)
+    assert zero_diagonals > 300
+    for names in (["U"], ["U(2)", "U(3)"], ["U", "U(5)", "U(2)", "U(4)"], ["U(2)", "D4", "E8"]):
+        G = direct_sum(names)
+        assert signature(G) == _reference_signature(G)
+    for k in range(1, 9):
+        G = direct_sum([f"U({j})" for j in range(1, k + 1)])
+        assert signature(G) == _reference_signature(G) == (k, k)

@@ -535,3 +535,25 @@ def test_certificate_falls_back_when_the_gcd_is_not_constant(monkeypatch):
     z = F.zeta(1)
     g = x * z + t ** 2 - 1
     _assert_reaches_the_prs(monkeypatch, g * (x - t), g * (x * t + z), polyring._normalized(g))
+
+
+def test_power_equals_repeated_multiplication():
+    base = T * F.zeta(5) + 1
+    product = MultiPoly.constant(F, 1)
+    for e in range(21):
+        assert base ** e == product
+        product = product * base
+
+
+def test_first_power_makes_no_multiplication(monkeypatch):
+    calls = []
+    mul = MultiPoly.__mul__
+
+    def counted(self, other):
+        calls.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(MultiPoly, "__mul__", counted)
+    base = upoly(1, 2, 3)
+    assert base ** 1 == base
+    assert calls == []

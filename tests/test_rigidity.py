@@ -14,6 +14,7 @@ from k3auto.rigidity import (
     InconsistentCycleError,
     RigidityError,
     TooManyFixedPointsError,
+    UnderdeterminedActionError,
     _centraliser_orbit,
     _conjugacy_classes,
     _frame,
@@ -254,6 +255,81 @@ def test_orbit_rule_rejects_double_transpositions():
         propagate(CFG, perm, 16, 1, ("C4", edge_point_id("C4", "C8")), 0)
 
 
+def edited_sigma(perm=None, weights=(), dropped=(), pointwise=()):
+    """sigma with its permutation replaced, weights set or dropped and curves
+    added to the pointwise-fixed set, unchecked."""
+    act = BUNDLE.actions["sigma"]
+    new_weights = {**act.weights, **dict(weights)}
+    for flag in dropped:
+        del new_weights[flag]
+    return GraphAction(
+        CFG,
+        act.n,
+        act.c,
+        act.perm if perm is None else perm,
+        new_weights,
+        act.pointwise | set(pointwise),
+        act.free_points,
+    )
+
+
+# Each edit of sigma breaks one rule, and validate names the first failure.
+VALIDATE_FAILURES = [
+    (
+        dict(perm=perm_from_cycles(CFG, [["a1", "C1"]])),
+        RigidityError,
+        "permutation is not a graph automorphism",
+    ),
+    (dict(pointwise={"a1"}), RigidityError, "pointwise-fixed curve a1 is mobile"),
+    (
+        dict(pointwise={"s0"}),
+        InconsistentCycleError,
+        "pointwise-fixed curve s0 meets mobile curve a1",
+    ),
+    (dict(weights={("a1", "a1:b1"): 3}), RigidityError, "weight on mobile curve a1"),
+    (dict(weights={("C1", "C1:C2"): 19}), RigidityError, "weight out of range"),
+    (
+        dict(dropped=[("C1", "C1:C2")]),
+        UnderdeterminedActionError,
+        "missing weight at C1:C2",
+    ),
+    (
+        dict(weights={("C2", "C1:C2"): 13}),
+        InconsistentCycleError,
+        "volume rule fails at C1:C2: 3 + 13 != 1 mod 16",
+    ),
+    (
+        dict(weights={("b5", "a5:b5"): 10}),
+        InconsistentCycleError,
+        "tangency rule fails at a5:b5: 11 != 10",
+    ),
+    (
+        dict(weights={("C8", "C8.free1"): 15}),
+        TooManyFixedPointsError,
+        "curve C8 carries 3 fixed points",
+    ),
+    (
+        dict(weights={("C8", "C8.free0"): 14}),
+        InconsistentCycleError,
+        "projective-line rule fails on C8: weights 1, 14",
+    ),
+    (
+        dict(perm=perm_from_cycles(CFG, [["a1", "a2"], ["b1", "b2"], ["a3", "a4"], ["b3", "b4"]])),
+        InconsistentCycleError,
+        "orbit of a1 on s0 has length 2, rotation order is 4",
+    ),
+]
+
+
+@pytest.mark.parametrize("edit, error, message", VALIDATE_FAILURES)
+def test_validate_names_each_broken_rule(edit, error, message):
+    edited_sigma().validate()
+    with pytest.raises(RigidityError) as excinfo:
+        edited_sigma(**edit).validate()
+    assert type(excinfo.value) is error
+    assert str(excinfo.value) == message
+
+
 def test_graph_automorphism_group():
     auts = graph_automorphisms(CFG)
     assert len(auts) == 240
@@ -308,6 +384,45 @@ def test_power_exponent_is_taken_modulo_the_period():
         inv = inverse_action(act)
         for m in (1, 2, 3, 5):
             assert power(act, -m) == power(inv, m)
+
+
+def _reference_power(action, m):
+    """power with free weights seeded only on curves that stay rotating: a
+    curve whose weight m annihilates is marked pointwise fixed by hand."""
+    n = action.n
+    perm_cycles = cycles(action.perm)
+    m %= lcm(n, *map(len, perm_cycles))
+    g = gcd(n, m)
+    perm2 = {cyc[i]: cyc[(i + m) % len(cyc)] for cyc in perm_cycles for i in range(len(cyc))}
+    seeds = {}
+    free_seeds = {}
+    for curve in action.stable_curves():
+        curve_w = action.curve_weight(curve)
+        if curve_w is not None and (m * curve_w) % n == 0:
+            continue
+        for pid in action.free_points.get(curve, ()):
+            free_seeds.setdefault(curve, []).append(((m * action.weights[(curve, pid)]) % n) // g)
+    for (curve, pid), w in action.weights.items():
+        if not pid.startswith(f"{curve}.free"):
+            seeds[(curve, pid)] = ((m * w) % n) // g
+    return _saturate(action.config, perm2, n // g, ((m * action.c) % n) // g, seeds, free_seeds)
+
+
+def power_outcome(power_of, action, m):
+    try:
+        return action_data([power_of(action, m)])
+    except RigidityError as exc:
+        return type(exc), str(exc)
+
+
+def test_power_matches_the_reference():
+    actions = list(BUNDLE.actions.values())
+    actions += [inverse_action(act) for act in actions]
+    actions += enumerate_actions(CFG, 16, 1)
+    for act in actions:
+        order = act.order()
+        for m in range(-2 * order, 2 * order + 1):
+            assert power_outcome(power, act, m) == power_outcome(_reference_power, act, m)
 
 
 def test_enumeration_rejects_a_non_positive_order():
