@@ -7,6 +7,8 @@ of x, y, t in that normal form, so map equality is a finite comparison.
 """
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .cyclotomic import CycloNum, power
 from .errors import InputError, VerificationFailure
 from .polyring import MultiPoly, RationalFunction
@@ -88,11 +90,15 @@ class FieldElement:
         return cls(model, r, RationalFunction.constant(model.field, 0))
 
     def _match(self, other) -> "FieldElement":
-        if isinstance(other, (int, CycloNum)):
+        # FieldElement is tested first everywhere: the metaclass of Fraction
+        # is ABCMeta, so a failed isinstance against it is slow.
+        if isinstance(other, FieldElement):
+            if other.model != self.model:
+                raise ValueError("elements live on different models")
+            return other
+        if isinstance(other, (int, CycloNum, Fraction)):
             return FieldElement.const(self.model, other)
-        if other.model != self.model:
-            raise ValueError("elements live on different models")
-        return other
+        raise TypeError(f"cannot combine a FieldElement with {type(other).__name__}")
 
     def __add__(self, other):
         other = self._match(other)
@@ -108,7 +114,7 @@ class FieldElement:
         return FieldElement(self.model, -self.a, -self.b)
 
     def __mul__(self, other):
-        if isinstance(other, (int, CycloNum)):
+        if not isinstance(other, FieldElement) and isinstance(other, (int, CycloNum, Fraction)):
             return FieldElement(self.model, self.a * other, self.b * other)
         other = self._match(other)
         a, b, c, d = self.a, self.b, other.a, other.b
@@ -157,14 +163,11 @@ class FieldElement:
         return self.a.constant_value()
 
     def __eq__(self, other):
-        if isinstance(other, (int, CycloNum)):
+        if not isinstance(other, FieldElement):
+            if not isinstance(other, (int, CycloNum, Fraction)):
+                return False
             other = FieldElement.const(self.model, other)
-        return (
-            isinstance(other, FieldElement)
-            and other.model == self.model
-            and other.a == self.a
-            and other.b == self.b
-        )
+        return other.model == self.model and other.a == self.a and other.b == self.b
 
     def __hash__(self):
         return hash((self.a, self.b))

@@ -599,61 +599,141 @@ def compose_actions(a1: GraphAction, a2: GraphAction) -> GraphAction:
 
 
 def graph_automorphisms(config: CurveConfig) -> list[dict[str, str]]:
-    """All automorphisms, by backtracking on degree and neighborhood data.
+    """All automorphisms, sorted by their images in vertex order.
 
-    The search stops with an InputError once it finds more than
-    MAX_AUTOMORPHISMS: interchangeable isolated curves alone make the group
-    grow factorially.
+    They are the products of the transversals of a stabiliser chain (Seress
+    2003, ch. 4) along a base of every vertex in breadth-first order from a
+    vertex of highest degree, so that each vertex but the root of a component
+    has an earlier neighbour (individualisation along the base, McKay and
+    Piperno 2014).  Level i of the chain holds the automorphisms that fix the
+    first i base points.  Walking the levels from the deepest up, each
+    candidate image of base point i that the generators found so far do not
+    reach costs one search for an automorphism fixing the earlier base points
+    and sending base point i to it.  The image of a vertex that has an
+    earlier neighbour u is sought among the neighbours of the image of u with
+    the same signature.
+
+    The group order is the product of the orbit lengths, so a group of more
+    than MAX_AUTOMORPHISMS is refused with an InputError before any element
+    is listed: interchangeable isolated curves alone make it grow
+    factorially.
     """
+    names = config.vertices
+    size = len(names)
+    index = {v: i for i, v in enumerate(names)}
+    adj = [{index[w]: m for w, m in config.adj[v].items()} for v in names]
+    degree = [len(a) for a in adj]
+    sig = [sorted((m, degree[w]) for w, m in a.items()) for a in adj]
+    base: list[int] = []
+    parent: list[int | None] = [None] * size
+    placed = [False] * size
+    for root in sorted(range(size), key=lambda v: -degree[v]):
+        if placed[root]:
+            continue
+        placed[root] = True
+        queue = [root]
+        for v in queue:
+            base.append(v)
+            for w in sorted(adj[v]):
+                if not placed[w]:
+                    placed[w] = True
+                    queue.append(w)
+                    parent[w] = v
 
-    def signature(v):
-        return (
-            config.degree(v),
-            tuple(sorted((m, config.degree(w)) for w, m in config.adj[v].items())),
-        )
+    # A permutation g is held as the bytes g[0] g[1] ... of its vertex
+    # indices, and a tuple where there are more indices than byte values.
+    if size <= 256:
+        pack = bytes
+        tail = bytes(range(size, 256))
 
-    sigs = {v: signature(v) for v in config.vertices}
-    order = sorted(config.vertices, key=lambda v: (-config.degree(v), v))
-    candidates = {
-        v: [w for w in config.vertices if sigs[w] == sigs[v]] for v in order
-    }
-    out = []
-    assignment: dict[str, str] = {}
-    used: set[str] = set()
+        def then(a, b):
+            return a.translate(b + tail)
 
-    def extend(i):
-        if i == len(order):
-            out.append(dict(assignment))
-            if len(out) > MAX_AUTOMORPHISMS:
-                raise InputError(
-                    f"the graph has more than {MAX_AUTOMORPHISMS} automorphisms"
-                )
-            return
-        v = order[i]
-        for w in candidates[v]:
-            if w in used:
+    else:
+        pack = tuple
+
+        def then(a, b):
+            return tuple(map(b.__getitem__, a))
+
+    image = [-1] * size
+    used = [False] * size
+
+    def fits(v, w):
+        # w may be the image of v: same signature, unused, and the images of
+        # v's assigned neighbours are exactly w's used neighbours.
+        if used[w] or sig[w] != sig[v]:
+            return False
+        hits = 0
+        for u, mult in adj[v].items():
+            if image[u] >= 0:
+                if adj[w].get(image[u]) != mult:
+                    return False
+                hits += 1
+        return hits == sum(used[x] for x in adj[w])
+
+    def assign(v, w):
+        image[v] = w
+        used[w] = True
+
+    def release(v):
+        used[image[v]] = False
+        image[v] = -1
+
+    def extend(j):
+        if j == size:
+            return True
+        v = base[j]
+        u = parent[v]
+        for w in range(size) if u is None else adj[image[u]]:
+            if fits(v, w):
+                assign(v, w)
+                if extend(j + 1):
+                    return True
+                release(v)
+        return False
+
+    identity = pack(range(size))
+    gens = []
+    transversals = []
+    order = 1
+    # Level i starts with the first i base points fixed and the rest free.
+    for v in base:
+        assign(v, v)
+    for i in reversed(range(size)):
+        b = base[i]
+        release(b)
+        u = parent[b]
+        orbit = {b: identity}
+        for w in range(size) if u is None else adj[u]:
+            if w in orbit or not fits(b, w):
                 continue
-            ok = True
-            for u, mult in config.adj[v].items():
-                if u in assignment and config.adj[w].get(assignment[u]) != mult:
-                    ok = False
-                    break
-            if ok:
-                # no extra edges may appear either
-                for u in assignment:
-                    if (u in config.adj[v]) != (assignment[u] in config.adj[w]):
-                        ok = False
-                        break
-            if ok:
-                assignment[v] = w
-                used.add(w)
-                extend(i + 1)
-                used.remove(w)
-                del assignment[v]
+            assign(b, w)
+            g = pack(image) if extend(i + 1) else None
+            for v in base[i:]:
+                if image[v] >= 0:
+                    release(v)
+            if g is None:
+                continue
+            gens.append(g)
+            queue = list(orbit)
+            for x in queue:
+                for s in gens:
+                    if s[x] not in orbit:
+                        orbit[s[x]] = then(orbit[x], s)
+                        queue.append(s[x])
+        order *= len(orbit)
+        if order > MAX_AUTOMORPHISMS:
+            raise InputError(f"the graph has more than {MAX_AUTOMORPHISMS} automorphisms")
+        if len(orbit) > 1:
+            transversals.append(list(orbit.values()))
 
-    extend(0)
-    out.sort(key=lambda p: tuple(p[v] for v in config.vertices))
-    return out
+    # Level i is the level-(i+1) elements, each followed by one member of
+    # level i's transversal.
+    elements = [identity]
+    for transversal in transversals:
+        elements = [then(h, t) for t in transversal for h in elements]
+    elements.sort()
+    return [dict(zip(names, [names[x] for x in g])) for g in elements]
 
 
 def _transport(action: GraphAction, g: dict[str, str]) -> GraphAction:
@@ -696,7 +776,9 @@ def _conjugacy_classes(config, auts):
     index = {v: i for i, v in enumerate(config.vertices)}
     perms = [bytes(index[g[v]] for v in config.vertices) for g in auts]
     position = {t: i for i, t in enumerate(perms)}
-    inverses = [bytes(sorted(range(len(t)), key=t.__getitem__)) for t in perms]
+    # maketrans(g, identity) sends g[u] to u: its head is g^-1.
+    identity = bytes(range(len(index)))
+    inverses = [bytes.maketrans(t, identity)[: len(t)] for t in perms]
     fixed_tail = bytes(range(len(index), 256))
     tables = [t + fixed_tail for t in perms]
     classified: set[int] = set()
@@ -749,8 +831,10 @@ def enumerate_actions(config, n, c, census_filter=None) -> list[GraphAction]:
     survivors, censused once for the optional filter, which keeps actions
     whose census matches (N, k).  It is represented by its survivor with the
     least (position of q, w).  The classes come out sorted by their
-    canonical_key, the least reduced key of the orbit: the C(p)-orbit
-    transported along every r_q.
+    canonical_key, the least reduced key of the orbit.  That key lies in the
+    C(p)-orbit: transport keeps n and c, the permutation part of a reduced
+    key orders permutations as graph_automorphisms lists them, and p comes
+    first in its class.
     """
     if n < 1:
         raise InputError(f"order must be at least 1, got {n}")
@@ -786,12 +870,7 @@ def enumerate_actions(config, n, c, census_filter=None) -> list[GraphAction]:
                     cens = action.census()
                     if (cens.N, cens.k) != tuple(census_filter):
                         continue
-                orbit = {
-                    _transport(image, g).reduced_key()
-                    for g in transporters.values()
-                    for image in images.values()
-                }
-                classes[min(orbit)] = _transport(action, r)
+                classes[min(images)] = _transport(action, r)
     return [classes[key] for key in sorted(classes)]
 
 

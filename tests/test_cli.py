@@ -521,6 +521,30 @@ def test_enumerate_over_the_automorphism_bound_exits_2_at_once(capsys, tmp_path)
     assert err == "input error: the graph has more than 20000 automorphisms\n"
 
 
+def test_enumerate_refuses_the_symmetric_group_before_listing(capsys):
+    # s0 meets a1 ... a8 and each a_i is tangent to b_i: the group is S8,
+    # 40,320 automorphisms.  The stabiliser chain composes one transversal
+    # element per orbit point besides the base point, 1 + 2 + ... + 7 = 28
+    # permutations, before the order 8! exceeds the bound; listing the group
+    # would compose at least 40,320.
+    composed = 0
+
+    def count_translations(_frame, event, arg):
+        nonlocal composed
+        if event == "c_call" and getattr(arg, "__qualname__", "") == "bytes.translate":
+            composed += 1
+
+    path = Path(__file__).with_name("eight_iii_graph.txt")
+    sys.setprofile(count_translations)
+    try:
+        code, out, err = run_cli(capsys, "rigidity", str(path), "enumerate", "--n", "2", "--c", "1")
+    finally:
+        sys.setprofile(None)
+    assert (code, out) == (2, "")
+    assert err == "input error: the graph has more than 20000 automorphisms\n"
+    assert composed == 28
+
+
 def test_enumerate_below_the_automorphism_bound_runs(capsys, tmp_path):
     # 2 * 7! = 10,080 automorphisms.
     path = _isolated_curves_graph(tmp_path, 7)

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -77,6 +78,20 @@ def test_field_element_axioms():
     assert (a * b) * c == a * (b * c)
     assert a * a.inverse() == FieldElement.const(m, 1)
     assert (y * y) == x ** 3 + FieldElement.from_ratfunc(m, RationalFunction(m.A)) * x
+
+
+def test_field_element_accepts_fractions():
+    m = model()
+    x = FieldElement.coordinate(m, "x")
+    half = Fraction(1, 2)
+    assert x + half == x + FieldElement.const(m, F.from_rational(half))
+    assert x * half == x / 2
+    assert half * x == x / 2
+    assert FieldElement.const(m, half) == half
+    assert FieldElement.const(m, half) != Fraction(1, 3)
+    assert x != "x"
+    with pytest.raises(TypeError):
+        x + "x"
 
 
 def test_sigma_is_a_morphism():

@@ -2,10 +2,11 @@ import random
 from math import gcd, lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from k3auto import rigidity
+from k3auto.errors import InputError
 from k3auto.fixtures import load_bundle
 from k3auto.rigidity import (
     AnchorOnMobileCurveError,
@@ -356,6 +357,86 @@ def test_graph_automorphism_group():
     assert tuple(sorted(arm_swap.items())) in as_tuples
 
 
+@st.composite
+def small_configs(draw):
+    names = [f"v{i}" for i in range(draw(st.integers(1, 7)))]
+    pairs = [(a, b) for i, a in enumerate(names) for b in names[i + 1 :]]
+    mults = draw(
+        st.lists(st.sampled_from([0, 0, 1, 2]), min_size=len(pairs), max_size=len(pairs))
+    )
+    return CurveConfig(names, [(a, b, m) for (a, b), m in zip(pairs, mults) if m])
+
+
+def _reference_graph_automorphisms(config):
+    """Every automorphism, by backtracking on degree and neighbourhood data to
+    each leaf, sorted by images in vertex order: graph_automorphisms as it
+    was before the stabiliser chain."""
+
+    def signature(v):
+        return (
+            config.degree(v),
+            tuple(sorted((m, config.degree(w)) for w, m in config.adj[v].items())),
+        )
+
+    sigs = {v: signature(v) for v in config.vertices}
+    order = sorted(config.vertices, key=lambda v: (-config.degree(v), v))
+    candidates = {v: [w for w in config.vertices if sigs[w] == sigs[v]] for v in order}
+    out = []
+    assignment: dict[str, str] = {}
+    used: set[str] = set()
+
+    def extend(i):
+        if i == len(order):
+            out.append(dict(assignment))
+            if len(out) > rigidity.MAX_AUTOMORPHISMS:
+                raise InputError(
+                    f"the graph has more than {rigidity.MAX_AUTOMORPHISMS} automorphisms"
+                )
+            return
+        v = order[i]
+        for w in candidates[v]:
+            if w in used:
+                continue
+            if any(
+                u in assignment and config.adj[w].get(assignment[u]) != mult
+                for u, mult in config.adj[v].items()
+            ):
+                continue
+            if any((u in config.adj[v]) != (assignment[u] in config.adj[w]) for u in assignment):
+                continue
+            assignment[v] = w
+            used.add(w)
+            extend(i + 1)
+            used.remove(w)
+            del assignment[v]
+
+    extend(0)
+    out.sort(key=lambda p: tuple(p[v] for v in config.vertices))
+    return out
+
+
+def test_automorphisms_match_the_backtracking_reference_on_fixture():
+    assert graph_automorphisms(CFG) == _reference_graph_automorphisms(CFG)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_configs())
+@example(CurveConfig([], []))
+@example(CurveConfig([f"x{i}" for i in range(7)], []))
+@example(CurveConfig(["p", "q", "r", "s", "t"], [("p", "q", 2), ("r", "s", 1)]))
+@example(CurveConfig(["p", "q", "r", "s"], [("p", "q", 2), ("r", "s", 2), ("q", "r", 1)]))
+def test_automorphisms_match_the_backtracking_reference_on_small_graphs(config):
+    # Isolated curves, tangency edges and disconnected graphs among them.
+    assert graph_automorphisms(config) == _reference_graph_automorphisms(config)
+
+
+def test_automorphisms_of_a_graph_with_more_vertices_than_byte_values():
+    names = [f"v{i:03d}" for i in range(300)]
+    path = CurveConfig(names, [(a, b, 1) for a, b in zip(names, names[1:])])
+    reversal = dict(zip(names, reversed(names)))
+    assert graph_automorphisms(path) == [identity_perm(path), reversal]
+
+
 def test_enumerate_unique_order16_action():
     classes = enumerate_actions(CFG, 16, 1, census_filter=(10, 1))
     assert len(classes) == 1
@@ -505,16 +586,6 @@ def test_enumeration_matches_reference_on_fixture(n, c, census_filter):
     assert action_data(got) == action_data(want)
 
 
-@st.composite
-def small_configs(draw):
-    names = [f"v{i}" for i in range(draw(st.integers(1, 7)))]
-    pairs = [(a, b) for i, a in enumerate(names) for b in names[i + 1 :]]
-    mults = draw(
-        st.lists(st.sampled_from([0, 0, 1, 2]), min_size=len(pairs), max_size=len(pairs))
-    )
-    return CurveConfig(names, [(a, b, m) for (a, b), m in zip(pairs, mults) if m])
-
-
 @settings(max_examples=150, deadline=None)
 @given(small_configs(), st.sampled_from([1, 2, 3, 4, 6, 8]), st.data())
 def test_enumeration_matches_reference_on_small_graphs(config, n, data):
@@ -614,6 +685,9 @@ def assert_centraliser_orbits_match_full_transport(config, actions):
         want = {_transport(action, g).reduced_key() for g in auts}
         images = _centraliser_orbit(moved, centraliser)
         assert set(images) == {key for key in want if key[2] == tuple(sorted(p.items()))}
+        # enumerate_actions keys each class by the least key of the
+        # centraliser orbit: it is the least key of the whole orbit.
+        assert min(images) == min(want)
         orbit = {
             _transport(image, g).reduced_key()
             for g in transporters.values()
@@ -669,11 +743,11 @@ def test_enumeration_transports_once_per_class(monkeypatch):
     # per automorphism, makes 3,840).  One frame per class (14 automorphism
     # checks) plus one check in the validation of each of the 8 saturations
     # that reach it.  Each of the 8 classes of actions transports its survivor
-    # along the centraliser of its permutation (330 in all), each distinct
-    # image along one automorphism per conjugate (the 150 orbit members), and
-    # its representative along its transporter (8).  The census runs once
-    # per class of actions in the filtered run; rejecting a class records its
-    # centraliser orbit, so no conjugate survivor is censused again.
+    # along the centraliser of its permutation (330 in all), whose least key
+    # is the class key, and its representative along its transporter (8).
+    # The census runs once per class of actions in the filtered run;
+    # rejecting a class records its centraliser orbit, so no conjugate
+    # survivor is censused again.
     calls = count_calls(
         monkeypatch,
         (rigidity, "_saturate"),
@@ -685,7 +759,7 @@ def test_enumeration_transports_once_per_class(monkeypatch):
     assert len(classes) == 8
     assert calls == {
         "_saturate": 224,
-        "_transport": 330 + 150 + 8,
+        "_transport": 330 + 8,
         "is_automorphism": 14 + 8,
         "census": 0,
     }
