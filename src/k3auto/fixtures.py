@@ -6,8 +6,8 @@ Every acceptance check in the test suite runs against this bundle alone.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from importlib import resources
+from typing import NamedTuple
 
 from .files import load_graph_text, load_surface_text
 from .funfield import SurfaceMap
@@ -24,8 +24,7 @@ def fixture_text(name: str) -> str:
     return fixture_path(name).read_text(encoding="utf-8")
 
 
-@dataclass(frozen=True)
-class FixtureBundle:
+class FixtureBundle(NamedTuple):
     model: WeierstrassModel
     maps: dict[str, SurfaceMap]
     config: CurveConfig
@@ -36,9 +35,4 @@ class FixtureBundle:
 def load_bundle() -> FixtureBundle:
     model, maps = load_surface_text(fixture_text("order16_surface.txt"))
     config, actions = load_graph_text(fixture_text("order16_graph.txt"))
-    return FixtureBundle(
-        model=model,
-        maps=maps,
-        config=config,
-        actions=actions,
-    )
+    return FixtureBundle(model, maps, config, actions)

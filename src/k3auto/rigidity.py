@@ -23,15 +23,15 @@ orbit of neighbours; the final validation rechecks every rule.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from math import gcd, lcm
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import InputError, VerificationFailure
 
-# graph_automorphisms gives up beyond this many automorphisms.  The fixture
-# graph has 240.
+# graph_automorphisms gives up beyond this many automorphisms (the fixture
+# graph has 240) or curves, since it holds each permutation as a byte string.
 MAX_AUTOMORPHISMS = 20_000
+MAX_VERTICES = 64
 
 
 class RigidityError(VerificationFailure):
@@ -100,25 +100,6 @@ class CurveConfig:
             self.adj[a][b] = mult
             self.adj[b][a] = mult
 
-    def neighbors(self, v: str) -> dict[str, int]:
-        return self.adj[v]
-
-    def degree(self, v: str) -> int:
-        return len(self.adj[v])
-
-    def is_connected(self) -> bool:
-        if not self.vertices:
-            return True
-        seen = {self.vertices[0]}
-        queue = deque(seen)
-        while queue:
-            v = queue.popleft()
-            for w in self.adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        return len(seen) == len(self.vertices)
-
     def is_automorphism(self, perm: dict[str, str]) -> bool:
         if sorted(perm) != list(self.vertices):
             return False
@@ -148,15 +129,13 @@ def cycles(perm: dict[str, str]) -> list[tuple[str, ...]]:
     return out
 
 
-@dataclass(frozen=True)
-class CensusPoint:
+class CensusPoint(NamedTuple):
     location: str
     kind: str  # transverse-intersection | tangency | free-point | swap-point
     weights: tuple[tuple[str, int], ...] | None
 
 
-@dataclass(frozen=True)
-class FixedLocusCensus:
+class FixedLocusCensus(NamedTuple):
     N: int
     k: int
     points: tuple[CensusPoint, ...]
@@ -184,34 +163,10 @@ class GraphAction:
 
     # -- structure ---------------------------------------------------------
 
-    def stable_curves(self) -> list[str]:
-        return [v for v in self.config.vertices if self.perm[v] == v]
-
-    def fixed_edge_points(self) -> list[tuple[str, str, int]]:
-        out = []
-        for (a, b), mult in sorted(self.config.edges.items()):
-            if self.perm[a] == a and self.perm[b] == b:
-                out.append((a, b, mult))
-        return out
-
-    def swap_points(self) -> list[tuple[str, str, int]]:
-        out = []
-        for (a, b), mult in sorted(self.config.edges.items()):
-            if self.perm[a] == b and self.perm[b] == a:
-                out.append((a, b, mult))
-        return out
-
     def weight_at(self, curve: str, point: str) -> int | None:
         if curve in self.pointwise:
             return 0
         return self.weights.get((curve, point))
-
-    def curve_weight(self, curve: str) -> int | None:
-        """The rotation exponent on a stable curve: 0 if pointwise fixed."""
-        if curve in self.pointwise:
-            return 0
-        ws = [w for (c, _), w in self.weights.items() if c == curve]
-        return min(ws) if ws else None
 
     def _weight_gcd(self) -> int:
         """gcd(n, c, every weight): n over it is the order of the weights."""
@@ -308,40 +263,28 @@ class GraphAction:
     # -- census --------------------------------------------------------------
 
     def census(self) -> FixedLocusCensus:
+        """Fixed points and pointwise-fixed curves.  An edge between two
+        stable curves is a fixed point unless it lies on a pointwise-fixed
+        curve; an edge whose ends the permutation swaps is a swap point."""
+        perm, pointwise = self.perm, self.pointwise
         points = []
-        for a, b, mult in self.fixed_edge_points():
-            if a in self.pointwise or b in self.pointwise:
-                continue
+        for (a, b), mult in sorted(self.config.edges.items()):
             pid = edge_point_id(a, b)
-            kind = "tangency" if mult == 2 else "transverse-intersection"
-            points.append(
-                CensusPoint(
-                    location=pid,
-                    kind=kind,
-                    weights=(
-                        (a, self.weight_at(a, pid)),
-                        (b, self.weight_at(b, pid)),
-                    ),
-                )
-            )
-        for a, b, _mult in self.swap_points():
-            points.append(
-                CensusPoint(location=edge_point_id(a, b), kind="swap-point", weights=None)
-            )
+            if perm[a] == a and perm[b] == b:
+                if a in pointwise or b in pointwise:
+                    continue
+                kind = "tangency" if mult == 2 else "transverse-intersection"
+                weights = ((a, self.weights.get((a, pid))), (b, self.weights.get((b, pid))))
+                points.append(CensusPoint(pid, kind, weights))
+            elif perm[a] == b and perm[b] == a:
+                points.append(CensusPoint(pid, "swap-point", None))
         for curve, pids in sorted(self.free_points.items()):
             for pid in pids:
-                points.append(
-                    CensusPoint(
-                        location=pid,
-                        kind="free-point",
-                        weights=((curve, self.weights[(curve, pid)]),),
-                    )
-                )
+                weights = ((curve, self.weights[(curve, pid)]),)
+                points.append(CensusPoint(pid, "free-point", weights))
         points.sort(key=lambda p: p.location)
-        curves = tuple(sorted(self.pointwise))
-        return FixedLocusCensus(
-            N=len(points), k=len(curves), points=tuple(points), curves=curves
-        )
+        curves = tuple(sorted(pointwise))
+        return FixedLocusCensus(len(points), len(curves), tuple(points), curves)
 
 
 def _frame(config, perm):
@@ -365,12 +308,12 @@ def _frame(config, perm):
             edge_of[pid] = (a, b, mult)
     # perm maps the mobile curves that meet a stable one onto themselves, so
     # their cycles are the cycles of perm restricted to them.
-    mobile = {d: perm[d] for v in stable for d in config.neighbors(v) if d not in stable}
+    mobile = {d: perm[d] for v in stable for d in config.adj[v] if d not in stable}
     cycle_length = {d: len(cyc) for cyc in cycles(mobile) for d in cyc}
     orbit_lengths: dict[str, dict[int, str]] = {}
     for curve in stable:
         lengths: dict[int, str] = {}
-        for d in config.neighbors(curve):
+        for d in config.adj[curve]:
             if d not in stable:
                 lengths.setdefault(cycle_length[d], d)
         if lengths:
@@ -616,10 +559,12 @@ def graph_automorphisms(config: CurveConfig) -> list[dict[str, str]]:
     The group order is the product of the orbit lengths, so a group of more
     than MAX_AUTOMORPHISMS is refused with an InputError before any element
     is listed: interchangeable isolated curves alone make it grow
-    factorially.
+    factorially.  So is a graph of more than MAX_VERTICES curves.
     """
     names = config.vertices
     size = len(names)
+    if size > MAX_VERTICES:
+        raise InputError(f"vertex bound for enumeration is {MAX_VERTICES}")
     index = {v: i for i, v in enumerate(names)}
     adj = [{index[w]: m for w, m in config.adj[v].items()} for v in names]
     degree = [len(a) for a in adj]
@@ -641,19 +586,11 @@ def graph_automorphisms(config: CurveConfig) -> list[dict[str, str]]:
                     parent[w] = v
 
     # A permutation g is held as the bytes g[0] g[1] ... of its vertex
-    # indices, and a tuple where there are more indices than byte values.
-    if size <= 256:
-        pack = bytes
-        tail = bytes(range(size, 256))
+    # indices; then(a, b), a followed by b, is a translated by b.
+    tail = bytes(range(size, 256))
 
-        def then(a, b):
-            return a.translate(b + tail)
-
-    else:
-        pack = tuple
-
-        def then(a, b):
-            return tuple(map(b.__getitem__, a))
+    def then(a, b):
+        return a.translate(b + tail)
 
     image = [-1] * size
     used = [False] * size
@@ -692,7 +629,7 @@ def graph_automorphisms(config: CurveConfig) -> list[dict[str, str]]:
                 release(v)
         return False
 
-    identity = pack(range(size))
+    identity = bytes(range(size))
     gens = []
     transversals = []
     order = 1
@@ -708,7 +645,7 @@ def graph_automorphisms(config: CurveConfig) -> list[dict[str, str]]:
             if w in orbit or not fits(b, w):
                 continue
             assign(b, w)
-            g = pack(image) if extend(i + 1) else None
+            g = bytes(image) if extend(i + 1) else None
             for v in base[i:]:
                 if image[v] >= 0:
                     release(v)
@@ -769,8 +706,8 @@ def _conjugacy_classes(config, auts):
     list order.
 
     A permutation g is held as the bytes g[0] g[1] ... of its vertex indices
-    and as the translation table that applies it to such bytes (enumeration
-    allows at most 64 vertices), so conjugating by all of auts takes two
+    and as the translation table that applies it to such bytes (there are at
+    most MAX_VERTICES vertices), so conjugating by all of auts takes two
     bytes.translate calls per automorphism.
     """
     index = {v: i for i, v in enumerate(config.vertices)}
@@ -840,8 +777,6 @@ def enumerate_actions(config, n, c, census_filter=None) -> list[GraphAction]:
         raise InputError(f"order must be at least 1, got {n}")
     if n > 64:
         raise InputError("order bound for enumeration is 64")
-    if len(config.vertices) > 64:
-        raise InputError("vertex bound for enumeration is 64")
     auts = graph_automorphisms(config)
     classes: dict[tuple, GraphAction] = {}
     for perm, transporters, centraliser in _conjugacy_classes(config, auts):

@@ -9,7 +9,7 @@ bound in the table.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cyclotomic import CyclotomicField
 from .errors import InputError
@@ -36,34 +36,38 @@ class NonLinearNonMinimalPlaceError(ValueError):
     """minimalize only handles non-minimality at linear finite places."""
 
 
-def euler_number(fiber_type: str) -> int:
-    """Euler number of a Kodaira fiber, from the standard table."""
-    if fiber_type == "smooth":
-        return 0
+# (Euler number, components) of each Kodaira type outside the I_n and I_n*
+# families.
+_FIBER_TABLE = {
+    "smooth": (0, 1),
+    "II": (2, 1),
+    "III": (3, 2),
+    "IV": (4, 3),
+    "IV*": (8, 7),
+    "III*": (9, 8),
+    "II*": (10, 9),
+}
+
+
+def _fiber_numbers(fiber_type: str) -> tuple[int, int]:
+    """(Euler number, components) of a Kodaira fiber, from the standard table."""
     m = re.fullmatch(r"I(\d+)(\*)?", fiber_type)
     if m:
         n = int(m.group(1))
-        return n + 6 if m.group(2) else n
-    table = {"II": 2, "III": 3, "IV": 4, "IV*": 8, "III*": 9, "II*": 10}
-    if fiber_type in table:
-        return table[fiber_type]
+        return (n + 6, n + 5) if m.group(2) else (n, max(n, 1))
+    if fiber_type in _FIBER_TABLE:
+        return _FIBER_TABLE[fiber_type]
     raise ValueError(f"unknown Kodaira type {fiber_type!r}")
+
+
+def euler_number(fiber_type: str) -> int:
+    """Euler number of a Kodaira fiber."""
+    return _fiber_numbers(fiber_type)[0]
 
 
 def component_count(fiber_type: str) -> int:
     """Number of irreducible components of a Kodaira fiber."""
-    if fiber_type == "smooth":
-        return 1
-    m = re.fullmatch(r"I(\d+)(\*)?", fiber_type)
-    if m:
-        n = int(m.group(1))
-        if m.group(2):
-            return n + 5
-        return max(n, 1)
-    table = {"II": 1, "III": 2, "IV": 3, "IV*": 7, "III*": 8, "II*": 9}
-    if fiber_type in table:
-        return table[fiber_type]
-    raise ValueError(f"unknown Kodaira type {fiber_type!r}")
+    return _fiber_numbers(fiber_type)[1]
 
 
 def classify_place(vA, vB, vD) -> str:
@@ -140,8 +144,7 @@ class WeierstrassModel:
         return f"WeierstrassModel(A={self.A}, B={self.B})"
 
 
-@dataclass(frozen=True)
-class KodairaFiber:
+class KodairaFiber(NamedTuple):
     place: PlacePoly
     type: str
     vA: int | float
@@ -155,8 +158,7 @@ class KodairaFiber:
         return (self.place.is_infinite, str(self.place))
 
 
-@dataclass(frozen=True)
-class FiberInventory:
+class FiberInventory(NamedTuple):
     fibers: tuple[KodairaFiber, ...]
     euler_total: int
 
@@ -202,17 +204,9 @@ def classify_all(model: WeierstrassModel) -> FiberInventory:
         if vD == 0:
             return
         ftype = classify_place(vA, vB, vD)
+        euler, components = _fiber_numbers(ftype)
         fibers.append(
-            KodairaFiber(
-                place=place,
-                type=ftype,
-                vA=vA,
-                vB=vB,
-                vD=vD,
-                euler=euler_number(ftype),
-                components=component_count(ftype),
-                multiplicity=place.degree(),
-            )
+            KodairaFiber(place, ftype, vA, vB, vD, euler, components, place.degree())
         )
 
     for place, (vA, vB, vD) in _place_orders((model.A, model.B, delta)):

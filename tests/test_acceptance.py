@@ -157,7 +157,12 @@ def test_criterion_8_property_suites(capsys):
     # Volume rule at every fixed point of every bundled action.
     for act in BUNDLE.actions.values():
         act.validate()
-        for a, b, mult in act.fixed_edge_points():
+        fixed_edges = [
+            (a, b, mult)
+            for (a, b), mult in sorted(BUNDLE.config.edges.items())
+            if act.perm[a] == a and act.perm[b] == b
+        ]
+        for a, b, mult in fixed_edges:
             pid = edge_point_id(a, b)
             wa, wb = act.weight_at(a, pid), act.weight_at(b, pid)
             if mult == 1:

@@ -554,6 +554,35 @@ def test_enumerate_below_the_automorphism_bound_runs(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
+    "n, message",
+    [
+        ("2", "vertex bound for enumeration is 64"),
+        ("65", "order bound for enumeration is 64"),
+        ("0", "order must be at least 1, got 0"),
+    ],
+)
+def test_enumerate_over_the_vertex_bound_exits_2(capsys, tmp_path, n, message):
+    # 65 isolated curves: the vertex bound is checked after the order and
+    # before the automorphism group, which has 65! elements.
+    path = tmp_path / "big_graph.txt"
+    path.write_text("".join(f"vertex C{i}\n" for i in range(65)))
+    code, out, err = run_cli(capsys, "rigidity", str(path), "enumerate", "--n", n, "--c", "1")
+    assert (code, out) == (2, "")
+    assert err == f"input error: {message}\n"
+
+
+def test_cli_import_leaves_out_dataclasses():
+    src = str(Path(k3auto.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, k3auto.cli; print('dataclasses' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert (proc.returncode, proc.stdout) == (0, "False\n")
+
+
+@pytest.mark.parametrize(
     "argv, message",
     [
         (["check-map", SURFACE, "nosuch"], f"no map named 'nosuch' in {SURFACE}"),

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -297,3 +298,79 @@ def test_signature_matches_the_hyperbolic_pair_reference():
     for k in range(1, 9):
         G = direct_sum([f"U({j})" for j in range(1, k + 1)])
         assert signature(G) == _reference_signature(G) == (k, k)
+
+
+def _reference_genus_equal(G1, G2):
+    """genus_equal as it was with a final check that the generator images
+    generate all of group 2; also returns how many full assignments reached
+    that check."""
+    if signature(G1) != signature(G2):
+        return False, 0
+    d1 = discriminant_data(G1)
+    d2 = discriminant_data(G2)
+    if sorted(d1.invariant_factors) != sorted(d2.invariant_factors):
+        return False, 0
+    if d1.order != d2.order:
+        return False, 0
+    if d1.order > 1024:
+        raise GroupTooLargeError(f"discriminant group of order {d1.order}")
+    if d1.order == 1:
+        return True, 0
+    by_order_q = {}
+    for el in d2.elements():
+        by_order_q.setdefault((d2.element_order(el), d2.q_of(el)), []).append(el)
+    k = len(d1.invariant_factors)
+    full_checks = 0
+
+    def extend(i, images):
+        nonlocal full_checks
+        if i == k:
+            full_checks += 1
+            seen = set()
+            for coeffs in d1.elements():
+                seen.add(tuple(
+                    sum(coeffs[m] * images[m][j] for m in range(k)) % d
+                    for j, d in enumerate(d2.invariant_factors)
+                ))
+            return len(seen) == d2.order
+        for cand in by_order_q.get((d1.invariant_factors[i], d1.q_values[i] % 2), ()):
+            if all(d2.b_of(cand, images[j]) == d1.b_values[i][j] % 1 for j in range(i)):
+                if extend(i + 1, images + [cand]):
+                    return True
+        return False
+
+    return extend(0, []), full_checks
+
+
+GENUS_POOL = ("A1", "A2", "A3", "D4", "D5", "D6", "E6", "E7", "U", "U(2)", "U(3)")
+
+
+def test_genus_equal_matches_the_search_with_a_generation_check():
+    # Sums of at most three named lattices with a discriminant group of order
+    # at most 1024, grouped by signature and invariant factors so that each
+    # pair reaches the search: every pair of two different sums in a group,
+    # and 40 seeded sums against themselves.  The second sum is shuffled.
+    same_invariants = {}
+    for k in (1, 2, 3):
+        for names in combinations_with_replacement(GENUS_POOL, k):
+            G = direct_sum(names)
+            dd = discriminant_data(G)
+            if dd.order <= 1024:
+                key = (signature(G), tuple(sorted(dd.invariant_factors)))
+                same_invariants.setdefault(key, []).append(names)
+    groups = list(same_invariants.values())
+    rng = random.Random(16)
+    pairs = [(a, b) for group in groups for a in group for b in group if a != b]
+    pairs += rng.sample([(a, a) for group in groups for a in group], 40)
+    verdicts = {True: 0, False: 0}
+    full_checks = 0
+    for a, b in pairs:
+        b = list(b)
+        rng.shuffle(b)
+        G1, G2 = direct_sum(a), direct_sum(b)
+        want, checks = _reference_genus_equal(G1, G2)
+        assert genus_equal(G1, G2) is want, (a, b)
+        verdicts[want] += 1
+        full_checks += checks
+    assert verdicts == {True: 52, False: 44}
+    assert full_checks == 52
