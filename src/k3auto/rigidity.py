@@ -733,16 +733,6 @@ def _conjugacy_classes(config, auts):
         yield auts[i], dict(sorted(transporters.items())), centraliser
 
 
-def _centraliser_orbit(action: GraphAction, centraliser) -> dict[tuple, GraphAction]:
-    """The images of the action under the centraliser of its permutation,
-    one per reduced key: the members of its orbit with the same permutation."""
-    images = {}
-    for h in centraliser:
-        image = _transport(action, h)
-        images.setdefault(image.reduced_key(), image)
-    return images
-
-
 def canonical_key(action: GraphAction, automorphisms=None):
     """Smallest reduced key over conjugation by the full automorphism group."""
     if automorphisms is None:
@@ -766,12 +756,16 @@ def enumerate_actions(config, n, c, census_filter=None) -> list[GraphAction]:
     conjugate only under the centraliser C(p), and survivors of different
     classes never are, so each class of actions is one C(p)-orbit of
     survivors, censused once for the optional filter, which keeps actions
-    whose census matches (N, k).  It is represented by its survivor with the
-    least (position of q, w).  The classes come out sorted by their
-    canonical_key, the least reduced key of the orbit.  That key lies in the
-    C(p)-orbit: transport keeps n and c, the permutation part of a reduced
-    key orders permutations as graph_automorphisms lists them, and p comes
-    first in its class.
+    whose census matches (N, k).  Transport along h in C(p) keeps the
+    permutation h p h^-1 = p, and every weight, free point, pointwise-fixed
+    curve and fixed edge lies on a curve that p fixes, so the image reads h
+    only on those curves: the orbit is the images along one member of C(p)
+    per distinct restriction to them (a move).  The class is represented by
+    its survivor with the least (position of q, w).  The classes come out
+    sorted by their canonical_key, the least reduced key of the orbit.  That
+    key lies in the C(p)-orbit: transport keeps n and c, the permutation part
+    of a reduced key orders permutations as graph_automorphisms lists them,
+    and p comes first in its class.
     """
     if n < 1:
         raise InputError(f"order must be at least 1, got {n}")
@@ -784,6 +778,7 @@ def enumerate_actions(config, n, c, census_filter=None) -> list[GraphAction]:
         fixed_edges = frame[2].values()
         if not fixed_edges:
             continue
+        moves = {tuple(h[v] for v in frame[0]): h for h in centraliser}.values()
         # The first fixed edge of q = r p r^-1 is the fixed edge of p whose
         # image under r comes first; its flag is on the lesser image.
         anchors: dict[tuple[str, str], dict[str, str]] = {}
@@ -799,13 +794,13 @@ def enumerate_actions(config, n, c, census_filter=None) -> list[GraphAction]:
                     continue
                 if action.reduced_key() in seen:
                     continue
-                images = _centraliser_orbit(action, centraliser)
-                seen.update(images)
+                keys = {_transport(action, h).reduced_key() for h in moves}
+                seen.update(keys)
                 if census_filter is not None:
                     cens = action.census()
                     if (cens.N, cens.k) != tuple(census_filter):
                         continue
-                classes[min(images)] = _transport(action, r)
+                classes[min(keys)] = _transport(action, r)
     return [classes[key] for key in sorted(classes)]
 
 

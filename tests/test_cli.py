@@ -582,6 +582,33 @@ def test_cli_import_leaves_out_dataclasses():
     assert (proc.returncode, proc.stdout) == (0, "False\n")
 
 
+# Imports every k3auto module from the source tree named first, then runs the
+# CLI on the remaining arguments.
+STANDALONE = """
+import importlib, pkgutil, sys
+sys.path.insert(0, sys.argv[1])
+import k3auto
+for module in pkgutil.iter_modules(k3auto.__path__):
+    importlib.import_module("k3auto." + module.name)
+from k3auto.cli import main
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+def test_cli_runs_on_the_standard_library_alone():
+    # -I ignores PYTHONPATH and the user site, -S the site-packages: only the
+    # standard library and the source tree are importable.
+    src = str(Path(k3auto.__file__).resolve().parent.parent)
+    argv = ["rigidity", GRAPH, "enumerate", "--n", "16", "--c", "1", "--filter", "10,1"]
+    proc = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", STANDALONE, src, *argv],
+        capture_output=True,
+        text=True,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert "classes = 1" in proc.stdout.splitlines()
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

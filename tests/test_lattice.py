@@ -5,6 +5,7 @@ from itertools import combinations_with_replacement
 import pytest
 
 from k3auto.lattice import (
+    DiscriminantGroup,
     GramMatrix,
     _nondegenerate_gram,
     GroupTooLargeError,
@@ -374,3 +375,22 @@ def test_genus_equal_matches_the_search_with_a_generation_check():
         full_checks += checks
     assert verdicts == {True: 52, False: 44}
     assert full_checks == 52
+
+
+def test_genus_equal_searches_generators_of_larger_order_first(monkeypatch):
+    # The discriminant group of A2+D4+D6+U(2) has invariant factors
+    # (2, 2, 2, 2, 2, 6).  With the generator of order 6 first the search
+    # makes 1,121 b evaluations; with it last, 144,759.
+    calls = 0
+    b_of = DiscriminantGroup.b_of
+
+    def counted(self, u, v):
+        nonlocal calls
+        calls += 1
+        return b_of(self, u, v)
+
+    monkeypatch.setattr(DiscriminantGroup, "b_of", counted)
+    G = direct_sum(["A2", "D4", "D6", "U(2)"])
+    assert discriminant_data(G).invariant_factors == (2, 2, 2, 2, 2, 6)
+    assert genus_equal(G, G) is True
+    assert calls < 5000

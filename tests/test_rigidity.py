@@ -16,7 +16,6 @@ from k3auto.rigidity import (
     RigidityError,
     TooManyFixedPointsError,
     UnderdeterminedActionError,
-    _centraliser_orbit,
     _conjugacy_classes,
     _frame,
     _saturate,
@@ -713,7 +712,9 @@ def assert_centraliser_orbits_match_full_transport(config, actions):
     """Each action, moved onto the representative p of its conjugacy class,
     has as its centraliser orbit exactly the members of its Aut(G)-orbit with
     permutation p, and that orbit transported along the transporters of p is
-    the whole Aut(G)-orbit."""
+    the whole Aut(G)-orbit.  Members of C(p) with the same restriction to the
+    curves p fixes (the same move) give the same image, so one member per
+    move gives every key of the centraliser orbit."""
     auts = graph_automorphisms(config)
     classes = list(_conjugacy_classes(config, auts))
     for action in actions:
@@ -722,15 +723,21 @@ def assert_centraliser_orbits_match_full_transport(config, actions):
         moved = _transport(action, {w: v for v, w in transporters[j].items()})
         assert moved.perm == p
         want = {_transport(action, g).reduced_key() for g in auts}
-        images = _centraliser_orbit(moved, centraliser)
-        assert set(images) == {key for key in want if key[2] == tuple(sorted(p.items()))}
+        stable = _frame(config, p)[0]
+        images = {}
+        for h in centraliser:
+            move = tuple(h[v] for v in stable)
+            images.setdefault(move, set()).add(_transport(moved, h).reduced_key())
+        assert all(len(image) == 1 for image in images.values())
+        keys = set().union(*images.values())
+        assert keys == {key for key in want if key[2] == tuple(sorted(p.items()))}
         # enumerate_actions keys each class by the least key of the
         # centraliser orbit: it is the least key of the whole orbit.
-        assert min(images) == min(want)
+        assert min(keys) == min(want)
         orbit = {
-            _transport(image, g).reduced_key()
+            _transport(_transport(moved, h), g).reduced_key()
             for g in transporters.values()
-            for image in images.values()
+            for h in centraliser
         }
         assert orbit == want
 
@@ -782,11 +789,12 @@ def test_enumeration_transports_once_per_class(monkeypatch):
     # per automorphism, makes 3,840).  One frame per class (14 automorphism
     # checks) plus one check in the validation of each of the 8 saturations
     # that reach it.  Each of the 8 classes of actions transports its survivor
-    # along the centraliser of its permutation (330 in all), whose least key
-    # is the class key, and its representative along its transporter (8).
-    # The census runs once per class of actions in the filtered run;
-    # rejecting a class records its centraliser orbit, so no conjugate
-    # survivor is censused again.
+    # along one member of the centraliser of its permutation per distinct
+    # restriction to the fixed curves (9 in all, against 330 members), whose
+    # least key is the class key, and its representative along its
+    # transporter (8).  The census runs once per class of actions in the
+    # filtered run; rejecting a class records its centraliser orbit, so no
+    # conjugate survivor is censused again.
     calls = count_calls(
         monkeypatch,
         (rigidity, "_saturate"),
@@ -798,7 +806,7 @@ def test_enumeration_transports_once_per_class(monkeypatch):
     assert len(classes) == 8
     assert calls == {
         "_saturate": 224,
-        "_transport": 330 + 8,
+        "_transport": 9 + 8,
         "is_automorphism": 14 + 8,
         "census": 0,
     }
