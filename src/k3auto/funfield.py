@@ -154,14 +154,6 @@ class FieldElement:
     def is_zero(self) -> bool:
         return self.a.is_zero() and self.b.is_zero()
 
-    def is_constant(self) -> bool:
-        return self.b.is_zero() and self.a.is_constant()
-
-    def constant_value(self) -> CycloNum:
-        if not self.is_constant():
-            raise NotConstantFactorError(f"{self} is not a constant")
-        return self.a.constant_value()
-
     def __eq__(self, other):
         if not isinstance(other, FieldElement):
             if not isinstance(other, (int, CycloNum, Fraction)):
@@ -299,9 +291,66 @@ def morphism_residual(m: SurfaceMap) -> FieldElement:
     return residual
 
 
+def _cleared(e: FieldElement, y: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
+    # (P, D) with e = P / D and P = P_a + P_b y: D is the product of the
+    # denominators of a and b, or one of them when they are equal; no gcd.
+    a, b = e.a, e.b
+    if a.den == b.den:
+        return a.num + b.num * y, a.den
+    return a.num * b.den + b.num * a.den * y, a.den * b.den
+
+
+def _cleared_coefficients(model: WeierstrassModel, w: RationalFunction) -> tuple:
+    # (W, W A(w), W B(w)) for W = den(w)^d, d = max(deg A, deg B): all
+    # polynomials, formed with no gcd.
+    d = max(model.A.degree_in("t"), model.B.degree_in("t"))
+    one = MultiPoly.constant(model.field, 1)
+    nums, dens = [one, w.num], [one, w.den]
+    for pows in (nums, dens):
+        while len(pows) <= d:
+            pows.append(pows[-1] * pows[1])
+
+    def cleared(p: MultiPoly) -> MultiPoly:
+        acc = MultiPoly.zero(model.field)
+        for (_, _, k), c in p.terms.items():
+            acc = acc + nums[k] * dens[d - k] * c
+        return acc
+
+    return dens[d], cleared(model.A), cleared(model.B)
+
+
+def _reduce_y(p: MultiPoly, rhs: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
+    # (even, odd) with p = even + odd y on the surface, by y^2 -> rhs.
+    parts = [MultiPoly.zero(p.field), MultiPoly.zero(p.field)]
+    for k, c in p.coeffs_in("y").items():
+        parts[k % 2] = parts[k % 2] + (c * rhs ** (k // 2) if k > 1 else c)
+    return parts[0], parts[1]
+
+
 def verify_morphism(m: SurfaceMap) -> bool:
-    """Does the map send the surface to itself: v^2 = u^3 + A(w) u + B(w)?"""
-    return morphism_residual(m).is_zero()
+    """Does the map send the surface to itself: v^2 = u^3 + A(w) u + B(w)?
+
+    Decided by one polynomial identity with no gcd.  Over cleared
+    denominators u = U / D_u and v = V / D_v (``_cleared``), w = w_n / w_d,
+    W = w_d^d with d = max(deg A, deg B), and A_w, B_w the polynomials
+    W A(w), W B(w), the equation times D_u^3 D_v^2 W is N = 0 for
+
+        N = W (V^2 D_u^3 - U^3 D_v^2) - D_u^2 D_v^2 (A_w U + B_w D_u).
+
+    N reduces by y^2 -> x^3 + A x + B to N_0 + N_1 y with N_0, N_1 free of
+    y, and the map is a morphism exactly when N_0 = N_1 = 0: every cleared
+    factor is a nonzero polynomial, hence a unit of the function field, and
+    y is not in Q(zeta)(x, t), so 1 and y are independent over it.
+    """
+    model = m.model
+    y = MultiPoly.gen(model.field, "y")
+    U, Du = _cleared(m.u, y)
+    V, Dv = _cleared(m.v, y)
+    W, Aw, Bw = _cleared_coefficients(model, m.w)
+    Du2, Dv2 = Du * Du, Dv * Dv
+    N = W * (V * V * Du2 * Du - U * U * U * Dv2) - Du2 * Dv2 * (Aw * U + Bw * Du)
+    even, odd = _reduce_y(N, model.rhs.num)
+    return even.is_zero() and odd.is_zero()
 
 
 def ambient_scalar(m: SurfaceMap) -> CycloNum | None:
@@ -351,36 +400,51 @@ def omega_factor(m: SurfaceMap) -> CycloNum:
     """The constant c with pullback(omega) = c * omega for omega = dx^dt / y.
 
     dy is eliminated through 2 y dy = (3 x^2 + A) dx + (A' x + B') dt, so
-    pullback(omega) = w'(t) (u_x + u_y (3x^2 + A) / (2y)) / v * dx^dt, and
-    dividing by 1/y gives the factor below.  A nonconstant result signals an
-    inconsistent input.  A map whose image is a curve (y goes to 0, or the
-    pulled-back 2-form is 0) raises NotAMorphismError without a residual.
+    with u = a + b y and rhs = x^3 + A x + B the pulled-back form is
+    L / v * omega for
+
+        L = w' (b_x rhs + b (3 x^2 + A) / 2) + w' a_x y.
+
+    The factor is the constant c exactly when L = c v, which holds part by
+    part in the basis 1, y.  Each part of L and of v is a quotient of
+    polynomials, formed with no gcd; the same parts compare cross-multiplied
+    by their nonzero denominators, c is the ratio of the lex-leading
+    coefficients, and the full identity is checked, so the verdict is
+    exact.  A map that is not a morphism raises NotAMorphismError with its
+    residual; a map whose image is a curve (y goes to 0, or L = 0) raises it
+    without one; any other L not in Q(zeta) v raises NotConstantFactorError.
     """
-    residual = morphism_residual(m)
-    if not residual.is_zero():
-        raise NotAMorphismError("omega factor of a map that is not a morphism", residual)
+    if not verify_morphism(m):
+        raise NotAMorphismError(
+            "omega factor of a map that is not a morphism", morphism_residual(m)
+        )
     if m.v.is_zero():
         raise NotAMorphismError("the image of y is 0")
-    model = m.model
-    field = model.field
-    x = RationalFunction.gen(field, "x")
-    three_x2_plus_A = x * x * 3 + RationalFunction(model.A)
-    # (3x^2 + A) / (2y) = (3x^2 + A) y / (2 rhs), as a field element.
-    half_slope = FieldElement(
-        model,
-        RationalFunction.constant(field, 0),
-        three_x2_plus_A / (model.rhs * 2),
+    rhs = m.model.rhs.num
+    a, b, w, v = m.u.a, m.u.b, m.w, m.v
+    # w' = wn / wd, a_x = ax / a.den^2 and b_x = bx / b.den^2.
+    wn = w.num.derivative("t") * w.den - w.num * w.den.derivative("t")
+    wd = w.den * w.den
+    ax = a.num.derivative("x") * a.den - a.num * a.den.derivative("x")
+    bx = b.num.derivative("x") * b.den - b.num * b.den.derivative("x")
+    # Each part as (numerator of L * denominator of v, numerator of v *
+    # denominator of L): equal exactly when that part of L is c times v's.
+    La = wn * (bx * rhs * 2 + b.num * b.den * rhs.derivative("x"))
+    Lb = wn * ax
+    parts = (
+        (La * v.a.den, v.a.num * wd * b.den * b.den * 2),
+        (Lb * v.b.den, v.b.num * wd * a.den * a.den),
     )
-    u_x = FieldElement(model, m.u.a.derivative("x"), m.u.b.derivative("x"))
-    u_y = FieldElement(model, m.u.b, RationalFunction.constant(field, 0))
-    w_prime = FieldElement.from_ratfunc(model, m.w.derivative("t"))
-    y_elem = FieldElement.coordinate(model, "y")
-    factor = y_elem * w_prime * (u_x + u_y * half_slope) / m.v
-    if factor.is_zero():
+    if all(lhs.is_zero() for lhs, _ in parts):
         raise NotAMorphismError("the pulled-back 2-form is 0")
-    if not factor.is_constant():
+    c = next(
+        (lhs.leading_coeff_lex() / rhs.leading_coeff_lex()
+         for lhs, rhs in parts if not (lhs.is_zero() or rhs.is_zero())),
+        None,
+    )
+    if c is None or any(lhs != rhs * c for lhs, rhs in parts):
         raise NotConstantFactorError("2-form factor did not reduce to a constant")
-    return factor.constant_value()
+    return c
 
 
 # The largest order bound map_order and inverse accept.  The base order

@@ -179,18 +179,35 @@ def test_check_map_onto_a_curve_is_a_verdict(capsys, tmp_path, coefficients, ima
         assert err == f"verification failed: map 'flat' sends the surface to a curve: {reason}\n"
 
 
-def test_check_map_verifies_the_morphism_once(capsys, monkeypatch):
+def _count_calls(monkeypatch, name):
+    # From here on, every call of funfield.<name> appends to the returned list.
     calls = []
-    residual = funfield.morphism_residual
+    counted = getattr(funfield, name)
 
-    def counted(m):
+    def counting(m):
         calls.append(m)
-        return residual(m)
+        return counted(m)
 
-    monkeypatch.setattr(funfield, "morphism_residual", counted)
+    monkeypatch.setattr(funfield, name, counting)
+    return calls
+
+
+def test_check_map_verifies_the_morphism_once(capsys, monkeypatch, tmp_path):
+    # A morphism is decided by one identity check and builds no residual; a
+    # non-morphism builds its residual once, for the printed text.
+    checks = _count_calls(monkeypatch, "verify_morphism")
+    residuals = _count_calls(monkeypatch, "morphism_residual")
     code, _out, _err = run_cli(capsys, "check-map", SURFACE, "sigma")
     assert code == 0
-    assert len(calls) == 1
+    assert (len(checks), len(residuals)) == (1, 0)
+    path = tmp_path / "bad_map.txt"
+    path.write_text(
+        'field_order = 16\nA = "t^3*(t^4-1)"\nB = "0"\n'
+        '[map.broken]\nx = "x"\ny = "y"\nt = "z^4*t"\n'
+    )
+    code, _out, _err = run_cli(capsys, "check-map", str(path), "broken")
+    assert code == 1
+    assert (len(checks), len(residuals)) == (2, 1)
 
 
 def test_check_map_order_bound_is_a_verdict(capsys):
@@ -223,6 +240,16 @@ def test_check_map_order_bound_above_the_limit_exits_2_at_once(capsys, tmp_path)
             assert code == 2
             assert out == ""
             assert err == f"input error: max_order {bound} exceeds the bound {limit}\n"
+
+
+def test_check_map_translation_of_infinite_order_is_refuted_at_bound_1(capsys):
+    # The degrees of the powers of this translation grow without end; at the
+    # bound 1 the map is verified and refuted at once.
+    path = Path(__file__).with_name("translation_surface.txt")
+    code, out, err = run_cli(capsys, "check-map", str(path), "tr", "--max-order", "1")
+    assert code == 1
+    assert out == ""
+    assert err == "verification failed: order exceeds 1\n"
 
 
 def test_check_map_negative_order_bound_exits_2(capsys):

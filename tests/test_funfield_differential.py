@@ -1,0 +1,219 @@
+"""The gcd-free morphism and 2-form kernels against FieldElement references.
+
+``verify_morphism`` and ``omega_factor`` decide their verdicts by polynomial
+identities over cleared denominators.  The references below are the earlier
+formulas in reduced function-field arithmetic: the residual
+v^2 - u^3 - A(w) u - B(w) is zero, and the factor is y w' (u_x + u_y h) / v
+with h = (3 x^2 + A) / (2 y).  Both sides must give the same verdict, the
+same factor and the same exception with the same message.
+"""
+import functools
+import random
+
+import pytest
+
+from k3auto import polyring
+from k3auto.cyclotomic import cyclotomic_field
+from k3auto.funfield import (
+    FieldElement,
+    NotAMorphismError,
+    NotConstantFactorError,
+    Section,
+    SurfaceMap,
+    build_named_maps,
+    compose,
+    morphism_residual,
+    omega_factor,
+    translation_map,
+    verify_morphism,
+)
+from k3auto.parser import parse_expression
+from k3auto.polyring import MultiPoly, RationalFunction
+from k3auto.surface import WeierstrassModel
+
+F = cyclotomic_field(16)
+T = MultiPoly.gen(F, "t")
+XYT = {"x", "y", "t"}
+
+
+def reference_verify(m):
+    return morphism_residual(m).is_zero()
+
+
+def reference_omega(m):
+    residual = morphism_residual(m)
+    if not residual.is_zero():
+        raise NotAMorphismError("omega factor of a map that is not a morphism", residual)
+    if m.v.is_zero():
+        raise NotAMorphismError("the image of y is 0")
+    model = m.model
+    field = model.field
+    zero = RationalFunction.constant(field, 0)
+    x = RationalFunction.gen(field, "x")
+    half_slope = FieldElement(
+        model, zero, (x * x * 3 + RationalFunction(model.A)) / (model.rhs * 2)
+    )
+    u_x = FieldElement(model, m.u.a.derivative("x"), m.u.b.derivative("x"))
+    u_y = FieldElement(model, m.u.b, zero)
+    w_prime = FieldElement.from_ratfunc(model, m.w.derivative("t"))
+    y = FieldElement.coordinate(model, "y")
+    factor = y * w_prime * (u_x + u_y * half_slope) / m.v
+    if factor.is_zero():
+        raise NotAMorphismError("the pulled-back 2-form is 0")
+    if not (factor.b.is_zero() and factor.a.is_constant()):
+        raise NotConstantFactorError("2-form factor did not reduce to a constant")
+    return factor.a.constant_value()
+
+
+def outcome(fn, m):
+    # The value, or the class, message and residual text of the exception.
+    try:
+        return "value", fn(m)
+    except (NotAMorphismError, NotConstantFactorError) as err:
+        residual = getattr(err, "residual", None)
+        return type(err).__name__, str(err), None if residual is None else str(residual)
+
+
+def assert_agree(m):
+    verdict = verify_morphism(m)
+    assert verdict is reference_verify(m)
+    got = outcome(omega_factor, m)
+    assert got == outcome(reference_omega, m)
+    return verdict, got
+
+
+def fixture_model():
+    return WeierstrassModel(F, T ** 3 * (T ** 4 - 1), MultiPoly.zero(F))
+
+
+@functools.lru_cache(maxsize=None)
+def named_maps():
+    return build_named_maps(fixture_model())
+
+
+def on_model(mdl, *images):
+    return SurfaceMap.from_expressions(mdl, *(parse_expression(e, XYT, F) for e in images))
+
+
+def translation(x0, y0, a_coeffs):
+    # Translation by the constant section (x0, y0) on y^2 = x^3 + A x + B,
+    # with B constant chosen to put the section on the curve.
+    A = MultiPoly.from_int_coeffs(F, a_coeffs)
+    B = MultiPoly.constant(F, y0 * y0 - x0 ** 3) - A * x0
+    mdl = WeierstrassModel(F, A, B)
+    section = Section(RationalFunction.constant(F, x0), RationalFunction.constant(F, y0))
+    return translation_map(mdl, section)
+
+
+def test_fixture_maps_and_words_agree():
+    maps = named_maps()
+    for name, m in maps.items():
+        assert assert_agree(m)[0] is True
+    rng = random.Random(19)
+    names = sorted(maps)
+    for _ in range(4):
+        word = [rng.choice(names) for _ in range(rng.randint(2, 3))]
+        m = maps[word[0]]
+        for name in word[1:]:
+            m = compose(m, maps[name])
+        verdict, (kind, *_rest) = assert_agree(m)
+        assert (verdict, kind) == (True, "value")
+
+
+def _scaling_is_morphism(a, b, c):
+    # (x, y, t) -> (z^a x, z^b y, z^c t) on y^2 = x^3 + (t^7 - t^3) x:
+    # 2b = 3a = a + 7c = a + 3c mod 16.
+    return (2 * b - 3 * a) % 16 == 0 and (3 * a - a - 7 * c) % 16 == 0 and 4 * c % 16 == 0
+
+
+def test_seeded_scalings_agree():
+    mdl = fixture_model()
+    triples = [(a, b, c) for a in range(16) for b in range(16) for c in range(16)]
+    morphisms = [abc for abc in triples if _scaling_is_morphism(*abc)]
+    others = [abc for abc in triples if not _scaling_is_morphism(*abc)]
+    rng = random.Random(1919)
+    for a, b, c in rng.sample(morphisms, 4) + rng.sample(others, 6):
+        m = SurfaceMap.scaling(mdl, F.zeta(a), F.zeta(b), F.zeta(c))
+        verdict, got = assert_agree(m)
+        assert verdict is _scaling_is_morphism(a, b, c)
+        if verdict:
+            assert got == ("value", F.zeta(a + c - b))
+
+
+@pytest.mark.parametrize(
+    "x0, y0, a_coeffs",
+    [
+        (0, 1, [0, 2]),  # x0 = 0, A = a t
+        (0, 1, [3]),  # x0 = 0, A = a
+        (1, 2, [1]),  # x0 != 0, A = a
+        (1, 2, [0, 1]),  # x0 != 0, A = a t
+        (-2, 1, [2, -1]),  # x0 != 0, A = a t + b
+        (0, -1, [1, 0, 1]),  # deg A = 2
+        (1, 1, [0, 0, 2]),  # deg A = 2, x0 != 0
+    ],
+)
+def test_translations_agree(x0, y0, a_coeffs):
+    assert assert_agree(translation(x0, y0, a_coeffs)) == (True, ("value", F.one()))
+
+
+def test_perturbed_maps_agree():
+    t = RationalFunction.gen(F, "t")
+    for m in named_maps().values():
+        for bad in (
+            SurfaceMap(m.model, m.u + FieldElement.from_ratfunc(m.model, t), m.v, m.w),
+            SurfaceMap(m.model, m.u, m.v * F.zeta(1), m.w),
+        ):
+            verdict, (kind, *_rest) = assert_agree(bad)
+            assert (verdict, kind) == (False, "NotAMorphismError")
+
+
+def test_flat_maps_of_the_cli_agree():
+    fixture = fixture_model()
+    constant = WeierstrassModel(F, MultiPoly.zero(F), MultiPoly.constant(F, 1))
+    for mdl, images, reason in (
+        (fixture, ("0", "0", "t"), "the image of y is 0"),
+        (constant, ("0", "1", "t"), "the pulled-back 2-form is 0"),
+    ):
+        assert assert_agree(on_model(mdl, *images)) == (
+            True, ("NotAMorphismError", reason, None)
+        )
+
+
+def test_isotrivial_maps_agree():
+    # On y^2 = x^3 + 1 any map of the base is a morphism; the factor is
+    # constant only for w' constant.  The fiberwise doubling scales it by 2.
+    mdl = WeierstrassModel(F, MultiPoly.zero(F), MultiPoly.constant(F, 1))
+    doubling = "((3*x^2)/(2*y))^2 - 2*x"
+    cases = [
+        (("x", "y", "z*t"), F.zeta(1)),
+        (("x", "-y", "t+1"), -F.one()),
+        ((doubling, f"(3*x^2)/(2*y)*(x - ({doubling})) - y", "t"), F.from_rational(2)),
+        (("x", "y", "t^2"), None),
+        (("x", "-y", "1/t"), None),
+    ]
+    for images, factor in cases:
+        got = assert_agree(on_model(mdl, *images))
+        if factor is None:
+            assert got == (True, ("NotConstantFactorError",
+                                  "2-form factor did not reduce to a constant", None))
+        else:
+            assert got == (True, ("value", factor))
+
+
+def test_the_kernels_take_no_gcd(monkeypatch):
+    # A count, not a timing: the identity checks clear denominators and never
+    # cancel them.
+    maps = list(named_maps().values()) + [translation(0, 1, [0, 2])]
+    calls = []
+    counted = polyring.multi_gcd
+
+    def counting(p, q):
+        calls.append(None)
+        return counted(p, q)
+
+    monkeypatch.setattr(polyring, "multi_gcd", counting)
+    for m in maps:
+        assert verify_morphism(m) is True
+        omega_factor(m)
+    assert calls == []
+
