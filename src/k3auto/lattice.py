@@ -1,9 +1,10 @@
 """Integer lattice toolkit: named Gram matrices, signatures, discriminant forms.
 
-Everything is exact: Smith normal forms over the integers, signatures by
-rational symmetric elimination (Sylvester counts), and finite quadratic forms
-compared by brute-force isomorphism search.  ADE lattices follow the K3 curve
-convention and are negative definite.
+Everything is exact and runs on integers: Smith normal forms, signatures by
+fraction-free symmetric elimination (Sylvester counts), and finite quadratic
+forms compared by an isomorphism search on q and b scaled by the group
+exponent.  ADE lattices follow the K3 curve convention and are negative
+definite.
 """
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ import re
 from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
+from operator import mul
 from typing import NamedTuple
 
 from .errors import InputError
@@ -24,7 +26,7 @@ class UnknownLatticeError(InputError):
 
 
 class GroupTooLargeError(InputError):
-    """The discriminant group exceeds the brute-force comparison bound."""
+    """The discriminant group exceeds the bound of the isomorphism search."""
 
 
 class GramMatrix:
@@ -136,59 +138,64 @@ def from_curve_config(config) -> GramMatrix:
 
 
 def signature(G: GramMatrix) -> tuple[int, int]:
-    """(positive, negative) inertia by exact symmetric elimination."""
+    """(positive, negative) inertia by exact symmetric elimination, in integers.
+
+    Fraction-free (Bareiss): after t pivots each Schur complement entry is
+    B / p_t, with p_t = `minors[t]` the Gram determinant of the pivots and B
+    an integer minor, so the pivot B_pp / p_t has the sign of B_pp * p_t.  A
+    pivot changes only the entries whose row and column both meet it; each
+    entry keeps the step `at` of its last change and is brought to the
+    current scale, B * p_t // p_at (exact), when it is next read.
+    """
     n = G.size
-    m = [[Fraction(v) for v in row] for row in G.entries]
+    m = [list(row) for row in G.entries]
+    at = [[0] * n for _ in range(n)]
+    minors = [1]
+
+    def entry(i, j):
+        t = len(minors) - 1
+        if at[i][j] != t:
+            m[i][j] = m[j][i] = m[i][j] * minors[t] // minors[at[i][j]]
+            at[i][j] = at[j][i] = t
+        return m[i][j]
+
+    def put(i, j, value):
+        m[i][j] = m[j][i] = value
+        at[i][j] = at[j][i] = len(minors) - 1
+
     active = list(range(n))
     pos = neg = 0
     while active:
-        pivot = next((i for i in active if m[i][i] != 0), None)
+        # A stored entry is zero exactly when its Schur value is.
+        pivot = next((i for i in active if m[i][i]), None)
         if pivot is None:
-            pair = next(((i, j) for i in active for j in active if m[i][j] != 0), None)
+            pair = next(((i, j) for i in active for j in active if m[i][j]), None)
             if pair is None:
                 break  # only the radical remains
             # Every active diagonal entry is zero, so the congruence
             # v_i -> v_i + v_j makes entry (i, i) equal to 2 m[i][j] != 0.
             pivot, j = pair
-            for k in active:
-                m[pivot][k] += m[j][k]
-            for k in active:
-                m[k][pivot] += m[k][j]
-        if m[pivot][pivot] > 0:
+            row = {k: entry(pivot, k) + entry(j, k) for k in active}
+            row[pivot] += row[j]
+            for k, value in row.items():
+                put(pivot, k, value)
+        d = entry(pivot, pivot)
+        if (d > 0) == (minors[-1] > 0):
             pos += 1
         else:
             neg += 1
-        d = m[pivot][pivot]
         active.remove(pivot)
-        for i in active:
-            f = m[i][pivot] / d
-            if f:
-                for j in active:
-                    m[i][j] -= f * m[pivot][j]
+        touched = [(j, entry(pivot, j)) for j in active if m[pivot][j]]
+        prev = minors[-1]
+        updates = [
+            (i, j, (d * entry(i, j) - ai * aj) // prev)
+            for a, (i, ai) in enumerate(touched)
+            for j, aj in touched[a:]
+        ]
+        minors.append(d)
+        for i, j, value in updates:
+            put(i, j, value)
     return pos, neg
-
-
-def determinant(G: GramMatrix) -> int:
-    """Exact determinant by Gaussian elimination over the rationals."""
-    n = G.size
-    m = [[Fraction(v) for v in row] for row in G.entries]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            return 0
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            f = m[r][col] * inv
-            if f:
-                for c in range(col, n):
-                    m[r][c] -= f * m[col][c]
-    assert det.denominator == 1
-    return int(det)
 
 
 def smith_normal_form(matrix) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
@@ -204,65 +211,66 @@ def smith_normal_form(matrix) -> tuple[list[list[int]], list[list[int]], list[li
         U[i], U[j] = U[j], U[i]
 
     def swap_cols(i, j):
-        for r in range(rows):
-            a[r][i], a[r][j] = a[r][j], a[r][i]
-        for r in range(cols):
-            V[r][i], V[r][j] = V[r][j], V[r][i]
+        for m in (a, V):
+            for row in m:
+                row[i], row[j] = row[j], row[i]
 
     def add_row(src, dst, k):
-        for c in range(cols):
-            a[dst][c] += k * a[src][c]
-        for c in range(rows):
-            U[dst][c] += k * U[src][c]
+        for m in (a, U):
+            m[dst] = [x + k * y for x, y in zip(m[dst], m[src])]
 
     def add_col(src, dst, k):
-        for r in range(rows):
-            a[r][dst] += k * a[r][src]
-        for r in range(cols):
-            V[r][dst] += k * V[r][src]
+        for m in (a, V):
+            for row in m:
+                if row[src]:
+                    row[dst] += k * row[src]
 
     t = 0
     while t < min(rows, cols):
-        # Find the smallest nonzero entry in the remaining block.
+        # The first smallest nonzero entry of the remaining block in row-major
+        # order; nothing is smaller than 1, so the scan stops at the first 1.
         best = None
+        least = 0
         for i in range(t, rows):
+            row = a[i]
             for j in range(t, cols):
-                if a[i][j] and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
-                    best = (i, j)
+                if row[j] and (best is None or abs(row[j]) < least):
+                    best, least = (i, j), abs(row[j])
+                    if least == 1:
+                        break
+            if least == 1:
+                break
         if best is None:
             break
-        swap_rows(t, best[0])
-        swap_cols(t, best[1])
+        if best[0] != t:
+            swap_rows(t, best[0])
+        if best[1] != t:
+            swap_cols(t, best[1])
+        p = a[t][t]
         dirty = False
         for i in range(t + 1, rows):
             if a[i][t]:
-                add_row(t, i, -(a[i][t] // a[t][t]))
+                add_row(t, i, -(a[i][t] // p))
                 if a[i][t]:
                     dirty = True
         for j in range(t + 1, cols):
             if a[t][j]:
-                add_col(t, j, -(a[t][j] // a[t][t]))
+                add_col(t, j, -(a[t][j] // p))
                 if a[t][j]:
                     dirty = True
         if dirty:
             continue
         # Enforce divisibility of the remaining block by the pivot.
-        offender = None
-        for i in range(t + 1, rows):
-            for j in range(t + 1, cols):
-                if a[i][j] % a[t][t]:
-                    offender = i
-                    break
-            if offender:
-                break
-        if offender is not None:
-            add_row(offender, t, 1)
-            continue
-        if a[t][t] < 0:
-            for c in range(cols):
-                a[t][c] = -a[t][c]
-            for c in range(rows):
-                U[t][c] = -U[t][c]
+        if abs(p) != 1:
+            offender = next(
+                (i for i in range(t + 1, rows) if any(v % p for v in a[i][t + 1:])), None
+            )
+            if offender is not None:
+                add_row(offender, t, 1)
+                continue
+        if p < 0:
+            a[t] = [-v for v in a[t]]
+            U[t] = [-v for v in U[t]]
         t += 1
     return a, U, V
 
@@ -314,13 +322,22 @@ class DiscriminantGroup(NamedTuple):
 
 
 def _gram_of_columns(M, V, cols) -> list[list[int]]:
-    """Gram matrix under M of the columns `cols` of V, in integers."""
+    """Gram matrix under the symmetric M of the columns `cols` of V, in integers."""
     n = len(M)
-    MV = [[sum(M[r][c] * V[c][j] for c in range(n)) for j in cols] for r in range(n)]
-    return [
-        [sum(V[r][i] * MV[r][k] for r in range(n)) for k in range(len(cols))]
-        for i in cols
-    ]
+    m_rows = [[(c, x) for c, x in enumerate(row) if x] for row in M]
+    vecs = [[(r, V[r][j]) for r in range(n) if V[r][j]] for j in cols]
+    images = []
+    for vec in vecs:
+        image = [0] * n
+        for c, x in vec:
+            for r, y in m_rows[c]:
+                image[r] += x * y
+        images.append(image)
+    W = [[0] * len(vecs) for _ in vecs]
+    for i, vec in enumerate(vecs):
+        for k in range(i, len(vecs)):
+            W[i][k] = W[k][i] = sum(x * images[k][r] for r, x in vec)
+    return W
 
 
 def _nondegenerate_gram(G: GramMatrix) -> list[list[int]]:
@@ -355,36 +372,61 @@ def discriminant_data(G: GramMatrix) -> DiscriminantGroup:
     return DiscriminantGroup(factors, gens, q_vals, b_vals)
 
 
-def genus_equal(G1: GramMatrix, G2: GramMatrix) -> bool:
-    """Same signature and isomorphic discriminant quadratic forms.
+def _scaled_form(dd: DiscriminantGroup, e: int) -> list[list[int]]:
+    """The form on the generators scaled by e, a multiple of every order:
+    e q(g_i) as an int mod 2e on the diagonal, e b(g_i, g_j) mod e off it.
 
-    For the even indefinite lattices in scope this decides the genus; the
-    finite-form isomorphism is found by brute-force search over generator
-    images (group order capped at 1024).
+    A generator g of order d has d g in L, so q(g) and b(g, h) lie in (1/d)Z.
+    As integers the entries give e q(x) = x.F.x mod 2e for every x, because
+    each off-diagonal entry counts twice, and e b(x, y) = x.F.y mod e.
     """
-    if signature(G1) != signature(G2):
+    k = len(dd.invariant_factors)
+    return [
+        [int(dd.q_values[i] * e) % (2 * e) if i == j else int(dd.b_values[i][j] * e) % e
+         for j in range(k)]
+        for i in range(k)
+    ]
+
+
+def _b_scaled(row, y, e: int) -> int:
+    """e b(x, y) mod e from the row x.F of x; the one pair check of the search."""
+    return sum(map(mul, row, y)) % e
+
+
+def genus_equal(G1: GramMatrix, G2: GramMatrix) -> bool:
+    """Same rank, same signature and isomorphic discriminant quadratic forms.
+
+    A lattice is its nondegenerate quotient plus its radical, so equal rank
+    and signature fix the radical.  For the even indefinite lattices in scope
+    this decides the genus; the finite-form isomorphism is found by search
+    over generator images, with q and b scaled by the group exponent e to
+    integers mod 2e and mod e (group order capped at 1024).
+    """
+    if G1.size != G2.size or signature(G1) != signature(G2):
         return False
     d1 = discriminant_data(G1)
     d2 = discriminant_data(G2)
     if sorted(d1.invariant_factors) != sorted(d2.invariant_factors):
         return False
-    if d1.order != d2.order:
-        return False
     if d1.order > 1024:
         raise GroupTooLargeError(f"discriminant group of order {d1.order}")
     if d1.order == 1:
         return True
-    elements2 = list(d2.elements())
-    by_order_q: dict[tuple[int, Fraction], list[tuple[int, ...]]] = {}
-    for el in elements2:
-        key = (d2.element_order(el), d2.q_of(el))
-        by_order_q.setdefault(key, []).append(el)
+    e = max(d1.invariant_factors)
+    F1 = _scaled_form(d1, e)
+    F2 = _scaled_form(d2, e)
+    # Candidates by element order and scaled q, each with its row x.F mod e.
+    by_order_q: dict[tuple[int, int], list[tuple[tuple[int, ...], list[int]]]] = {}
+    for el in d2.elements():
+        row = [sum(map(mul, el, column)) for column in F2]
+        key = (d2.element_order(el), sum(map(mul, el, row)) % (2 * e))
+        by_order_q.setdefault(key, []).append((el, [v % e for v in row]))
 
     # Generators of larger order first, ties in their order: on
     # A2+D4+D6+U(2) against itself that cuts the search from 144,759 b
     # evaluations to 1,121.  b is symmetric, so the pairs checked are the
     # same in any order.
-    gens1 = sorted(range(len(d1.invariant_factors)), key=lambda i: -d1.invariant_factors[i])
+    gens1 = sorted(range(len(F1)), key=lambda i: -d1.invariant_factors[i])
 
     def extend(i, images):
         # Images with the generators' orders and q values that keep b on
@@ -394,16 +436,11 @@ def genus_equal(G1: GramMatrix, G2: GramMatrix) -> bool:
         if i == len(gens1):
             return True
         g = gens1[i]
-        d = d1.invariant_factors[g]
-        want_q = d1.q_values[g] % 2
-        for cand in by_order_q.get((d, want_q), ()):
-            ok = True
-            for j in range(i):
-                b1 = d1.b_values[g][gens1[j]] % 1
-                if d2.b_of(cand, images[j]) != b1:
-                    ok = False
-                    break
-            if ok and extend(i + 1, images + [cand]):
+        want_b = [F1[g][h] for h in gens1[:i]]
+        for cand, row in by_order_q.get((d1.invariant_factors[g], F1[g][g]), ()):
+            if all(_b_scaled(row, y, e) == b for y, b in zip(images, want_b)) and extend(
+                i + 1, images + [cand]
+            ):
                 return True
         return False
 

@@ -14,7 +14,7 @@ from k3auto.cli import main
 from k3auto.cyclotomic import CycloNum
 from k3auto.files import parse_lattice_expression
 from k3auto.fixtures import fixture_path
-from k3auto.lattice import determinant
+from test_lattice import determinant
 
 SURFACE = str(fixture_path("order16_surface.txt"))
 GRAPH = str(fixture_path("order16_graph.txt"))
@@ -487,6 +487,13 @@ def test_lattice_genus_equal(capsys):
     assert code == 0
     assert out.strip() == "genus_equal = yes"
     code, out, _ = run_cli(capsys, "lattice", "genus-equal", "U", "U(2)")
+    assert code == 0
+    assert out.strip() == "genus_equal = no"
+
+
+def test_lattice_genus_equal_requires_equal_rank(capsys):
+    # E8+U(0) has the signature and discriminant form of E8, and rank 10.
+    code, out, _ = run_cli(capsys, "lattice", "genus-equal", "E8", "E8+U(0)")
     assert code == 0
     assert out.strip() == "genus_equal = no"
 

@@ -7,7 +7,8 @@ from k3auto.files import (
     parse_lattice_expression,
 )
 from k3auto.fixtures import fixture_text
-from k3auto.lattice import determinant, signature
+from k3auto.lattice import signature
+from test_lattice import determinant
 
 
 def test_load_fixture_surface():
