@@ -198,17 +198,13 @@ def signature(G: GramMatrix) -> tuple[int, int]:
     return pos, neg
 
 
-def smith_normal_form(matrix) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
-    """(D, U, V) with U * M * V = D diagonal, U and V unimodular, d_i | d_{i+1}."""
+def smith_normal_form(matrix) -> tuple[list[list[int]], list[list[int]]]:
+    """(D, V) with U * M * V = D diagonal, d_i | d_{i+1}, for V and some U
+    unimodular.  The row transform U is not built."""
     a = [list(map(int, row)) for row in matrix]
     rows = len(a)
     cols = len(a[0]) if rows else 0
-    U = [[int(i == j) for j in range(rows)] for i in range(rows)]
     V = [[int(i == j) for j in range(cols)] for i in range(cols)]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        U[i], U[j] = U[j], U[i]
 
     def swap_cols(i, j):
         for m in (a, V):
@@ -216,8 +212,7 @@ def smith_normal_form(matrix) -> tuple[list[list[int]], list[list[int]], list[li
                 row[i], row[j] = row[j], row[i]
 
     def add_row(src, dst, k):
-        for m in (a, U):
-            m[dst] = [x + k * y for x, y in zip(m[dst], m[src])]
+        a[dst] = [x + k * y for x, y in zip(a[dst], a[src])]
 
     def add_col(src, dst, k):
         for m in (a, V):
@@ -243,7 +238,7 @@ def smith_normal_form(matrix) -> tuple[list[list[int]], list[list[int]], list[li
         if best is None:
             break
         if best[0] != t:
-            swap_rows(t, best[0])
+            a[t], a[best[0]] = a[best[0]], a[t]
         if best[1] != t:
             swap_cols(t, best[1])
         p = a[t][t]
@@ -270,9 +265,8 @@ def smith_normal_form(matrix) -> tuple[list[list[int]], list[list[int]], list[li
                 continue
         if p < 0:
             a[t] = [-v for v in a[t]]
-            U[t] = [-v for v in U[t]]
         t += 1
-    return a, U, V
+    return a, V
 
 
 class DiscriminantGroup(NamedTuple):
@@ -345,7 +339,7 @@ def _nondegenerate_gram(G: GramMatrix) -> list[list[int]]:
     # unimodular, so G V e_j = 0 exactly when D[j][j] = 0.  Those columns of V
     # span the saturated kernel, and the remaining columns project to a basis
     # of the nondegenerate quotient.
-    D, _U, V = smith_normal_form(G.entries)
+    D, V = smith_normal_form(G.entries)
     keep = [j for j in range(G.size) if D[j][j]]
     return _gram_of_columns(G.entries, V, keep)
 
@@ -356,7 +350,7 @@ def discriminant_data(G: GramMatrix) -> DiscriminantGroup:
     n = len(M)
     if n == 0:
         return DiscriminantGroup((), (), (), ())
-    D, _U, V = smith_normal_form(M)
+    D, V = smith_normal_form(M)
     # U M V = D gives M^{-1} U^{-1} e_i = V e_i / d_i: the generator of the
     # i-th cyclic summand is column i of V over d_i, and the form on two
     # generators is (V^T M V)[i][j] / (d_i d_j).

@@ -73,9 +73,13 @@ class CurveConfig:
     Each vertex and each edge is checked as soon as it is drawn from its
     iterable, all vertices first, so a loader that tracks the item it last
     handed out knows which one a ValueError is about.
+
+    A config is not changed after construction: its symmetry data, the part
+    of enumerate_actions that depends on the graph alone, is built on first
+    use and kept with it.
     """
 
-    __slots__ = ("vertices", "edges", "adj")
+    __slots__ = ("vertices", "edges", "adj", "_symmetry")
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[tuple[str, str, int]]):
         names = set()
@@ -99,6 +103,7 @@ class CurveConfig:
             self.edges[key] = mult
             self.adj[a][b] = mult
             self.adj[b][a] = mult
+        self._symmetry = None
 
     def is_automorphism(self, perm: dict[str, str]) -> bool:
         if sorted(perm) != list(self.vertices):
@@ -541,8 +546,11 @@ def compose_actions(a1: GraphAction, a2: GraphAction) -> GraphAction:
     return _saturate(config, perm, n, c, seeds, free_seeds)
 
 
-def graph_automorphisms(config: CurveConfig) -> list[dict[str, str]]:
-    """All automorphisms, sorted by their images in vertex order.
+def graph_automorphisms(config: CurveConfig) -> list[bytes]:
+    """All automorphisms, sorted by their images in vertex order.  An
+    automorphism g is held as the bytes g[0] g[1] ... of the positions in
+    config.vertices of the images of the vertices in that order (there are at
+    most MAX_VERTICES vertices); perm_dict names them.
 
     They are the products of the transversals of a stabiliser chain (Seress
     2003, ch. 4) along a base of every vertex in breadth-first order from a
@@ -585,8 +593,7 @@ def graph_automorphisms(config: CurveConfig) -> list[dict[str, str]]:
                     queue.append(w)
                     parent[w] = v
 
-    # A permutation g is held as the bytes g[0] g[1] ... of its vertex
-    # indices; then(a, b), a followed by b, is a translated by b.
+    # then(a, b), a followed by b, is a translated by b.
     tail = bytes(range(size, 256))
 
     def then(a, b):
@@ -670,7 +677,13 @@ def graph_automorphisms(config: CurveConfig) -> list[dict[str, str]]:
     for transversal in transversals:
         elements = [then(h, t) for t in transversal for h in elements]
     elements.sort()
-    return [dict(zip(names, [names[x] for x in g])) for g in elements]
+    return elements
+
+
+def perm_dict(config: CurveConfig, g: bytes) -> dict[str, str]:
+    """The automorphism g of graph_automorphisms as a map of vertex names."""
+    names = config.vertices
+    return dict(zip(names, [names[x] for x in g]))
 
 
 def _transport(action: GraphAction, g: dict[str, str]) -> GraphAction:
@@ -696,28 +709,27 @@ def _transport(action: GraphAction, g: dict[str, str]) -> GraphAction:
     return GraphAction(config, action.n, action.c, perm, weights, pointwise, free_points)
 
 
-def _conjugacy_classes(config, auts):
-    """The conjugacy classes of the automorphism group auts (a list), each
-    represented by its first member p in list order.
+def _conjugacy_classes(perms):
+    """The conjugacy classes of the automorphism group perms (a list of
+    byte strings as graph_automorphisms gives them), each represented by its
+    first member p in list order.
 
     Yields (p, transporters, centraliser): transporters maps the position in
-    auts of each conjugate q of p, in increasing order, to the first r in
-    auts with r p r^-1 = q; centraliser lists the g with g p g^-1 = p in
+    perms of each conjugate q of p, in increasing order, to the first r in
+    perms with r p r^-1 = q; centraliser lists the g with g p g^-1 = p in
     list order.
 
-    A permutation g is held as the bytes g[0] g[1] ... of its vertex indices
-    and as the translation table that applies it to such bytes (there are at
-    most MAX_VERTICES vertices), so conjugating by all of auts takes two
-    bytes.translate calls per automorphism.
+    Each g is also held as the translation table that applies it to such
+    bytes, so conjugating by all of perms takes two bytes.translate calls per
+    automorphism.
     """
-    index = {v: i for i, v in enumerate(config.vertices)}
-    perms = [bytes(index[g[v]] for v in config.vertices) for g in auts]
-    position = {t: i for i, t in enumerate(perms)}
+    position = {g: i for i, g in enumerate(perms)}
+    size = len(perms[0])
     # maketrans(g, identity) sends g[u] to u: its head is g^-1.
-    identity = bytes(range(len(index)))
-    inverses = [bytes.maketrans(t, identity)[: len(t)] for t in perms]
-    fixed_tail = bytes(range(len(index), 256))
-    tables = [t + fixed_tail for t in perms]
+    identity = bytes(range(size))
+    inverses = [bytes.maketrans(g, identity)[:size] for g in perms]
+    fixed_tail = bytes(range(size, 256))
+    tables = [g + fixed_tail for g in perms]
     classified: set[int] = set()
     for i, p in enumerate(tables):
         if i in classified:
@@ -727,17 +739,57 @@ def _conjugacy_classes(config, auts):
             position[g_inv.translate(p).translate(g)] for g, g_inv in zip(tables, inverses)
         ]
         # The reversed pairs leave each conjugate with its first transporter.
-        transporters = dict(zip(reversed(conjugates), reversed(auts)))
-        centraliser = [r for j, r in zip(conjugates, auts) if j == i]
+        transporters = dict(zip(reversed(conjugates), reversed(perms)))
+        centraliser = [r for j, r in zip(conjugates, perms) if j == i]
         classified.update(transporters)
-        yield auts[i], dict(sorted(transporters.items())), centraliser
+        yield perms[i], dict(sorted(transporters.items())), centraliser
+
+
+def _symmetry(config: CurveConfig) -> tuple[list[bytes], list[tuple]]:
+    """The part of enumerate_actions that depends on the graph alone, built
+    on first use and kept in the config's slot, so it goes with the config:
+    graph_automorphisms(config), and for each conjugacy class of
+    automorphisms whose representative p fixes an edge, the tuple of p,
+    _frame(config, p), one member of the centraliser C(p) per distinct
+    restriction to the curves p fixes (a move), and each distinct pulled-back
+    anchor flag with its first transporter.  p, the moves and the
+    transporters are dicts; the group stays in byte form."""
+    if config._symmetry is not None:
+        return config._symmetry
+    names = config.vertices
+    index = {v: i for i, v in enumerate(names)}
+    auts = graph_automorphisms(config)
+    classes = []
+    for p, transporters, centraliser in _conjugacy_classes(auts):
+        perm = perm_dict(config, p)
+        frame = _frame(config, perm)
+        fixed_edges = [(index[a], index[b]) for a, b, _mult in frame[2].values()]
+        if not fixed_edges:
+            continue
+        stable = [index[v] for v in frame[0]]
+        moves = {bytes(h[i] for i in stable): h for h in centraliser}.values()
+        # The first fixed edge of q = r p r^-1 is the fixed edge of p whose
+        # image under r comes first; its flag is on the lesser image.  Vertex
+        # positions order as the names do.
+        anchors: dict[tuple[str, str], dict[str, str]] = {}
+        for r in transporters.values():
+            a, b = min(fixed_edges, key=lambda e: edge_key(r[e[0]], r[e[1]]))
+            anchor = (names[a if r[a] < r[b] else b], edge_point_id(names[a], names[b]))
+            if anchor not in anchors:
+                anchors[anchor] = perm_dict(config, r)
+        classes.append((perm, frame, [perm_dict(config, h) for h in moves], anchors))
+    config._symmetry = auts, classes
+    return config._symmetry
 
 
 def canonical_key(action: GraphAction, automorphisms=None):
-    """Smallest reduced key over conjugation by the full automorphism group."""
+    """Smallest reduced key over conjugation by the full automorphism group,
+    given as graph_automorphisms lists it or read from the config's symmetry
+    data."""
+    config = action.config
     if automorphisms is None:
-        automorphisms = graph_automorphisms(action.config)
-    return min(_transport(action, g).reduced_key() for g in automorphisms)
+        automorphisms = _symmetry(config)[0]
+    return min(_transport(action, perm_dict(config, g)).reduced_key() for g in automorphisms)
 
 
 def enumerate_actions(config, n, c, census_filter=None) -> list[GraphAction]:
@@ -766,25 +818,19 @@ def enumerate_actions(config, n, c, census_filter=None) -> list[GraphAction]:
     key lies in the C(p)-orbit: transport keeps n and c, the permutation part
     of a reduced key orders permutations as graph_automorphisms lists them,
     and p comes first in its class.
+
+    Aut(G), its classes, each representative's frame, moves, and pulled-back
+    anchors with their transporters depend on the graph alone: they are
+    built once per config, on the first call (see _symmetry).  Each call
+    runs the saturations for its (n, c), the C(p)-orbit deduplication, the
+    census filter and the transport of each representative.
     """
     if n < 1:
         raise InputError(f"order must be at least 1, got {n}")
     if n > 64:
         raise InputError("order bound for enumeration is 64")
-    auts = graph_automorphisms(config)
     classes: dict[tuple, GraphAction] = {}
-    for perm, transporters, centraliser in _conjugacy_classes(config, auts):
-        frame = _frame(config, perm)
-        fixed_edges = frame[2].values()
-        if not fixed_edges:
-            continue
-        moves = {tuple(h[v] for v in frame[0]): h for h in centraliser}.values()
-        # The first fixed edge of q = r p r^-1 is the fixed edge of p whose
-        # image under r comes first; its flag is on the lesser image.
-        anchors: dict[tuple[str, str], dict[str, str]] = {}
-        for r in transporters.values():
-            a, b, _mult = min(fixed_edges, key=lambda e: edge_key(r[e[0]], r[e[1]]))
-            anchors.setdefault((a if r[a] < r[b] else b, edge_point_id(a, b)), r)
+    for perm, frame, moves, anchors in _symmetry(config)[1]:
         seen: set[tuple] = set()
         for anchor, r in anchors.items():
             for w in range(n):

@@ -31,3 +31,30 @@ def test_first_maps_round_runs_its_translation_jobs():
     assert len(translations) == len(workloads.TRANSLATION_STRATA)
     for job in translations:
         assert job.check(job.run()) is None
+
+
+def test_graphs_round_does_the_same_work_on_a_second_pass(monkeypatch):
+    # The traced run compares the span count of _saturate with its cProfile
+    # count from a second pass over the same jobs in the same process, so
+    # whatever enumeration keeps between calls must leave the saturations and
+    # transports of each pass unchanged.
+    from k3auto import rigidity
+
+    calls = {}
+    for name in ("_saturate", "_transport"):
+        original = getattr(rigidity, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(rigidity, name, counted)
+    first_round = next(workloads.graphs_rounds(1))
+    passes = []
+    for _ in range(2):
+        calls.update(_saturate=0, _transport=0)
+        for job in first_round:
+            assert job.check(job.run()) is None, job.kind
+        passes.append(dict(calls))
+    assert passes[0] == passes[1]
+    assert passes[0]["_saturate"] > 0

@@ -104,12 +104,88 @@ def test_direct_sum_rank_and_signature():
     assert signature(G) == (sum(p for p, _ in ps), sum(q for _, q in ps))
 
 
+def _reference_smith_normal_form(matrix):
+    """(D, U, V) with U * M * V = D: smith_normal_form with the row transform
+    U tracked through every row operation."""
+    a = [list(map(int, row)) for row in matrix]
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
+    U = [[int(i == j) for j in range(rows)] for i in range(rows)]
+    V = [[int(i == j) for j in range(cols)] for i in range(cols)]
+
+    def swap_rows(i, j):
+        a[i], a[j] = a[j], a[i]
+        U[i], U[j] = U[j], U[i]
+
+    def swap_cols(i, j):
+        for m in (a, V):
+            for row in m:
+                row[i], row[j] = row[j], row[i]
+
+    def add_row(src, dst, k):
+        for m in (a, U):
+            m[dst] = [x + k * y for x, y in zip(m[dst], m[src])]
+
+    def add_col(src, dst, k):
+        for m in (a, V):
+            for row in m:
+                if row[src]:
+                    row[dst] += k * row[src]
+
+    t = 0
+    while t < min(rows, cols):
+        best = None
+        least = 0
+        for i in range(t, rows):
+            row = a[i]
+            for j in range(t, cols):
+                if row[j] and (best is None or abs(row[j]) < least):
+                    best, least = (i, j), abs(row[j])
+                    if least == 1:
+                        break
+            if least == 1:
+                break
+        if best is None:
+            break
+        if best[0] != t:
+            swap_rows(t, best[0])
+        if best[1] != t:
+            swap_cols(t, best[1])
+        p = a[t][t]
+        dirty = False
+        for i in range(t + 1, rows):
+            if a[i][t]:
+                add_row(t, i, -(a[i][t] // p))
+                if a[i][t]:
+                    dirty = True
+        for j in range(t + 1, cols):
+            if a[t][j]:
+                add_col(t, j, -(a[t][j] // p))
+                if a[t][j]:
+                    dirty = True
+        if dirty:
+            continue
+        if abs(p) != 1:
+            offender = next(
+                (i for i in range(t + 1, rows) if any(v % p for v in a[i][t + 1:])), None
+            )
+            if offender is not None:
+                add_row(offender, t, 1)
+                continue
+        if p < 0:
+            a[t] = [-v for v in a[t]]
+            U[t] = [-v for v in U[t]]
+        t += 1
+    return a, U, V
+
+
 def test_smith_normal_form_properties():
     rng = random.Random(3)
     for _ in range(10):
         n = rng.randint(1, 5)
         M = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
-        D, U, V = smith_normal_form(M)
+        D, U, V = _reference_smith_normal_form(M)
+        assert smith_normal_form(M) == (D, V)
         # U M V == D
         UM = [[sum(U[i][k] * M[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
         UMV = [[sum(UM[i][k] * V[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
@@ -156,7 +232,7 @@ def _reference_discriminant(G):
     # Generators M^-1 U^-1 e_i with U M V = D, forms by Fraction pairings.
     M = _nondegenerate_gram(G)
     n = len(M)
-    D, U, _V = smith_normal_form(M)
+    D, U, _V = _reference_smith_normal_form(M)
     U_inv = _fraction_inverse(U)
     M_inv = _fraction_inverse(M)
     factors, gens = [], []
@@ -538,12 +614,13 @@ SUMMANDS = (
 
 def test_integer_kernels_match_the_dense_references():
     # Seeded sums of up to five summands, radicals U(0) included: the same
-    # Smith triple, discriminant group and signature as the references.
+    # Smith form (D, V), discriminant group and signature as the references.
     rng = random.Random(20)
     radicals = 0
     for _ in range(150):
         G = direct_sum([rng.choice(SUMMANDS) for _ in range(rng.randint(1, 5))])
-        assert smith_normal_form(G.entries) == _full_scan_smith_normal_form(G.entries)
+        D, _U, V = _full_scan_smith_normal_form(G.entries)
+        assert smith_normal_form(G.entries) == (D, V)
         assert discriminant_data(G) == _dense_discriminant_data(G)
         assert signature(G) == _reference_signature(G)
         radicals += sum(signature(G)) < G.size

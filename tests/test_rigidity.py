@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from k3auto import rigidity
 from k3auto.errors import InputError
-from k3auto.fixtures import load_bundle
+from k3auto.files import load_graph_text
+from k3auto.fixtures import fixture_text, load_bundle
 from k3auto.rigidity import (
     AnchorOnMobileCurveError,
     CurveConfig,
@@ -28,6 +29,7 @@ from k3auto.rigidity import (
     enumerate_actions,
     graph_automorphisms,
     inverse_action,
+    perm_dict,
     power,
     propagate,
     to_dot,
@@ -39,6 +41,10 @@ CFG = BUNDLE.config
 
 def identity_perm(config):
     return {v: v for v in config.vertices}
+
+
+def automorphism_dicts(config):
+    return [perm_dict(config, g) for g in graph_automorphisms(config)]
 
 
 def perm_from_cycles(config, cycles):
@@ -370,7 +376,7 @@ def test_validate_names_each_broken_rule(edit, error, message):
 
 
 def test_graph_automorphism_group():
-    auts = graph_automorphisms(CFG)
+    auts = automorphism_dicts(CFG)
     assert len(auts) == 240
     # Group sanity: identity present, closed under composition on a sample,
     # every element is an automorphism, and the generators appear.
@@ -454,7 +460,7 @@ def _reference_graph_automorphisms(config):
 
 
 def test_automorphisms_match_the_backtracking_reference_on_fixture():
-    assert graph_automorphisms(CFG) == _reference_graph_automorphisms(CFG)
+    assert automorphism_dicts(CFG) == _reference_graph_automorphisms(CFG)
 
 
 @settings(max_examples=200, deadline=None)
@@ -465,7 +471,7 @@ def test_automorphisms_match_the_backtracking_reference_on_fixture():
 @example(CurveConfig(["p", "q", "r", "s"], [("p", "q", 2), ("r", "s", 2), ("q", "r", 1)]))
 def test_automorphisms_match_the_backtracking_reference_on_small_graphs(config):
     # Isolated curves, tangency edges and disconnected graphs among them.
-    assert graph_automorphisms(config) == _reference_graph_automorphisms(config)
+    assert automorphism_dicts(config) == _reference_graph_automorphisms(config)
 
 
 def test_automorphisms_of_a_graph_over_the_vertex_bound_are_refused():
@@ -578,7 +584,7 @@ def reference_enumerate_actions(config, n, c, census_filter=None):
     survivor of each key is kept."""
     auts = graph_automorphisms(config)
     survivors = {}
-    for perm in auts:
+    for perm in automorphism_dicts(config):
         anchor = None
         for (a, b), _mult in sorted(config.edges.items()):
             if perm[a] == a and perm[b] == b:
@@ -666,14 +672,14 @@ def assert_early_orbit_rule_is_sound(config, perms, ns, c):
 
 
 def test_early_orbit_rule_matches_final_validation_on_fixture():
-    assert assert_early_orbit_rule_is_sound(CFG, graph_automorphisms(CFG), (8, 16), 1) > 0
+    assert assert_early_orbit_rule_is_sound(CFG, automorphism_dicts(CFG), (8, 16), 1) > 0
 
 
 @settings(max_examples=100, deadline=None)
 @given(small_configs(), st.sampled_from([2, 4, 6, 8]), st.data())
 def test_early_orbit_rule_matches_final_validation_on_small_graphs(config, n, data):
     c = data.draw(st.integers(0, n - 1))
-    assert_early_orbit_rule_is_sound(config, graph_automorphisms(config), (n,), c)
+    assert_early_orbit_rule_is_sound(config, automorphism_dicts(config), (n,), c)
 
 
 def conjugate(g, p):
@@ -697,9 +703,21 @@ def conjugacy_classes_by_search(auts):
     return classes
 
 
+def conjugacy_classes_as_dicts(config):
+    """_conjugacy_classes of Aut(config), every permutation as a dict."""
+    return [
+        (
+            perm_dict(config, p),
+            {j: perm_dict(config, r) for j, r in transporters.items()},
+            [perm_dict(config, g) for g in centraliser],
+        )
+        for p, transporters, centraliser in _conjugacy_classes(graph_automorphisms(config))
+    ]
+
+
 def test_conjugacy_classes_match_a_search_on_fixture():
-    auts = graph_automorphisms(CFG)
-    got = list(_conjugacy_classes(CFG, auts))
+    auts = automorphism_dicts(CFG)
+    got = conjugacy_classes_as_dicts(CFG)
     want = conjugacy_classes_by_search(auts)
     assert len(got) == 14
     assert [(p, [auts[j] for j in tr], centraliser) for p, tr, centraliser in got] == want
@@ -715,8 +733,8 @@ def assert_centraliser_orbits_match_full_transport(config, actions):
     the whole Aut(G)-orbit.  Members of C(p) with the same restriction to the
     curves p fixes (the same move) give the same image, so one member per
     move gives every key of the centraliser orbit."""
-    auts = graph_automorphisms(config)
-    classes = list(_conjugacy_classes(config, auts))
+    auts = automorphism_dicts(config)
+    classes = conjugacy_classes_as_dicts(config)
     for action in actions:
         j = auts.index(action.perm)
         p, transporters, centraliser = next(cls for cls in classes if j in cls[1])
@@ -754,7 +772,7 @@ def test_centraliser_orbits_follow_the_centraliser_on_a_chain():
     # three curves moves an action of trivial permutation whose end weights
     # differ.
     cfg = CurveConfig(["L", "M", "R"], [("L", "M", 1), ("M", "R", 1)])
-    auts = graph_automorphisms(cfg)
+    auts = automorphism_dicts(cfg)
     actions = enumerate_actions(cfg, 8, 1)
     assert any(len({_transport(a, g).reduced_key() for g in auts}) > 1 for a in actions)
     assert_centraliser_orbits_match_full_transport(cfg, actions)
@@ -794,25 +812,91 @@ def test_enumeration_transports_once_per_class(monkeypatch):
     # least key is the class key, and its representative along its
     # transporter (8).  The census runs once per class of actions in the
     # filtered run; rejecting a class records its centraliser orbit, so no
-    # conjugate survivor is censused again.
+    # conjugate survivor is censused again.  A fresh config, so the count
+    # does not depend on which test enumerated on the shared one first.
+    config = load_graph_text(fixture_text("order16_graph.txt"))[0]
     calls = count_calls(
         monkeypatch,
         (rigidity, "_saturate"),
         (rigidity, "_transport"),
         (CurveConfig, "is_automorphism"),
         (GraphAction, "census"),
+        (rigidity, "graph_automorphisms"),
+        (rigidity, "_conjugacy_classes"),
+        (rigidity, "_frame"),
     )
-    classes = enumerate_actions(CFG, 16, 1)
+    classes = enumerate_actions(config, 16, 1)
     assert len(classes) == 8
     assert calls == {
         "_saturate": 224,
         "_transport": 9 + 8,
         "is_automorphism": 14 + 8,
         "census": 0,
+        "graph_automorphisms": 1,
+        "_conjugacy_classes": 1,
+        "_frame": 14 + 8,
+    }
+    # The second call reads the group, classes, frames, moves and anchors
+    # from the config: only the validation of each survivor checks its
+    # permutation, and the saturations and transports are the same.
+    calls.update(dict.fromkeys(calls, 0))
+    assert action_data(enumerate_actions(config, 16, 1)) == action_data(classes)
+    assert calls == {
+        "_saturate": 224,
+        "_transport": 9 + 8,
+        "is_automorphism": 8,
+        "census": 0,
+        "graph_automorphisms": 0,
+        "_conjugacy_classes": 0,
+        "_frame": 8,
     }
     calls.update(dict.fromkeys(calls, 0))
-    assert len(enumerate_actions(CFG, 16, 1, (10, 1))) == 1
+    assert len(enumerate_actions(config, 16, 1, (10, 1))) == 1
     assert calls["census"] == 8
+    # canonical_key without a group reads the same cached list.
+    calls.update(dict.fromkeys(calls, 0))
+    key = canonical_key(classes[0])
+    assert calls["graph_automorphisms"] == 0
+    assert calls["_transport"] == 240
+    assert key == canonical_key(classes[0], graph_automorphisms(config))
+
+
+SWEEP = [
+    (n, c, census_filter)
+    for n in (1, 2, 3, 4, 6, 8, 16)
+    for c in range(n)
+    for census_filter in (None, (10, 1), (8, 0), (4, 0))
+]
+
+
+def fresh_copy(config):
+    return CurveConfig(config.vertices, [(a, b, m) for (a, b), m in config.edges.items()])
+
+
+def test_symmetry_data_changes_no_enumeration():
+    # Each case on a fresh config against the whole sweep on one config,
+    # forward and reversed, so every case also runs on data a different
+    # (n, c) built.
+    cold = {case: action_data(enumerate_actions(fresh_copy(CFG), *case)) for case in SWEEP}
+    for cases in (SWEEP, SWEEP[::-1]):
+        warm = fresh_copy(CFG)
+        assert {case: action_data(enumerate_actions(warm, *case)) for case in cases} == cold
+
+
+def test_configs_from_different_texts_do_not_share_symmetry_data():
+    text = fixture_text("order16_graph.txt")
+    graph = text[: text.index("[action")]
+    assert "edge s1 b5\n" in graph
+    configs = [load_graph_text(text)[0], load_graph_text(graph.replace("edge s1 b5\n", ""))[0]]
+    first = [action_data(enumerate_actions(config, 16, 1)) for config in configs]
+    assert first[0] != first[1]
+    assert [len(rigidity._symmetry(config)[0]) for config in configs] == [240, 24]
+    for config, want in zip(configs, first):
+        fresh = fresh_copy(config)
+        assert action_data(enumerate_actions(fresh, 16, 1)) == want
+        assert action_data(enumerate_actions(config, 8, 3)) == action_data(
+            enumerate_actions(fresh, 8, 3)
+        )
 
 
 # The D4 diagram in Bourbaki's labels: centre e2, ends e1, e3, e4.  The class
