@@ -645,9 +645,12 @@ def test_enumeration_matches_reference_on_small_graphs(config, n, data):
 # -- early orbit-length rule and centraliser orbits against their references --
 
 
-def saturation_outcome(config, perm, n, c, anchor, w, frame):
+def saturation_outcome(config, perm, n, c, anchor, w, frame, revalidate=False):
     try:
-        return _saturate(config, perm, n, c, {anchor: w}, frame=frame).reduced_key()
+        action = _saturate(config, perm, n, c, {anchor: w}, frame=frame)
+        if revalidate:
+            action.validate()
+        return action.reduced_key()
     except RigidityError:
         return None
 
@@ -655,7 +658,9 @@ def saturation_outcome(config, perm, n, c, anchor, w, frame):
 def assert_early_orbit_rule_is_sound(config, perms, ns, c):
     """Saturating every anchor weight from the first fixed edge flag gives the
     same outcome with the orbit-length table as with it emptied, where only
-    the final validation applies the rule."""
+    the final validation applies the rule: _saturate validates against the
+    frame it is given, so the emptied run is validated again by a bare
+    validate(), which builds the full frame."""
     accepted = 0
     for perm in perms:
         frame = _frame(config, perm)
@@ -666,7 +671,8 @@ def assert_early_orbit_rule_is_sound(config, perms, ns, c):
         for n in ns:
             for w in range(n):
                 early = saturation_outcome(config, perm, n, c, (a, pid), w, frame)
-                assert early == saturation_outcome(config, perm, n, c, (a, pid), w, late)
+                late_outcome = saturation_outcome(config, perm, n, c, (a, pid), w, late, True)
+                assert early == late_outcome
                 accepted += early is not None
     return accepted
 
@@ -726,6 +732,13 @@ def test_conjugacy_classes_match_a_search_on_fixture():
             assert r == next(g for g in auts if conjugate(g, p) == auts[j])
 
 
+def transport(action, g):
+    """_transport along g given as a map of vertex names, extended to the
+    edge point ids by formatting each image."""
+    points = {edge_point_id(a, b): edge_point_id(g[a], g[b]) for a, b in action.config.edges}
+    return _transport(action, {**g, **points})
+
+
 def assert_centraliser_orbits_match_full_transport(config, actions):
     """Each action, moved onto the representative p of its conjugacy class,
     has as its centraliser orbit exactly the members of its Aut(G)-orbit with
@@ -738,14 +751,14 @@ def assert_centraliser_orbits_match_full_transport(config, actions):
     for action in actions:
         j = auts.index(action.perm)
         p, transporters, centraliser = next(cls for cls in classes if j in cls[1])
-        moved = _transport(action, {w: v for v, w in transporters[j].items()})
+        moved = transport(action, {w: v for v, w in transporters[j].items()})
         assert moved.perm == p
-        want = {_transport(action, g).reduced_key() for g in auts}
+        want = {transport(action, g).reduced_key() for g in auts}
         stable = _frame(config, p)[0]
         images = {}
         for h in centraliser:
             move = tuple(h[v] for v in stable)
-            images.setdefault(move, set()).add(_transport(moved, h).reduced_key())
+            images.setdefault(move, set()).add(transport(moved, h).reduced_key())
         assert all(len(image) == 1 for image in images.values())
         keys = set().union(*images.values())
         assert keys == {key for key in want if key[2] == tuple(sorted(p.items()))}
@@ -753,7 +766,7 @@ def assert_centraliser_orbits_match_full_transport(config, actions):
         # centraliser orbit: it is the least key of the whole orbit.
         assert min(keys) == min(want)
         orbit = {
-            _transport(_transport(moved, h), g).reduced_key()
+            transport(transport(moved, h), g).reduced_key()
             for g in transporters.values()
             for h in centraliser
         }
@@ -774,7 +787,7 @@ def test_centraliser_orbits_follow_the_centraliser_on_a_chain():
     cfg = CurveConfig(["L", "M", "R"], [("L", "M", 1), ("M", "R", 1)])
     auts = automorphism_dicts(cfg)
     actions = enumerate_actions(cfg, 8, 1)
-    assert any(len({_transport(a, g).reduced_key() for g in auts}) > 1 for a in actions)
+    assert any(len({transport(a, g).reduced_key() for g in auts}) > 1 for a in actions)
     assert_centraliser_orbits_match_full_transport(cfg, actions)
 
 
@@ -803,14 +816,17 @@ def count_calls(monkeypatch, *targets):
 def test_enumeration_transports_once_per_class(monkeypatch):
     # Aut(G) of the fixture has 240 members in 14 conjugacy classes, all with
     # a fixed edge; their representatives have 14 distinct pulled-back
-    # anchors in all, so 14 * 16 = 224 saturations (the reference, one scan
-    # per automorphism, makes 3,840).  One frame per class (14 automorphism
-    # checks) plus one check in the validation of each of the 8 saturations
-    # that reach it.  Each of the 8 classes of actions transports its survivor
-    # along one member of the centraliser of its permutation per distinct
-    # restriction to the fixed curves (9 in all, against 330 members), whose
-    # least key is the class key, and its representative along its
-    # transporter (8).  The census runs once per class of actions in the
+    # anchors in all.  The plan of each anchor refutes every weight but the
+    # 8 survivors and 30 weights at which a form it assumed nonzero vanishes
+    # (w = 0 and w = c among them), so 38 saturations, against 14 * 16 = 224
+    # for one per anchor and weight (the reference, one scan per
+    # automorphism, makes 3,840).  One frame per class (14 automorphism
+    # checks); each saturation validates against the frame it was given, so
+    # no other frame is built.  Each of the 8 classes of actions transports
+    # its survivor along one member of the centraliser of its permutation per
+    # distinct restriction to the fixed curves (9 in all, against 330
+    # members), whose least key is the class key, and its representative
+    # along its transporter (8).  The census runs once per class of actions in the
     # filtered run; rejecting a class records its centraliser orbit, so no
     # conjugate survivor is censused again.  A fresh config, so the count
     # does not depend on which test enumerated on the shared one first.
@@ -828,28 +844,32 @@ def test_enumeration_transports_once_per_class(monkeypatch):
     classes = enumerate_actions(config, 16, 1)
     assert len(classes) == 8
     assert calls == {
-        "_saturate": 224,
+        "_saturate": 38,
         "_transport": 9 + 8,
-        "is_automorphism": 14 + 8,
+        "is_automorphism": 14,
         "census": 0,
         "graph_automorphisms": 1,
         "_conjugacy_classes": 1,
-        "_frame": 14 + 8,
+        "_frame": 14,
     }
-    # The second call reads the group, classes, frames, moves and anchors
-    # from the config: only the validation of each survivor checks its
-    # permutation, and the saturations and transports are the same.
+    # The second call reads the group, classes, frames, moves, anchors and
+    # plans from the config: it builds and checks no frame, and the
+    # saturations and transports are the same.
     calls.update(dict.fromkeys(calls, 0))
     assert action_data(enumerate_actions(config, 16, 1)) == action_data(classes)
     assert calls == {
-        "_saturate": 224,
+        "_saturate": 38,
         "_transport": 9 + 8,
-        "is_automorphism": 8,
+        "is_automorphism": 0,
         "census": 0,
         "graph_automorphisms": 0,
         "_conjugacy_classes": 0,
-        "_frame": 8,
+        "_frame": 0,
     }
+    # A bare validate() still builds and checks its own frame.
+    calls.update(dict.fromkeys(calls, 0))
+    classes[0].validate()
+    assert (calls["_frame"], calls["is_automorphism"]) == (1, 1)
     calls.update(dict.fromkeys(calls, 0))
     assert len(enumerate_actions(config, 16, 1, (10, 1))) == 1
     assert calls["census"] == 8
@@ -873,11 +893,17 @@ def fresh_copy(config):
     return CurveConfig(config.vertices, [(a, b, m) for (a, b), m in config.edges.items()])
 
 
-def test_symmetry_data_changes_no_enumeration():
+def test_symmetry_data_changes_no_enumeration(monkeypatch):
     # Each case on a fresh config against the whole sweep on one config,
     # forward and reversed, so every case also runs on data a different
-    # (n, c) built.
-    cold = {case: action_data(enumerate_actions(fresh_copy(CFG), *case)) for case in SWEEP}
+    # (n, c) built.  No case saturates more than once per anchor (14 in
+    # all) and weight.
+    calls = count_calls(monkeypatch, (rigidity, "_saturate"))
+    cold = {}
+    for case in SWEEP:
+        calls["_saturate"] = 0
+        cold[case] = action_data(enumerate_actions(fresh_copy(CFG), *case))
+        assert calls["_saturate"] <= 14 * case[0]
     for cases in (SWEEP, SWEEP[::-1]):
         warm = fresh_copy(CFG)
         assert {case: action_data(enumerate_actions(warm, *case)) for case in cases} == cold
@@ -906,6 +932,20 @@ def test_configs_from_different_texts_do_not_share_symmetry_data():
 D4 = CurveConfig(["e1", "e2", "e3", "e4"], [("e1", "e2", 1), ("e2", "e3", 1), ("e2", "e4", 1)])
 
 
+def d4_saturations(n, c):
+    """The saturations enumerate_actions(D4, n, c) runs.  The identity has
+    one anchor; its plan fails (c - w on e2, which has three fixed points),
+    so only the weights where an assumed form vanishes are saturated: w = 0
+    and w = c, or every w when c = 0 (the weight c at e3 and e4).  The
+    transpositions have two anchors, each saturated at w = 0, w = c and, for
+    even n, at the one weight whose rotation order on e2 is 2 (w = c + n/2
+    from e1, w = n/2 from e2).  The 3-cycles fix no edge."""
+    identity = len({0, c}) if c else n
+    if n % 2:
+        return identity + 2 * len({0, c})
+    return identity + len({0, c, (c + n // 2) % n}) + len({0, c, n // 2})
+
+
 def test_a_class_with_two_anchors_matches_the_reference(monkeypatch):
     calls = count_calls(monkeypatch, (rigidity, "_saturate"))
     found = 0
@@ -913,8 +953,7 @@ def test_a_class_with_two_anchors_matches_the_reference(monkeypatch):
         for c in range(n):
             calls["_saturate"] = 0
             got = enumerate_actions(D4, n, c)
-            # identity: one anchor; the transpositions: two; the 3-cycles fix no edge.
-            assert calls["_saturate"] == 3 * n
+            assert calls["_saturate"] == d4_saturations(n, c) <= 3 * n
             want = reference_enumerate_actions(D4, n, c)
             assert action_data(got) == action_data(want)
             found += len(got)
@@ -930,12 +969,55 @@ def test_interchangeable_curves_cost_one_saturation_per_class_and_weight(monkeyp
     # members in 30 conjugacy classes.  The 15 classes that fix w and v1 (one
     # per cycle type of S7) have the fixed edge, each with one anchor; the
     # reference saturates once per weight for each of the 5,040 automorphisms
-    # that fix the edge.
+    # that fix the edge.  With n = 2 every weight is one where a form a plan
+    # assumed nonzero vanishes (w = 0, and c - w on v1 at w = 1), so each
+    # is saturated.
     cfg = CurveConfig(["w", "v1"] + [f"x{i}" for i in range(7)], [("w", "v1", 1)])
     calls = count_calls(monkeypatch, (rigidity, "_saturate"))
     classes = enumerate_actions(cfg, 2, 1)
     assert len(classes) == 4
     assert calls["_saturate"] == 15 * 2
+
+
+# -- anchor-weight plans against saturation ------------------------------------
+
+
+def assert_plans_match_saturation(config, cases):
+    """For every class and anchor of enumerate_actions, (n, c) in cases and w
+    in Z_n: a weight the plan refutes does not saturate, and a weight it
+    keeps at which no form it assumed nonzero vanishes (a non-degenerate
+    weight) saturates.  Returns how many weights were refuted, kept and
+    degenerate."""
+    seen = {"refuted": 0, "kept": 0, "degenerate": 0}
+    for perm, frame, _moves, anchors in rigidity._symmetry(config)[1]:
+        for anchor, (plan, _r) in anchors.items():
+            nonzero = plan[0]  # the forms the plan assumed nonzero
+            for n, c in cases:
+                kept = rigidity._anchor_weights(plan, n, c)
+                for w in range(n):
+                    outcome = saturation_outcome(config, perm, n, c, anchor, w, frame)
+                    if w not in kept:
+                        assert outcome is None, (perm, anchor, n, c, w)
+                        seen["refuted"] += 1
+                    elif any((s * w + k * c) % n == 0 for s, k in nonzero):
+                        seen["degenerate"] += 1
+                    else:
+                        assert outcome is not None, (perm, anchor, n, c, w)
+                        seen["kept"] += 1
+    return seen
+
+
+def test_plans_match_saturation_on_the_fixture_sweep():
+    cases = sorted({(n, c) for n, c, _filter in SWEEP})
+    seen = assert_plans_match_saturation(CFG, cases)
+    assert min(seen.values()) > 0, seen
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_configs(), st.sampled_from([1, 2, 3, 4, 6, 8]), st.data())
+def test_plans_match_saturation_on_small_graphs(config, n, data):
+    c = data.draw(st.sampled_from(range(0, n, 2)))
+    assert_plans_match_saturation(config, sorted({(n, c), (n, 0)}))
 
 
 @pytest.mark.xfail(
