@@ -8,6 +8,12 @@ reduction integral, and inverses go through the field norm instead of a
 Euclidean algorithm over the rationals.  Nothing here ever touches floating
 point, and two field elements are equal exactly when their reduced
 numerators and denominators are.
+
+Three integer-level helpers are public for the polynomial kernel of
+``polyring.MultiPoly``, which works on numerator vectors directly:
+``reduce_mod_phi`` (an unreduced integer vector modulo Phi_n),
+``canonical`` (numerators over a positive denominator to a canonical
+``CycloNum``) and ``product`` (a field product with no operand coercion).
 """
 from __future__ import annotations
 
@@ -183,7 +189,7 @@ class CyclotomicField:
         num = [c * den if isinstance(c, int) else c.numerator * (den // c.denominator)
                for c in fracs]
         num += [0] * (self.degree - len(num))
-        return _canonical(self, num, den)
+        return canonical(self, num, den)
 
     def zero(self) -> CycloNum:
         return self._zero
@@ -206,7 +212,7 @@ class CyclotomicField:
         k %= self.order
         vec = [0] * max(self.degree, k + 1)
         vec[k] = 1
-        return CycloNum(self, _reduce(vec, self), 1)
+        return CycloNum(self, reduce_mod_phi(vec, self), 1)
 
     def zeta_powers(self) -> tuple[CycloNum, ...]:
         """All n powers of zeta_n, cached; zeta_powers()[k] == zeta(k)."""
@@ -247,8 +253,10 @@ def cyclotomic_field(n: int) -> CyclotomicField:
     return CyclotomicField(n)
 
 
-def _reduce(vec: list[int], field: CyclotomicField) -> tuple[int, ...]:
-    # Reduce an integer coefficient list modulo Phi_n, in place from the top.
+def reduce_mod_phi(vec: list[int], field: CyclotomicField) -> tuple[int, ...]:
+    """Reduce an integer coefficient list (constant term first, any length
+    >= the field degree) modulo Phi_n, in place from the top; the first
+    degree entries are returned."""
     deg = field.degree
     red = field._reduction
     for i in range(len(vec) - 1, deg - 1, -1):
@@ -269,11 +277,12 @@ def _convolve(a: tuple[int, ...], b: tuple[int, ...], field: CyclotomicField) ->
         if x:
             for j, y in terms:
                 conv[i + j] += x * y
-    return _reduce(conv, field)
+    return reduce_mod_phi(conv, field)
 
 
-def _canonical(field: CyclotomicField, num, den: int) -> CycloNum:
-    # num / den with den > 0, divided through by gcd(den, *num).
+def canonical(field: CyclotomicField, num, den: int) -> CycloNum:
+    """The element num / den in canonical form, for reduced integer
+    numerators num and den > 0: both divided through by gcd(den, *num)."""
     if den != 1:
         g = gcd(den, *num)
         if g != 1:
@@ -316,7 +325,7 @@ class CycloNum:
         else:
             g = gcd(d1, d2)
             s1, s2 = d2 // g, sign * (d1 // g)
-        return _canonical(
+        return canonical(
             self.field, [a * s1 + b * s2 for a, b in zip(self.num, other.num)], d1 * s1
         )
 
@@ -344,16 +353,7 @@ class CycloNum:
         other = self._match(other)
         if other is NotImplemented:
             return NotImplemented
-        field = self.field
-        if other.is_rational():
-            c = other.num[0]
-            num = [a * c for a in self.num] if c != 1 else self.num
-        elif self.is_rational():
-            c = self.num[0]
-            num = [a * c for a in other.num] if c != 1 else other.num
-        else:
-            num = _convolve(self.num, other.num, field)
-        return _canonical(field, num, self.den * other.den)
+        return product(self, other)
 
     __rmul__ = __mul__
 
@@ -387,21 +387,23 @@ class CycloNum:
             sign = 1 if c > 0 else -1
             return CycloNum(field, (sign * self.den,) + num[1:], sign * c)
         deg = field.degree
-        product = None
+        conjugates = None
         for columns in field._conjugation_maps():
             conj = [0] * deg
             for c, column in zip(num, columns):
                 if c:
                     for i, v in column:
                         conj[i] += c * v
-            product = tuple(conj) if product is None else _convolve(product, conj, field)
+            conjugates = (
+                tuple(conj) if conjugates is None else _convolve(conjugates, conj, field)
+            )
         # Q(zeta_n) for n > 2 has no real embedding and its automorphisms come
         # in complex-conjugate pairs, so the norm is a product of |sigma(num)|^2:
         # a positive integer.
-        norm = _convolve(num, product, field)
+        norm = _convolve(num, conjugates, field)
         if norm[0] <= 0 or any(norm[1:]):
             raise ArithmeticError(f"the norm of {self} is not a positive rational")
-        return _canonical(field, [c * self.den for c in product], norm[0])
+        return canonical(field, [c * self.den for c in conjugates], norm[0])
 
     def __eq__(self, other) -> bool:
         if isinstance(other, CycloNum):
@@ -488,3 +490,16 @@ class CycloNum:
             else:
                 parts.append(f" {'-' if c < 0 else '+'} {body}")
         return "".join(parts) if parts else "0"
+
+
+def product(a: CycloNum, b: CycloNum) -> CycloNum:
+    """a * b for two elements of one field, with no operand coercion."""
+    if b.is_rational():
+        c = b.num[0]
+        num = [v * c for v in a.num] if c != 1 else a.num
+    elif a.is_rational():
+        c = a.num[0]
+        num = [v * c for v in b.num] if c != 1 else b.num
+    else:
+        num = _convolve(a.num, b.num, a.field)
+    return canonical(a.field, num, a.den * b.den)

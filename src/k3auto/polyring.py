@@ -4,6 +4,12 @@ Two layers:
 
 * ``MultiPoly``: sparse polynomials in the fixed variable triple (x, y, t),
   the one polynomial type; base-curve data are MultiPoly values in t alone.
+  Every stored coefficient is a nonzero ``CycloNum`` in canonical form.  The
+  arithmetic kernel (``*``, ``+``, ``-``, ``exact_div``) relies on that and
+  keeps it without a zero filter: a product of nonzero field elements is
+  nonzero, and a sum drops its term only when it cancels.  A product of two
+  polynomials with several terms each is one integer convolution per output
+  term over a common denominator, reduced and canonicalised once.
 * ``RationalFunction``: reduced fractions of MultiPoly in a canonical form,
   so equality is structural.
 
@@ -16,8 +22,17 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
+from math import gcd
 
-from .cyclotomic import CycloNum, CyclotomicField, power
+from .cyclotomic import (
+    CycloNum,
+    CyclotomicField,
+    MixedFieldsError,
+    canonical,
+    power,
+    product,
+    reduce_mod_phi,
+)
 
 INF = float("inf")
 
@@ -63,13 +78,27 @@ def _coeff_body(c: CycloNum, symbol: str) -> tuple[bool, str]:
 
 
 class MultiPoly:
-    """Sparse polynomial in (x, y, t): exponent triples mapped to coefficients."""
+    """Sparse polynomial in (x, y, t): exponent triples mapped to coefficients.
+
+    The constructor drops zero coefficients, so every stored coefficient is
+    nonzero, and canonical as every ``CycloNum`` is.  The arithmetic below
+    builds its results through ``_of``, which trusts that invariant instead
+    of filtering again.  A MultiPoly is never changed after it is built.
+    """
 
     __slots__ = ("field", "terms")
 
     def __init__(self, field: CyclotomicField, terms: dict):
         self.field = field
         self.terms = {e: c for e, c in terms.items() if not c.is_zero()}
+
+    @classmethod
+    def _of(cls, field: CyclotomicField, terms: dict) -> "MultiPoly":
+        # terms already holds nonzero coefficients only, and is not shared.
+        out = cls.__new__(cls)
+        out.field = field
+        out.terms = terms
+        return out
 
     @classmethod
     def zero(cls, field):
@@ -114,54 +143,77 @@ class MultiPoly:
         idx = _VAR_INDEX[var]
         return max((e[idx] for e in self.terms), default=-1)
 
-    def _combine(self, other, op):
-        # Termwise self op other, for op the coefficient + or -.
+    def _combine(self, other, negate: bool):
+        # self + other, or self - other when negate: a term of other new to
+        # self goes in as it is, and a shared term stays unless it cancels.
         other = self._match(other)
         if other is NotImplemented:
             return NotImplemented
         out = dict(self.terms)
-        zero = self.field.zero()
         for e, c in other.terms.items():
-            out[e] = op(out.get(e, zero), c)
-        return MultiPoly(self.field, out)
+            a = out.get(e)
+            if a is None:
+                out[e] = -c if negate else c
+            else:
+                a = a - c if negate else a + c
+                if a.is_zero():
+                    del out[e]
+                else:
+                    out[e] = a
+        return MultiPoly._of(self.field, out)
 
     def __add__(self, other):
-        return self._combine(other, CycloNum.__add__)
+        return self._combine(other, False)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self._combine(other, CycloNum.__sub__)
+        return self._combine(other, True)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self):
-        return MultiPoly(self.field, {e: -c for e, c in self.terms.items()})
+        return MultiPoly._of(self.field, {e: -c for e, c in self.terms.items()})
+
+    def _check_field(self, other) -> None:
+        # The kernel works on numerators, which mean nothing across fields.
+        if other.field is not self.field and other.field != self.field:
+            raise MixedFieldsError(
+                f"cannot mix Q(zeta_{self.field.order}) with Q(zeta_{other.field.order})"
+            )
+
+    def _scalar(self, value) -> CycloNum:
+        # An int, Fraction or CycloNum as an element of self.field.
+        if not isinstance(value, CycloNum):
+            return self.field.from_rational(value)
+        self._check_field(value)
+        return value
 
     def _match(self, other):
         if isinstance(other, MultiPoly):
+            self._check_field(other)
             return other
         if isinstance(other, (int, Fraction, CycloNum)):
-            return MultiPoly.constant(self.field, other)
+            return MultiPoly.constant(self.field, self._scalar(other))
         return NotImplemented
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, CycloNum)):
-            c = other if isinstance(other, CycloNum) else self.field.from_rational(other)
+        if not isinstance(other, MultiPoly):
+            if not isinstance(other, (int, Fraction, CycloNum)):
+                return NotImplemented
+            c = self._scalar(other)
             if c.is_zero():
                 return MultiPoly.zero(self.field)
-            return MultiPoly(self.field, {e: v * c for e, v in self.terms.items()})
-        other = self._match(other)
-        if other is NotImplemented:
-            return NotImplemented
-        out: dict = {}
-        zero = self.field.zero()
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2])
-                out[e] = out.get(e, zero) + c1 * c2
-        return MultiPoly(self.field, out)
+            return _scaled(self, c)
+        self._check_field(other)
+        if len(other.terms) == 1:
+            (e, c), = other.terms.items()
+            return _scaled(self, c, e)
+        if len(self.terms) == 1:
+            (e, c), = self.terms.items()
+            return _scaled(other, c, e)
+        return _convolution(self, other)
 
     __rmul__ = __mul__
 
@@ -171,9 +223,11 @@ class MultiPoly:
         return power(self, n, _one(self.field))
 
     def __eq__(self, other):
-        other = self._match(other)
-        if other is NotImplemented:
-            return NotImplemented
+        # Structural, and False across fields rather than an error.
+        if not isinstance(other, MultiPoly):
+            if not isinstance(other, (int, Fraction, CycloNum)):
+                return NotImplemented
+            other = MultiPoly.constant(self.field, other)
         return other.terms == self.terms
 
     def __hash__(self):
@@ -197,7 +251,7 @@ class MultiPoly:
             rest = list(e)
             rest[idx] = 0
             out.setdefault(e[idx], {})[tuple(rest)] = c
-        return {k: MultiPoly(self.field, v) for k, v in out.items()}
+        return {k: MultiPoly._of(self.field, v) for k, v in out.items()}
 
     def derivative(self, var: str) -> "MultiPoly":
         idx = _VAR_INDEX[var]
@@ -214,32 +268,37 @@ class MultiPoly:
         """Exact multivariate division; raises ArithmeticError when not exact."""
         if divisor.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
+        self._check_field(divisor)
         if divisor.is_constant():
-            inv = divisor.constant_value().inverse()
-            return self * inv
+            return _scaled(self, divisor.constant_value().inverse())
         # The remainder lives in one dict; each quotient term cancels its
-        # leading term exactly and updates the terms below it in place.
+        # leading term exactly and updates the terms below it in place: a
+        # term new to the remainder goes in as it is, and a shared term
+        # leaves only when it cancels.
         rem = dict(self.terms)
         quo: dict = {}
         de = max(divisor.terms)
         dc_inv = divisor.terms[de].inverse()
         lower = [(e, c) for e, c in divisor.terms.items() if e != de]
-        zero = self.field.zero()
         while rem:
             re = max(rem)
             qe = (re[0] - de[0], re[1] - de[1], re[2] - de[2])
             if min(qe) < 0:
                 raise ArithmeticError("division is not exact")
-            qc = rem.pop(re) * dc_inv
+            qc = product(rem.pop(re), dc_inv)
             quo[qe] = qc
             for e, c in lower:
                 k = (e[0] + qe[0], e[1] + qe[1], e[2] + qe[2])
-                v = rem.get(k, zero) - qc * c
-                if v.is_zero():
-                    del rem[k]
+                v = rem.get(k)
+                if v is None:
+                    rem[k] = -product(qc, c)
                 else:
-                    rem[k] = v
-        return MultiPoly(self.field, quo)
+                    v = v - product(qc, c)
+                    if v.is_zero():
+                        del rem[k]
+                    else:
+                        rem[k] = v
+        return MultiPoly._of(self.field, quo)
 
     def __repr__(self):
         return f"MultiPoly({self})"
@@ -260,6 +319,62 @@ class MultiPoly:
 # The benchmark (perfbench/workloads.py) imports the polynomial type under
 # this name.
 UniPoly = MultiPoly
+
+
+def _scaled(p: MultiPoly, c: CycloNum, shift=None) -> MultiPoly:
+    # p * c * monomial(shift) for a nonzero scalar c of p's field: a product
+    # of nonzero field elements is nonzero, so every term stays.
+    one = c.den == 1 and c.num[0] == 1 and c.is_rational()
+    if shift is None or not any(shift):
+        if one:
+            return p
+        return MultiPoly._of(p.field, {e: product(v, c) for e, v in p.terms.items()})
+    x, y, t = shift
+    return MultiPoly._of(p.field, {
+        (e[0] + x, e[1] + y, e[2] + t): v if one else product(v, c)
+        for e, v in p.terms.items()
+    })
+
+
+def _numerators(p: MultiPoly) -> tuple[int, list]:
+    # p's coefficients over one common denominator den: (den, [(exponents,
+    # [(i, numerator of zeta^i), ...]), ...]) with the nonzero entries only.
+    den = 1
+    for c in p.terms.values():
+        d = c.den
+        if den % d:
+            den = den // gcd(den, d) * d
+    return den, [
+        (e, [(i, v * (den // c.den)) for i, v in enumerate(c.num) if v])
+        for e, c in p.terms.items()
+    ]
+
+
+def _convolution(p: MultiPoly, q: MultiPoly) -> MultiPoly:
+    # p * q where neither factor is a single term: the unreduced
+    # convolutions of integer numerators accumulate per output exponent, and
+    # each output term is reduced modulo Phi_n and made canonical once.
+    field = p.field
+    dp, a = _numerators(p)
+    dq, b = _numerators(q)
+    width = 2 * field.degree - 1
+    acc: dict = {}
+    for (x1, y1, t1), s1 in a:
+        for (x2, y2, t2), s2 in b:
+            e = (x1 + x2, y1 + y2, t1 + t2)
+            conv = acc.get(e)
+            if conv is None:
+                conv = acc[e] = [0] * width
+            for i, u in s1:
+                for j, v in s2:
+                    conv[i + j] += u * v
+    den = dp * dq
+    out = {}
+    for e, conv in acc.items():
+        num = reduce_mod_phi(conv, field)
+        if any(num):
+            out[e] = canonical(field, num, den)
+    return MultiPoly._of(field, out)
 
 
 @functools.lru_cache(maxsize=None)
@@ -319,7 +434,7 @@ def _prem(a: MultiPoly, b: MultiPoly, var: str) -> MultiPoly:
             e = list(e)
             e[idx] = shift
             lr[tuple(e)] = c
-        r = r * lb - b * MultiPoly(field, lr)
+        r = r * lb - b * MultiPoly._of(field, lr)
         missing -= 1
     if missing > 0 and r.terms:
         r = r * lb ** missing

@@ -60,11 +60,6 @@ def _fiber_numbers(fiber_type: str) -> tuple[int, int]:
     raise ValueError(f"unknown Kodaira type {fiber_type!r}")
 
 
-def euler_number(fiber_type: str) -> int:
-    """Euler number of a Kodaira fiber."""
-    return _fiber_numbers(fiber_type)[0]
-
-
 def component_count(fiber_type: str) -> int:
     """Number of irreducible components of a Kodaira fiber."""
     return _fiber_numbers(fiber_type)[1]

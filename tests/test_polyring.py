@@ -1,10 +1,13 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from k3auto import polyring
-from k3auto.cyclotomic import cyclotomic_field
+from k3auto.cyclotomic import CycloNum, MixedFieldsError, cyclotomic_field
 from k3auto.polyring import (
     INF,
     MultiPoly,
@@ -557,3 +560,190 @@ def test_first_power_makes_no_multiplication(monkeypatch):
     base = upoly(1, 2, 3)
     assert base ** 1 == base
     assert calls == []
+
+
+# -- the arithmetic kernel against the termwise loops --------------------------
+#
+# The loops below are MultiPoly's arithmetic before the integer kernel: one
+# CycloNum product and one CycloNum sum per pair of terms, every sum started
+# from zero, and zeros dropped by the constructor.  The kernel must give the
+# same terms in the same order, each stored coefficient nonzero and canonical.
+
+KERNEL_ORDERS = (1, 2, 3, 4, 5, 12, 16)
+
+
+def _termwise_product(p, q):
+    out = {}
+    zero = p.field.zero()
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            e = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2])
+            out[e] = out.get(e, zero) + c1 * c2
+    return MultiPoly(p.field, out)
+
+
+def _termwise_combine(p, q, op):
+    out = dict(p.terms)
+    zero = p.field.zero()
+    for e, c in q.terms.items():
+        out[e] = op(out.get(e, zero), c)
+    return MultiPoly(p.field, out)
+
+
+def _termwise_sum(p, q):
+    return _termwise_combine(p, q, CycloNum.__add__)
+
+
+def _termwise_difference(p, q):
+    return _termwise_combine(p, q, CycloNum.__sub__)
+
+
+def _termwise_scalar(p, c):
+    if c.is_zero():
+        return MultiPoly.zero(p.field)
+    return MultiPoly(p.field, {e: v * c for e, v in p.terms.items()})
+
+
+def _termwise_exact_div(p, divisor):
+    if divisor.is_constant():
+        return _termwise_scalar(p, divisor.constant_value().inverse())
+    rem = dict(p.terms)
+    quo = {}
+    de = max(divisor.terms)
+    dc_inv = divisor.terms[de].inverse()
+    lower = [(e, c) for e, c in divisor.terms.items() if e != de]
+    zero = p.field.zero()
+    while rem:
+        re = max(rem)
+        qe = (re[0] - de[0], re[1] - de[1], re[2] - de[2])
+        if min(qe) < 0:
+            raise ArithmeticError("division is not exact")
+        qc = rem.pop(re) * dc_inv
+        quo[qe] = qc
+        for e, c in lower:
+            k = (e[0] + qe[0], e[1] + qe[1], e[2] + qe[2])
+            v = rem.get(k, zero) - qc * c
+            if v.is_zero():
+                del rem[k]
+            else:
+                rem[k] = v
+    return MultiPoly(p.field, quo)
+
+
+def _assert_same(got, want):
+    assert list(got.terms.items()) == list(want.terms.items())
+    for c in got.terms.values():
+        assert c.field is got.field
+        assert not c.is_zero()
+        assert c.den > 0
+        assert gcd(c.den, *c.num) == 1
+
+
+# Numerators in [-4, 4] over denominators other than 1: zeros keep some
+# coefficient vectors sparse or rational, and some fractions reduce to 1.
+_coordinates = st.builds(Fraction, st.integers(-4, 4), st.sampled_from((2, 3, 4, 6, 9)))
+_exponents = st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2))
+
+
+@st.composite
+def _coefficients(draw, field):
+    return field.element(draw(st.lists(_coordinates, min_size=1, max_size=field.degree)))
+
+
+def _nonzero_coefficients(field):
+    return _coefficients(field).filter(lambda c: not c.is_zero())
+
+
+@st.composite
+def _kernel_polys(draw, field):
+    shape = draw(st.sampled_from(("zero", "constant", "monomial", "general")))
+    if shape == "zero":
+        return MultiPoly.zero(field)
+    if shape == "constant":
+        return MultiPoly.constant(field, draw(_nonzero_coefficients(field)))
+    if shape == "monomial":
+        return MultiPoly.monomial(field, draw(_exponents), draw(_nonzero_coefficients(field)))
+    terms = draw(st.dictionaries(_exponents, _coefficients(field), min_size=2, max_size=5))
+    return MultiPoly(field, terms)
+
+
+def _kernel_fields():
+    return st.sampled_from(KERNEL_ORDERS).map(cyclotomic_field)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_kernel_fields().flatmap(lambda f: st.tuples(_kernel_polys(f), _kernel_polys(f))))
+def test_kernel_products_and_sums_match_the_termwise_loops(pair):
+    p, q = pair
+    _assert_same(p * q, _termwise_product(p, q))
+    _assert_same(q * p, _termwise_product(q, p))
+    _assert_same(p + q, _termwise_sum(p, q))
+    _assert_same(p - q, _termwise_difference(p, q))
+    _assert_same(p - p, MultiPoly.zero(p.field))
+    # Built to cancel: the cross terms of (p + q)(p - q) cancel inside the
+    # product, and the rest against -p^2 + q^2.
+    s, d = p + q, p - q
+    square_difference = s * d
+    _assert_same(square_difference, _termwise_product(s, d))
+    pp, qq = p * p, q * q
+    rest = square_difference - pp
+    _assert_same(rest, _termwise_difference(square_difference, pp))
+    total = rest + qq
+    _assert_same(total, _termwise_sum(rest, qq))
+    assert total.is_zero()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_kernel_scalar_products_match_the_termwise_loop(data):
+    field = data.draw(_kernel_fields())
+    p = data.draw(_kernel_polys(field))
+    c = data.draw(_coefficients(field))
+    _assert_same(p * c, _termwise_scalar(p, c))
+    _assert_same(c * p, _termwise_scalar(p, c))
+    r = data.draw(_coordinates)
+    _assert_same(p * r, _termwise_scalar(p, field.from_rational(r)))
+    k = data.draw(st.integers(-3, 3))
+    _assert_same(k * p, _termwise_scalar(p, field.from_rational(k)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_kernel_exact_division_matches_the_termwise_loop(data):
+    field = data.draw(_kernel_fields())
+    divisor = data.draw(_kernel_polys(field).filter(lambda p: not p.is_zero()))
+    quotient = data.draw(_kernel_polys(field))
+    a = quotient * divisor
+    got = a.exact_div(divisor)
+    _assert_same(got, _termwise_exact_div(a, divisor))
+    assert got == quotient
+    # The cross terms of (p + q)(p - q) cancel, so dividing by p + q puts
+    # terms into the remainder that the dividend lacks.
+    s, d = quotient + divisor, quotient - divisor
+    if not s.is_zero():
+        product = s * d
+        got = product.exact_div(s)
+        _assert_same(got, _termwise_exact_div(product, s))
+        assert got == d
+    b = a + data.draw(_kernel_polys(field))
+    want = _division_outcome(_termwise_exact_div, b, divisor)
+    got = _division_outcome(MultiPoly.exact_div, b, divisor)
+    if want == "inexact":
+        assert got == "inexact"
+    else:
+        _assert_same(got, want)
+
+
+def test_polynomials_over_different_fields_do_not_mix():
+    other = MultiPoly.gen(cyclotomic_field(8), "t") + 1
+    p = T + 1
+    assert p != other
+    for op in (
+        lambda: p * other,
+        lambda: p + other,
+        lambda: p - other,
+        lambda: p * cyclotomic_field(8).zeta(1),
+        lambda: p.exact_div(other),
+    ):
+        with pytest.raises(MixedFieldsError):
+            op()

@@ -10,10 +10,10 @@ from k3auto.surface import (
     NonMinimalError,
     UnclassifiableError,
     WeierstrassModel,
+    _fiber_numbers,
     classify_all,
     classify_place,
     component_count,
-    euler_number,
     is_k3,
     minimalize,
 )
@@ -25,6 +25,11 @@ ZERO = MultiPoly.zero(F)
 
 def const(value):
     return MultiPoly.constant(F, value)
+
+
+def euler_number(fiber_type):
+    """Euler number of a Kodaira fiber."""
+    return _fiber_numbers(fiber_type)[0]
 
 
 def order16_model():
