@@ -239,7 +239,20 @@ class SurfaceMap:
         return cls(model, u, v, w)
 
     def is_identity(self) -> bool:
-        return self == SurfaceMap.identity(self.model)
+        # x -> x, y -> y and t -> t, component by component; denominators
+        # are monic, so a polynomial part has denominator 1.
+        field = self.model.field
+        u, v, w = self.u, self.v, self.w
+        return (
+            u.b.is_zero()
+            and v.a.is_zero()
+            and u.a.is_polynomial()
+            and u.a.num == MultiPoly.gen(field, "x")
+            and v.b.is_polynomial()
+            and v.b.num == MultiPoly.one(field)
+            and w.is_polynomial()
+            and w.num == MultiPoly.gen(field, "t")
+        )
 
     def __eq__(self, other):
         return (
@@ -262,22 +275,180 @@ def _images(m: SurfaceMap) -> tuple[list, list, list]:
     return _power_lists(m.model, m.u, m.v, FieldElement.from_ratfunc(m.model, m.w))
 
 
+def _by(p: MultiPoly, den: MultiPoly) -> MultiPoly:
+    # p * den for a denominator: monic, so a constant den is 1, and then the
+    # product is p itself.
+    return p if den.is_constant() else p * den
+
+
+def _cleared_parts(e: FieldElement) -> tuple[MultiPoly, MultiPoly, MultiPoly]:
+    # (P_a, P_b, D) with e = (P_a + P_b y) / D: D is the product of the
+    # denominators of a and b, or one of them when they are equal or the
+    # other is 1; no gcd.
+    a, b = e.a, e.b
+    if b.is_zero() or a.den == b.den:
+        return a.num, b.num, a.den
+    if a.den.is_constant():
+        return a.num * b.den, b.num, b.den
+    if b.den.is_constant():
+        return a.num, b.num * a.den, a.den
+    return a.num * b.den, b.num * a.den, a.den * b.den
+
+
+def _cleared(e: FieldElement) -> tuple[MultiPoly, MultiPoly]:
+    # (P, D) with e = P / D and P = P_a + P_b y, from _cleared_parts.
+    pa, pb, den = _cleared_parts(e)
+    return (pa if pb.is_zero() else pa + pb * MultiPoly.gen(pa.field, "y")), den
+
+
+def _reduce_y(p: MultiPoly, rhs: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
+    # (even, odd) with p = even + odd y on the surface, by y^2 -> rhs.
+    if not any(e[1] for e in p.terms):
+        return p, MultiPoly.zero(p.field)
+    parts = [MultiPoly.zero(p.field), MultiPoly.zero(p.field)]
+    for k, c in p.coeffs_in("y").items():
+        parts[k % 2] = parts[k % 2] + (c * rhs ** (k // 2) if k > 1 else c)
+    return parts[0], parts[1]
+
+
+def _grown(pows: list, k: int, rhs: MultiPoly | None = None) -> MultiPoly:
+    # pows[k] for pows = [1, p, p^2, ...], grown in place as far as k.  With
+    # rhs given, p has a y part, and each new power folds y^2 into rhs, so
+    # every power has degree at most 1 in y.
+    while len(pows) <= k:
+        power = pows[-1] * pows[1]
+        if rhs is not None:
+            even, odd = _reduce_y(power, rhs)
+            power = even + odd * MultiPoly.gen(power.field, "y")
+        pows.append(power)
+    return pows[k]
+
+
+def _cleared_image(num: MultiPoly, den: MultiPoly, rhs: MultiPoly | None = None) -> tuple:
+    # The image num / den of one variable, for _substitute_cleared: the
+    # power lists of num and den (None for den, which is monic, when it is
+    # 1), and rhs when num has a y part.
+    one = MultiPoly.one(num.field)
+    return [one, num], (None if den.is_constant() else [one, den]), rhs
+
+
+def _cleared_power(image, k: int, d: int) -> MultiPoly | None:
+    # N^k D^(d - k) for the image N / D of _cleared_image, or None for 1.
+    nums, dens, rhs = image
+    out = _grown(nums, k, rhs) if k else None
+    if dens is not None and d > k:
+        den = _grown(dens, d - k)
+        out = den if out is None else out * den
+    return out
+
+
+def _substitute_cleared(p: MultiPoly, x_image, t_image, dx: int, dt: int) -> MultiPoly:
+    """p(N_x / D_x, N_t / D_t) * D_x^dx * D_t^dt for p in x and t.
+
+    The images are in the form of ``_cleared_image``; x_image may be None
+    when p is free of x, and dx, dt are at least p's degrees.  The result
+    is a polynomial formed with no gcd: each coefficient of a power x^i,
+    a polynomial in t, is substituted term by term as
+    c * N_t^k * D_t^(dt - k) and then multiplied by N_x^i * D_x^(dx - i).
+    """
+    acc = None
+    for i, coeff in p.coeffs_in("x").items():
+        part = None
+        for (_, _, k), c in coeff.terms.items():
+            term = _cleared_power(t_image, k, dt)
+            term = MultiPoly.constant(p.field, c) if term is None else term * c
+            part = term if part is None else part + term
+        factor = None if x_image is None else _cleared_power(x_image, i, dx)
+        if factor is not None:
+            part = part * factor
+        acc = part if acc is None else acc + part
+    return MultiPoly.zero(p.field) if acc is None else acc
+
+
 def compose(m1: SurfaceMap, m2: SurfaceMap) -> SurfaceMap:
-    """The map m1 after m2: substitute m2's images into m1's components."""
+    """The map m1 after m2: substitute m2's images into m1's components.
+
+    Each component of m1, u and v and then w, is a fraction
+    (P_a + P_b y) / D of polynomials in x and t (``_cleared_parts``).
+    Substituted at m2's cleared images x = U / D_u and t = w_n / w_d, and
+    multiplied through by D_u and w_d to common degrees
+    (``_substitute_cleared``), these give polynomials P_a', P_b', D' with
+    the component's image (P_a' + P_b' v) / D'; y^2 folds into rhs as
+    powers are built, and a y part of D' is cleared by its conjugate.  When
+    the image is a polynomial a + b y, so is P_b' v, and both come out of
+    exact divisions (``MultiPoly.exact_div``) with no gcd; a polynomial is
+    already reduced.  Otherwise a division fails, and that component and
+    the ones after it are formed as before, by substituting reduced images
+    (``_substitute``), with the gcds that keep every step reduced.
+    """
     if m1.model != m2.model:
         raise ValueError("maps live on different models")
-    powers = _images(m2)
+    model = m1.model
+    field = model.field
+    rhs = model.rhs.num
+    one, zero = MultiPoly.one(field), MultiPoly.zero(field)
+    U, Du = _cleared(m2.u)
+    x_image = _cleared_image(U, Du, None if m2.u.b.is_zero() else rhs)
+    t_image = _cleared_image(m2.w.num, m2.w.den)
 
+    def polynomial(e: FieldElement) -> FieldElement | None:
+        # e's image when it is a polynomial a + b y, else None.  P_b' v is
+        # a polynomial whenever the image is one, so it comes first.
+        pa, pb, den = _cleared_parts(e)
+        dx, dt = (max(p.degree_in(var) for p in (pa, pb, den)) for var in ("x", "t"))
+
+        def at(p: MultiPoly) -> MultiPoly:
+            return _substitute_cleared(p, x_image, t_image, dx, dt)
+
+        try:
+            if pb.is_zero():
+                n = (zero, zero)
+            elif m2.u.b.is_zero():
+                # P_b' is free of y, and v_a and v_b are reduced, so P_b' v_a
+                # and P_b' v_b are polynomials exactly when P_b' is a
+                # multiple of their denominators.
+                pb = at(pb)
+                n = [zero if r.is_zero() else pb.exact_div(r.den) * r.num
+                     for r in (m2.v.a, m2.v.b)]
+            else:
+                V, Dv = _cleared(m2.v)
+                n = [q.exact_div(Dv) for q in _reduce_y(at(pb) * V, rhs)]
+            den = at(den)
+            if den.is_zero():
+                return None  # the reduced route raises ZeroDenominatorOnSurfaceError
+            n0, n1 = (p + q for p, q in zip(n, _reduce_y(at(pa), rhs)))
+            e0, e1 = _reduce_y(den, rhs)
+            if not e1.is_zero():
+                n0, n1 = n0 * e0 - n1 * e1 * rhs, n1 * e0 - n0 * e1
+                e0 = e0 * e0 - e1 * e1 * rhs
+            a, b = n0.exact_div(e0), n1.exact_div(e0)
+        except ArithmeticError:
+            return None
+        return FieldElement(model, RationalFunction._coprime(a, one), RationalFunction._coprime(b, one))
+
+    out, powers = [], None
+    for e in (m1.u, m1.v, FieldElement(model, m1.w, RationalFunction.constant(field, 0))):
+        if powers is None:
+            image = polynomial(e)
+            if image is not None:
+                out.append(image)
+                continue
+            powers = _images(m2)
+        out.append(_reduced_image(e, powers, m2.v))
+    u, v, w = out
+    return SurfaceMap(model, u, v, w.a)
+
+
+def _reduced_image(e: FieldElement, powers, v: FieldElement) -> FieldElement:
+    # e at the images in powers (those of _images), with v the image of y:
+    # every power, sum and quotient reduced on the spot.
     def image(r: RationalFunction) -> FieldElement:
         return _substitute(r.num, powers) / _substitute(r.den, powers)
 
-    def comp(e: FieldElement) -> FieldElement:
-        out = image(e.a)
-        if not e.b.is_zero():
-            out = out + image(e.b) * m2.v
-        return out
-
-    return SurfaceMap(m1.model, comp(m1.u), comp(m1.v), image(m1.w).a)
+    out = image(e.a)
+    if not e.b.is_zero():
+        out = out + image(e.b) * v
+    return out
 
 
 def morphism_residual(m: SurfaceMap) -> FieldElement:
@@ -291,40 +462,17 @@ def morphism_residual(m: SurfaceMap) -> FieldElement:
     return residual
 
 
-def _cleared(e: FieldElement, y: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
-    # (P, D) with e = P / D and P = P_a + P_b y: D is the product of the
-    # denominators of a and b, or one of them when they are equal; no gcd.
-    a, b = e.a, e.b
-    if a.den == b.den:
-        return a.num + b.num * y, a.den
-    return a.num * b.den + b.num * a.den * y, a.den * b.den
-
-
 def _cleared_coefficients(model: WeierstrassModel, w: RationalFunction) -> tuple:
     # (W, W A(w), W B(w)) for W = den(w)^d, d = max(deg A, deg B): all
     # polynomials, formed with no gcd.
     d = max(model.A.degree_in("t"), model.B.degree_in("t"))
-    one = MultiPoly.constant(model.field, 1)
-    nums, dens = [one, w.num], [one, w.den]
-    for pows in (nums, dens):
-        while len(pows) <= d:
-            pows.append(pows[-1] * pows[1])
-
-    def cleared(p: MultiPoly) -> MultiPoly:
-        acc = MultiPoly.zero(model.field)
-        for (_, _, k), c in p.terms.items():
-            acc = acc + nums[k] * dens[d - k] * c
-        return acc
-
-    return dens[d], cleared(model.A), cleared(model.B)
-
-
-def _reduce_y(p: MultiPoly, rhs: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
-    # (even, odd) with p = even + odd y on the surface, by y^2 -> rhs.
-    parts = [MultiPoly.zero(p.field), MultiPoly.zero(p.field)]
-    for k, c in p.coeffs_in("y").items():
-        parts[k % 2] = parts[k % 2] + (c * rhs ** (k // 2) if k > 1 else c)
-    return parts[0], parts[1]
+    image = _cleared_image(w.num, w.den)
+    W = _cleared_power(image, 0, d)
+    return (
+        MultiPoly.one(model.field) if W is None else W,
+        _substitute_cleared(model.A, None, image, 0, d),
+        _substitute_cleared(model.B, None, image, 0, d),
+    )
 
 
 def verify_morphism(m: SurfaceMap) -> bool:
@@ -343,12 +491,13 @@ def verify_morphism(m: SurfaceMap) -> bool:
     y is not in Q(zeta)(x, t), so 1 and y are independent over it.
     """
     model = m.model
-    y = MultiPoly.gen(model.field, "y")
-    U, Du = _cleared(m.u, y)
-    V, Dv = _cleared(m.v, y)
+    U, Du = _cleared(m.u)
+    V, Dv = _cleared(m.v)
     W, Aw, Bw = _cleared_coefficients(model, m.w)
-    Du2, Dv2 = Du * Du, Dv * Dv
-    N = W * (V * V * Du2 * Du - U * U * U * Dv2) - Du2 * Dv2 * (Aw * U + Bw * Du)
+    Du2, Dv2 = _by(Du, Du), _by(Dv, Dv)
+    D2 = Dv2 if Du2.is_constant() else _by(Du2, Dv2)
+    lhs = _by(_by(V * V, Du2), Du) - _by(U * U * U, Dv2)
+    N = _by(lhs, W) - _by(Aw * U + _by(Bw, Du), D2)
     even, odd = _reduce_y(N, model.rhs.num)
     return even.is_zero() and odd.is_zero()
 
@@ -423,17 +572,17 @@ def omega_factor(m: SurfaceMap) -> CycloNum:
     rhs = m.model.rhs.num
     a, b, w, v = m.u.a, m.u.b, m.w, m.v
     # w' = wn / wd, a_x = ax / a.den^2 and b_x = bx / b.den^2.
-    wn = w.num.derivative("t") * w.den - w.num * w.den.derivative("t")
-    wd = w.den * w.den
-    ax = a.num.derivative("x") * a.den - a.num * a.den.derivative("x")
-    bx = b.num.derivative("x") * b.den - b.num * b.den.derivative("x")
+    wn = _by(w.num.derivative("t"), w.den) - w.num * w.den.derivative("t")
+    wd = _by(w.den, w.den)
+    ax = _by(a.num.derivative("x"), a.den) - a.num * a.den.derivative("x")
+    bx = _by(b.num.derivative("x"), b.den) - b.num * b.den.derivative("x")
     # Each part as (numerator of L * denominator of v, numerator of v *
     # denominator of L): equal exactly when that part of L is c times v's.
-    La = wn * (bx * rhs * 2 + b.num * b.den * rhs.derivative("x"))
+    La = wn * (bx * rhs * 2 + _by(b.num, b.den) * rhs.derivative("x"))
     Lb = wn * ax
     parts = (
-        (La * v.a.den, v.a.num * wd * b.den * b.den * 2),
-        (Lb * v.b.den, v.b.num * wd * a.den * a.den),
+        (_by(La, v.a.den), _by(_by(_by(v.a.num, wd), b.den), b.den) * 2),
+        (_by(Lb, v.b.den), _by(_by(_by(v.b.num, wd), a.den), a.den)),
     )
     if all(lhs.is_zero() for lhs, _ in parts):
         raise NotAMorphismError("the pulled-back 2-form is 0")

@@ -109,11 +109,19 @@ class MultiPoly:
         c = value if isinstance(value, CycloNum) else field.from_rational(value)
         return cls(field, {(0, 0, 0): c})
 
+    # The generators and the constant 1 are built once per field and shared:
+    # a MultiPoly is never changed after it is built.
     @classmethod
+    @functools.lru_cache(maxsize=None)
     def gen(cls, field, var: str):
         e = [0, 0, 0]
         e[_VAR_INDEX[var]] = 1
         return cls(field, {tuple(e): field.one()})
+
+    @classmethod
+    @functools.lru_cache(maxsize=None)
+    def one(cls, field):
+        return cls(field, {(0, 0, 0): field.one()})
 
     @classmethod
     def monomial(cls, field, exponents: tuple[int, int, int], coeff: CycloNum):
@@ -128,7 +136,8 @@ class MultiPoly:
         return not self.terms
 
     def is_constant(self) -> bool:
-        return not self.terms or set(self.terms) == {(0, 0, 0)}
+        terms = self.terms
+        return not terms or (len(terms) == 1 and (0, 0, 0) in terms)
 
     def constant_value(self) -> CycloNum:
         if not self.is_constant():
@@ -220,7 +229,7 @@ class MultiPoly:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative exponent on a polynomial")
-        return power(self, n, _one(self.field))
+        return power(self, n, MultiPoly.one(self.field))
 
     def __eq__(self, other):
         # Structural, and False across fields rather than an error.
@@ -377,13 +386,6 @@ def _convolution(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     return MultiPoly._of(field, out)
 
 
-@functools.lru_cache(maxsize=None)
-def _one(field: CyclotomicField) -> MultiPoly:
-    # The constant 1 of a field, shared by every denominator, gcd and power
-    # that is 1; a MultiPoly is never changed after it is built.
-    return MultiPoly.constant(field, 1)
-
-
 _GCD_VAR_ORDER = ("y", "x", "t")
 
 
@@ -399,7 +401,7 @@ def _content(p: MultiPoly, var: str) -> MultiPoly:
     idx = _VAR_INDEX[var]
     if p.terms and all(sum(e) == e[idx] for e in p.terms):
         # Nonzero and in var alone: the coefficients are units of the field.
-        return _one(p.field)
+        return MultiPoly.one(p.field)
     acc = MultiPoly.zero(p.field)
     for coeff in p.coeffs_in(var).values():
         acc = multi_gcd(acc, coeff)
@@ -450,7 +452,7 @@ def _subresultant_gcd(p: MultiPoly, q: MultiPoly, var: str) -> MultiPoly:
     # GCD of the var-primitive parts, by the subresultant PRS: growth is
     # controlled by exact divisions instead of recursive content gcds.
     field = p.field
-    one = _one(field)
+    one = MultiPoly.one(field)
     a, b = (p, q) if p.degree_in(var) >= q.degree_in(var) else (q, p)
     g = one
     h = one
@@ -563,7 +565,7 @@ def multi_gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
         None,
     )
     if var is None:
-        return _one(p.field)
+        return MultiPoly.one(p.field)
     if not (p.uses_var(var) and q.uses_var(var)):
         # One side is free of the main variable: the gcd divides that side's
         # content, so recurse on the content directly.
@@ -718,7 +720,7 @@ class RationalFunction:
 
     def __init__(self, num: MultiPoly, den: MultiPoly | None = None):
         if den is None:
-            den = _one(num.field)
+            den = MultiPoly.one(num.field)
         if den.is_zero():
             raise ZeroDivisionError("zero denominator in a rational function")
         if not (num.is_zero() or den.is_constant()):
@@ -739,7 +741,7 @@ class RationalFunction:
         # Scale so the lex-leading coefficient of den is 1; zero is 0/1.
         field = num.field
         if num.is_zero():
-            den = _one(field)
+            den = MultiPoly.one(field)
         else:
             lead = den.leading_coeff_lex()
             if lead != field.one():
@@ -755,7 +757,7 @@ class RationalFunction:
 
     @classmethod
     def constant(cls, field, value):
-        return cls._coprime(MultiPoly.constant(field, value), _one(field))
+        return cls._coprime(MultiPoly.constant(field, value), MultiPoly.one(field))
 
     @classmethod
     def gen(cls, field, var: str):
@@ -806,9 +808,10 @@ class RationalFunction:
             return self
         if a.is_zero():
             return RationalFunction._coprime(c, d)
-        if b.is_constant():  # b == 1
-            return RationalFunction._coprime(a * d + c, d)
-        if d.is_constant():  # d == 1
+        # Denominators are monic, so a constant one is 1.
+        if b.is_constant():
+            return RationalFunction._coprime(a + c if d.is_constant() else a * d + c, d)
+        if d.is_constant():
             return RationalFunction._coprime(a + c * b, b)
         g = multi_gcd(b, d)
         if g.is_constant():
@@ -822,9 +825,10 @@ class RationalFunction:
                 d = d.exact_div(g2)
         return RationalFunction._coprime(t, b_g * d)
 
-    def _times(self, c: MultiPoly, d: MultiPoly) -> "RationalFunction":
+    def _times(self, c: MultiPoly, d: MultiPoly, d_monic: bool = True) -> "RationalFunction":
         # (a/b)(c/d) with gcd(a, b) = gcd(c, d) = 1: only the cross pairs
-        # (a, d) and (c, b) can share a factor.
+        # (a, d) and (c, b) can share a factor.  b is monic, and so is d
+        # unless d_monic is False, so a constant one of them is 1.
         a, b = self.num, self.den
         if a.is_zero() or c.is_zero():
             return RationalFunction._coprime(MultiPoly.zero(a.field), b)
@@ -838,7 +842,13 @@ class RationalFunction:
             if not g2.is_constant():
                 c = c.exact_div(g2)
                 b = b.exact_div(g2)
-        return RationalFunction._coprime(a * c, b * d)
+        if b.is_constant():
+            den = d
+        elif d_monic and d.is_constant():
+            den = b
+        else:
+            den = b * d
+        return RationalFunction._coprime(a * c, den)
 
     def __add__(self, other):
         other = self._match(other)
@@ -877,7 +887,7 @@ class RationalFunction:
             return NotImplemented
         if other.is_zero():
             raise ZeroDivisionError("division by the zero rational function")
-        return self._times(other.den, other.num)
+        return self._times(other.den, other.num, d_monic=False)
 
     def __rtruediv__(self, other):
         return RationalFunction.constant(self.field, other) / self

@@ -28,6 +28,7 @@ concrete saturation.
 """
 from __future__ import annotations
 
+import functools
 from collections import deque
 from math import gcd, lcm
 from typing import Iterable, NamedTuple
@@ -910,8 +911,9 @@ def _symmetry(config: CurveConfig) -> tuple[list[bytes], list[tuple]]:
     _frame(config, p), one member of the centraliser C(p) per distinct
     restriction to the curves p fixes (a move), and each distinct pulled-back
     anchor flag with its _plan and its first transporter.  p is a dict, the
-    moves and the transporters are maps as _relabellings gives them; the
-    group stays in byte form."""
+    transporters are maps as _relabellings gives them, and so are the moves,
+    behind a cached call that relabels them on first use; the group stays in
+    byte form."""
     if config._symmetry is not None:
         return config._symmetry
     names = config.vertices
@@ -925,7 +927,7 @@ def _symmetry(config: CurveConfig) -> tuple[list[bytes], list[tuple]]:
         if not fixed_edges:
             continue
         stable = [index[v] for v in frame[0]]
-        moves = {bytes(h[i] for i in stable): h for h in centraliser}.values()
+        moves = tuple({bytes(h[i] for i in stable): h for h in centraliser}.values())
         # The first fixed edge of q = r p r^-1 is the fixed edge of p whose
         # image under r comes first; its flag is on the lesser image.  Vertex
         # positions order as the names do.
@@ -938,7 +940,9 @@ def _symmetry(config: CurveConfig) -> tuple[list[bytes], list[tuple]]:
             anchor: (_plan(frame, anchor), r)
             for anchor, r in zip(pulled, _relabellings(config, pulled.values()))
         }
-        classes.append((perm, frame, _relabellings(config, moves), anchors))
+        # Relabelled on the class's first survivor: an (n, c) may have none.
+        relabelled = functools.cache(lambda moves=moves: _relabellings(config, moves))
+        classes.append((perm, frame, relabelled, anchors))
     config._symmetry = auts, classes
     return config._symmetry
 
@@ -1011,7 +1015,7 @@ def enumerate_actions(config, n, c, census_filter=None) -> list[GraphAction]:
                     continue
                 if action.reduced_key() in seen:
                     continue
-                keys = {_transport(action, h).reduced_key() for h in moves}
+                keys = {_transport(action, h).reduced_key() for h in moves()}
                 seen.update(keys)
                 if census_filter is not None:
                     cens = action.census()

@@ -2,10 +2,11 @@ import functools
 import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from k3auto import funfield
+from k3auto import funfield, polyring
 from k3auto.cyclotomic import cyclotomic_field
 from k3auto.funfield import (
     FieldElement,
@@ -27,12 +28,14 @@ from k3auto.funfield import (
     translation_map,
     verify_morphism,
 )
+from k3auto.files import load_surface_file
 from k3auto.parser import parse_expression
 from k3auto.polyring import MultiPoly, RationalFunction
 from k3auto.surface import WeierstrassModel
 
 F = cyclotomic_field(16)
 T = MultiPoly.gen(F, "t")
+T_RF = RationalFunction.gen(F, "t")
 XYT = {"x", "y", "t"}
 
 
@@ -288,6 +291,26 @@ def _counting_compose(monkeypatch):
     return calls
 
 
+def test_is_identity_checks_every_component():
+    m = model()
+    x, y = (FieldElement.coordinate(m, var) for var in ("x", "y"))
+    t, s = T_RF, FieldElement.from_ratfunc(m, 1 / (T_RF + 1))
+    maps = [
+        SurfaceMap(m, x, y, t),
+        SurfaceMap(m, x + y, y, t),
+        SurfaceMap(m, x, y + x, t),
+        SurfaceMap(m, x * 2, y, t),
+        SurfaceMap(m, x * s, y, t),
+        SurfaceMap(m, x, y * F.zeta(8), t),
+        SurfaceMap(m, x, y * s, t),
+        SurfaceMap(m, x, y, t + 1),
+        SurfaceMap(m, x, y, t / (t + 1)),
+    ]
+    identity = SurfaceMap.identity(m)
+    assert [mp.is_identity() for mp in maps] == [mp == identity for mp in maps]
+    assert [mp.is_identity() for mp in maps] == [True] + [False] * 8
+
+
 def test_order_walks_the_powers_of_m_to_the_base_order(monkeypatch):
     sigma_alt = named_maps()["sigma_alt"]
     calls = _counting_compose(monkeypatch)
@@ -437,7 +460,7 @@ def _ref_eval_poly(p, X, T, rhs):
 
 def _ref_compose(m1, m2):
     rhs = m1.model.rhs
-    zero = RationalFunction.constant(F, 0)
+    zero = RationalFunction.constant(m1.model.field, 0)
     X, V, T = (m2.u.a, m2.u.b), (m2.v.a, m2.v.b), (m2.w, zero)
 
     def image(r):
@@ -493,20 +516,144 @@ def test_normalize_matches_split_y_reference():
     assert seen_y4 >= 6 and seen_odd_den >= 3
 
 
+def _composed_as_reference(m1, m2):
+    # compose(m1, m2), after checking it against _ref_compose part by part.
+    got = compose(m1, m2)
+    u, v, w = _ref_compose(m1, m2)
+    assert (_pair(got.u), _pair(got.v), got.w) == (
+        _pair(FieldElement(m1.model, *u)), _pair(FieldElement(m1.model, *v)), w
+    )
+    return got
+
+
+def _test_surface_map(name, key):
+    return load_surface_file(Path(__file__).with_name(name))[1][key]
+
+
+def _constant_translation(A, B, x0, y0):
+    mdl = WeierstrassModel(F, A, B)
+    section = Section(RationalFunction.constant(F, x0), RationalFunction.constant(F, y0))
+    assert section.on_model(mdl)
+    return translation_map(mdl, section)
+
+
 def test_compose_matches_eval_poly_reference():
     maps = named_maps()
+    names = sorted(maps)
+    for first, second in itertools.product(names, repeat=2):
+        _composed_as_reference(maps[first], maps[second])
     rng = random.Random(77)
-    words = [("sigma_alt", "tau"), ("tau", "sigma_alt"), ("sigma", "sigma_alt")]
-    words += [tuple(rng.choice(sorted(maps)) for _ in range(3)) for _ in range(3)]
-    for word in words:
-        got = maps[word[0]]
-        ref = got
-        for name in word[1:]:
-            nxt = maps[name]
-            got = compose(got, nxt)
-            u, v, w = _ref_compose(ref, nxt)
-            ref = SurfaceMap(ref.model, FieldElement(ref.model, *u), FieldElement(ref.model, *v), w)
-            assert (_pair(got.u), _pair(got.v), got.w) == (_pair(ref.u), _pair(ref.v), ref.w)
+    for length in (2, 3, 4):
+        for _ in range(2):
+            word = [rng.choice(names) for _ in range(length)]
+            got = maps[word[0]]
+            for name in word[1:]:
+                got = _composed_as_reference(got, maps[name])
+            _composed_as_reference(got, got)
+
+
+# Constant sections (A, B, x0, y0) on small models: the 2-torsion point
+# (0, 0), whose translation has an x-image free of y, and the 3-torsion point
+# (0, 1) of y^2 = x^3 + 1 and the point (0, 1) of infinite order on
+# y^2 = x^3 + t x + 1, whose translations have x-images with a y part.
+SMALL_SECTIONS = (
+    (T, MultiPoly.zero(F), 0, 0),
+    (MultiPoly.zero(F), MultiPoly.constant(F, 1), 0, 1),
+    (T, MultiPoly.constant(F, 1), 0, 1),
+)
+
+
+def test_compose_of_translations_matches_eval_poly_reference():
+    for A, B, x0, y0 in SMALL_SECTIONS:
+        tr = _constant_translation(A, B, x0, y0)
+        assert tr.u.b.is_zero() == (y0 == 0)
+        _composed_as_reference(tr, tr)
+        # The translation by the opposite section undoes tr: with a y part,
+        # the denominators of the images have one as well.
+        back = _constant_translation(A, B, x0, -y0)
+        assert _composed_as_reference(tr, back).is_identity()
+        for cx, cy, ct in ((F.zeta(2), F.zeta(3), F.one()), (F.zeta(4), F.zeta(6), F.zeta(8))):
+            scaling = SurfaceMap.scaling(tr.model, cx, cy, ct)
+            _composed_as_reference(tr, scaling)
+            _composed_as_reference(scaling, tr)
+
+
+def test_compose_of_parts_with_different_denominators_matches_reference():
+    # x/t + y and x + y/t clear over t, with the polynomial part scaled by
+    # it; after x -> t x or y -> t y both are the polynomial x + y.
+    m = model()
+    x, y, t = (FieldElement.coordinate(m, var) for var in ("x", "y", "t"))
+    m1 = SurfaceMap(m, x / t + y, x + y / t, T_RF)
+    first = _composed_as_reference(m1, SurfaceMap(m, x * t, y, T_RF))
+    second = _composed_as_reference(m1, SurfaceMap(m, x, y * t, T_RF))
+    assert first.u == x + y and second.v == x + y
+
+
+def test_compose_of_test_surface_maps_matches_eval_poly_reference():
+    # tr's x-image has a y part, so the denominator of each image does too;
+    # the slow-gcd map composed with tau, either way round, is not a
+    # polynomial map and takes the reduced route.
+    tr = _test_surface_map("translation_surface.txt", "tr")
+    assert not tr.u.b.is_zero()
+    _composed_as_reference(tr, tr)
+    slow, tau = _test_surface_map("slow_gcd_surface.txt", "sigma"), named_maps()["tau"]
+    _composed_as_reference(slow, tau)
+    _composed_as_reference(tau, slow)
+
+
+def _counting_gcd(monkeypatch):
+    calls = []
+    counted = polyring.multi_gcd
+
+    def counting(p, q):
+        calls.append(1)
+        return counted(p, q)
+
+    monkeypatch.setattr(polyring, "multi_gcd", counting)
+    return calls
+
+
+def test_polynomial_composites_take_no_gcd(monkeypatch):
+    # tau o tau is the identity and every power on sigma_alt's order walk
+    # (m^2, m^4 = M, M^2, M^3, M^4) is a scaling: each is kept by exact
+    # division, with no gcd.  So is a translation after the opposite one,
+    # whose images have denominators with a y part.
+    maps = named_maps()
+    A, B, x0, y0 = SMALL_SECTIONS[2]
+    tr, back = (_constant_translation(A, B, x0, y) for y in (y0, -y0))
+    calls = _counting_gcd(monkeypatch)
+    assert compose(maps["tau"], maps["tau"]).is_identity()
+    assert calls == []
+    assert map_order(maps["sigma_alt"]) == 16
+    assert calls == []
+    assert compose(tr, back).is_identity()
+    assert calls == []
+
+
+def test_a_composite_that_is_not_polynomial_takes_no_extra_gcd(monkeypatch):
+    # The slow-gcd map composed with itself is not a polynomial map: its
+    # failed division must not add to the 41 gcds of the reduced route.
+    slow = _test_surface_map("slow_gcd_surface.txt", "sigma")
+    calls = _counting_gcd(monkeypatch)
+    compose(slow, slow)
+    assert len(calls) <= 41
+
+
+def test_a_denominator_that_vanishes_on_the_image_is_refused():
+    # tau's images have denominators x and x^2, which vanish under x -> 0.
+    m = model()
+    flat = SurfaceMap(m, FieldElement.const(m, 0), FieldElement.coordinate(m, "y"), T_RF)
+    with pytest.raises(ZeroDenominatorOnSurfaceError):
+        compose(named_maps()["tau"], flat)
+    # A component with a y part: the x-image of the translation by (0, 1)
+    # on y^2 = x^3 + 1 is (2 - 2 y) / x^2, whose y part is substituted
+    # before its denominator is found to vanish.
+    tr = _constant_translation(*SMALL_SECTIONS[1])
+    onto_section = SurfaceMap(
+        tr.model, FieldElement.const(tr.model, 0), FieldElement.const(tr.model, 1), T_RF
+    )
+    with pytest.raises(ZeroDenominatorOnSurfaceError):
+        compose(tr, onto_section)
 
 
 def test_division_matches_inverse_reference():

@@ -909,6 +909,32 @@ def test_symmetry_data_changes_no_enumeration(monkeypatch):
         assert {case: action_data(enumerate_actions(warm, *case)) for case in cases} == cold
 
 
+def test_moves_are_relabelled_on_the_first_survivor_of_their_class(monkeypatch):
+    # The 14 pulled-back anchors are relabelled with the symmetry data, and
+    # a class's moves on its first survivor, once per config.  An odd c has
+    # no survivor on the identity class, so its 240 moves stay in byte form.
+    relabelled = []
+    original = rigidity._relabellings
+
+    def counted(config, automorphisms):
+        automorphisms = list(automorphisms)
+        relabelled.append(len(automorphisms))
+        return original(config, automorphisms)
+
+    monkeypatch.setattr(rigidity, "_relabellings", counted)
+    config = fresh_copy(CFG)
+    cold = action_data(enumerate_actions(config, 16, 1))
+    assert sum(relabelled) == 14 + 9
+    relabelled.clear()
+    assert action_data(enumerate_actions(config, 16, 1)) == cold
+    assert relabelled == []
+    enumerate_actions(config, 16, 0)
+    assert 240 in relabelled
+    relabelled.clear()
+    enumerate_actions(config, 16, 0)
+    assert relabelled == []
+
+
 def test_configs_from_different_texts_do_not_share_symmetry_data():
     text = fixture_text("order16_graph.txt")
     graph = text[: text.index("[action")]
