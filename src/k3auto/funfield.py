@@ -4,6 +4,13 @@ Elements are kept in the normal form a + b*y with a, b rational functions in
 (x, t): powers of y reduce through y^2 = x^3 + A(t) x + B(t), and y clears
 from denominators by conjugate multiplication.  Surface maps store the images
 of x, y, t in that normal form, so map equality is a finite comparison.
+
+Polynomials reach the normal form one way: ``_reduce_y`` splits a polynomial
+in x, y, t into even + odd y, and a quotient of two such splits is reduced
+once, by the gcds of one division.  ``normalize`` does only that, and every
+substitution (composition, the morphism test, the residual) goes through
+``_substitute_cleared``, which evaluates a polynomial at images over cleared
+denominators with no gcd.
 """
 from __future__ import annotations
 
@@ -37,23 +44,6 @@ class NotConstantFactorError(VerificationFailure):
 
 class OrderBoundExceededError(VerificationFailure):
     """No power of the map reached the identity within the bound."""
-
-
-def _substitute(p: MultiPoly, powers):
-    """p with x, y, t replaced by the images powers[0][1], powers[1][1],
-    powers[2][1].  powers[i] is [1, image, image^2, ...] as far as computed so
-    far; it grows in place, so a caller shares it across polynomials."""
-    acc = None
-    for exps, c in p.terms.items():
-        term = None
-        for k, pows in zip(exps, powers):
-            if k:
-                while len(pows) <= k:
-                    pows.append(pows[-1] * pows[1])
-                term = pows[k] if term is None else term * pows[k]
-        term = powers[0][0] * c if term is None else term * c
-        acc = term if acc is None else acc + term
-    return powers[0][0] * 0 if acc is None else acc
 
 
 class FieldElement:
@@ -175,25 +165,6 @@ class FieldElement:
         return f"({self.a}) + ({self.b})*y"
 
 
-def _power_lists(model, x, y, t) -> tuple[list, list, list]:
-    # Fresh power lists for _substitute with the images x, y, t.
-    one = FieldElement.const(model, 1)
-    return [one, x], [one, y], [one, t]
-
-
-def normalize(expr, model: WeierstrassModel) -> FieldElement:
-    """Reduce a rational expression in x, y, t to the a + b*y normal form."""
-    powers = _power_lists(
-        model, *(FieldElement.coordinate(model, var) for var in ("x", "y", "t"))
-    )
-    if isinstance(expr, MultiPoly):
-        return _substitute(expr, powers)
-    den = _substitute(expr.den, powers)
-    if den.is_zero():
-        raise ZeroDenominatorOnSurfaceError("denominator is zero on the surface")
-    return _substitute(expr.num, powers) / den
-
-
 class SurfaceMap:
     """A candidate automorphism: images of (x, y, t) over a fixed model.
 
@@ -270,11 +241,6 @@ class SurfaceMap:
         return f"SurfaceMap(x -> {self.u}, y -> {self.v}, t -> {self.w})"
 
 
-def _images(m: SurfaceMap) -> tuple[list, list, list]:
-    # Power lists of the images of x, y, t under m, for _substitute.
-    return _power_lists(m.model, m.u, m.v, FieldElement.from_ratfunc(m.model, m.w))
-
-
 def _by(p: MultiPoly, den: MultiPoly) -> MultiPoly:
     # p * den for a denominator: monic, so a constant den is 1, and then the
     # product is p itself.
@@ -309,6 +275,29 @@ def _reduce_y(p: MultiPoly, rhs: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
     for k, c in p.coeffs_in("y").items():
         parts[k % 2] = parts[k % 2] + (c * rhs ** (k // 2) if k > 1 else c)
     return parts[0], parts[1]
+
+
+def _split(p: MultiPoly, model: WeierstrassModel) -> FieldElement:
+    # The polynomial p in x, y, t as the element even + odd y (``_reduce_y``).
+    one = MultiPoly.one(p.field)
+    return FieldElement(
+        model, *(RationalFunction._coprime(q, one) for q in _reduce_y(p, model.rhs.num))
+    )
+
+
+def normalize(expr, model: WeierstrassModel) -> FieldElement:
+    """Reduce a rational expression in x, y, t to the a + b*y normal form.
+
+    Numerator and denominator are split by y^2 -> x^3 + A x + B into
+    polynomials even + odd y, and divided once; only that division takes
+    gcds.
+    """
+    if isinstance(expr, MultiPoly):
+        return _split(expr, model)
+    den = _split(expr.den, model)
+    if den.is_zero():
+        raise ZeroDenominatorOnSurfaceError("denominator is zero on the surface")
+    return _split(expr.num, model) / den
 
 
 def _grown(pows: list, k: int, rhs: MultiPoly | None = None) -> MultiPoly:
@@ -378,8 +367,11 @@ def compose(m1: SurfaceMap, m2: SurfaceMap) -> SurfaceMap:
     the image is a polynomial a + b y, so is P_b' v, and both come out of
     exact divisions (``MultiPoly.exact_div``) with no gcd; a polynomial is
     already reduced.  Otherwise a division fails, and that component and
-    the ones after it are formed as before, by substituting reduced images
-    (``_substitute``), with the gcds that keep every step reduced.
+    the ones after it are built part by part: each rational part r of the
+    component (a, and b when it is nonzero) has r.num and r.den substituted
+    the same way to r's own degrees, each split by y^2 -> rhs into
+    polynomials even + odd y, and one division of the two takes the only
+    gcds; the image is image(a) + image(b) v.
     """
     if m1.model != m2.model:
         raise ValueError("maps live on different models")
@@ -415,7 +407,7 @@ def compose(m1: SurfaceMap, m2: SurfaceMap) -> SurfaceMap:
                 n = [q.exact_div(Dv) for q in _reduce_y(at(pb) * V, rhs)]
             den = at(den)
             if den.is_zero():
-                return None  # the reduced route raises ZeroDenominatorOnSurfaceError
+                return None  # image() below raises ZeroDenominatorOnSurfaceError
             n0, n1 = (p + q for p, q in zip(n, _reduce_y(at(pa), rhs)))
             e0, e1 = _reduce_y(den, rhs)
             if not e1.is_zero():
@@ -426,40 +418,39 @@ def compose(m1: SurfaceMap, m2: SurfaceMap) -> SurfaceMap:
             return None
         return FieldElement(model, RationalFunction._coprime(a, one), RationalFunction._coprime(b, one))
 
-    out, powers = [], None
+    def image(r: RationalFunction) -> FieldElement:
+        # r at m2's images: numerator over denominator, divided once.
+        if r.is_constant():
+            return FieldElement.const(model, r.constant_value())
+        dx, dt = (max(r.num.degree_in(var), r.den.degree_in(var)) for var in ("x", "t"))
+        num, den = (
+            _split(_substitute_cleared(p, x_image, t_image, dx, dt), model)
+            for p in (r.num, r.den)
+        )
+        return num / den
+
+    out, by_parts = [], False
     for e in (m1.u, m1.v, FieldElement(model, m1.w, RationalFunction.constant(field, 0))):
-        if powers is None:
-            image = polynomial(e)
-            if image is not None:
-                out.append(image)
-                continue
-            powers = _images(m2)
-        out.append(_reduced_image(e, powers, m2.v))
+        got = None if by_parts else polynomial(e)
+        if got is None:
+            by_parts = True
+            got = image(e.a) if e.b.is_zero() else image(e.a) + image(e.b) * m2.v
+        out.append(got)
     u, v, w = out
     return SurfaceMap(model, u, v, w.a)
 
 
-def _reduced_image(e: FieldElement, powers, v: FieldElement) -> FieldElement:
-    # e at the images in powers (those of _images), with v the image of y:
-    # every power, sum and quotient reduced on the spot.
-    def image(r: RationalFunction) -> FieldElement:
-        return _substitute(r.num, powers) / _substitute(r.den, powers)
-
-    out = image(e.a)
-    if not e.b.is_zero():
-        out = out + image(e.b) * v
-    return out
-
-
 def morphism_residual(m: SurfaceMap) -> FieldElement:
-    """The defect v^2 - u^3 - A(w) u - B(w); zero exactly for morphisms."""
+    """The defect v^2 - u^3 - A(w) u - B(w); zero exactly for morphisms.
+
+    A(w) and B(w) are W A(w) / W and W B(w) / W from the cleared
+    coefficients of ``verify_morphism``; the defect is then formed in
+    reduced FieldElement arithmetic, so it prints in normal form.
+    """
     model = m.model
-    powers = _images(m)
-    Aw = _substitute(model.A, powers)
-    residual = m.v * m.v - m.u * m.u * m.u - Aw * m.u
-    if not model.B.is_zero():
-        residual = residual - _substitute(model.B, powers)
-    return residual
+    W, Aw, Bw = _cleared_coefficients(model, m.w)
+    Aw, Bw = (FieldElement.from_ratfunc(model, RationalFunction(p, W)) for p in (Aw, Bw))
+    return m.v * m.v - m.u * m.u * m.u - Aw * m.u - Bw
 
 
 def _cleared_coefficients(model: WeierstrassModel, w: RationalFunction) -> tuple:
@@ -521,15 +512,12 @@ def ambient_scalar(m: SurfaceMap) -> CycloNum | None:
     v = ambient(m.v)
     if u is None or v is None:
         return None
-    w = m.w.as_poly()
     x = MultiPoly.gen(field, "x")
     y = MultiPoly.gen(field, "y")
-    F = y ** 2 - x ** 3 - model.A * x
-    if not model.B.is_zero():
-        F = F - model.B
-    # F(u, v, w) without reduction.
-    one = MultiPoly.constant(field, 1)
-    image = _substitute(F, ([one, u], [one, v], [one, w]))
+    F = y ** 2 - x ** 3 - model.A * x - model.B
+    # F(u, v, w) without reduction; w is a polynomial, so W = 1.
+    _, Aw, Bw = _cleared_coefficients(model, m.w)
+    image = v * v - u * u * u - Aw * u - Bw
     if image.is_zero():
         return None
     # Proportionality: image == c * F with a single scalar c.
