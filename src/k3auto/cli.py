@@ -5,12 +5,14 @@ enumerate), lattice (expr / graph / genus-equal).  Each report is one
 deterministic record: --json prints it with stable key order, and the plain
 text renders the same record as ``key = value`` lines.  Exit codes:
 0 success, 1 verification failed (errors.VerificationFailure), 2 input error
-(errors.InputError, or a file that cannot be read or written).
+(errors.InputError, or a file that cannot be read or written), 141 (128 +
+SIGPIPE) when the reader of standard output closes it first.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .errors import InputError, VerificationFailure
@@ -281,7 +283,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return status
+    except BrokenPipeError:
+        # The reader stopped reading, as `| head` does: print nothing more,
+        # not even from the interpreter's last flush.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except VerificationFailure as err:
         print(f"verification failed: {err}", file=sys.stderr)
         return 1

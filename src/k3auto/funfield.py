@@ -466,6 +466,18 @@ def _cleared_coefficients(model: WeierstrassModel, w: RationalFunction) -> tuple
     )
 
 
+def _equation_numerator(m: SurfaceMap) -> MultiPoly:
+    # The numerator N of ``verify_morphism``, unreduced: the surface
+    # equation under the map times its cleared denominators.
+    U, Du = _cleared(m.u)
+    V, Dv = _cleared(m.v)
+    W, Aw, Bw = _cleared_coefficients(m.model, m.w)
+    Du2, Dv2 = _by(Du, Du), _by(Dv, Dv)
+    D2 = Dv2 if Du2.is_constant() else _by(Du2, Dv2)
+    lhs = _by(_by(V * V, Du2), Du) - _by(U * U * U, Dv2)
+    return _by(lhs, W) - _by(Aw * U + _by(Bw, Du), D2)
+
+
 def verify_morphism(m: SurfaceMap) -> bool:
     """Does the map send the surface to itself: v^2 = u^3 + A(w) u + B(w)?
 
@@ -481,45 +493,24 @@ def verify_morphism(m: SurfaceMap) -> bool:
     factor is a nonzero polynomial, hence a unit of the function field, and
     y is not in Q(zeta)(x, t), so 1 and y are independent over it.
     """
-    model = m.model
-    U, Du = _cleared(m.u)
-    V, Dv = _cleared(m.v)
-    W, Aw, Bw = _cleared_coefficients(model, m.w)
-    Du2, Dv2 = _by(Du, Du), _by(Dv, Dv)
-    D2 = Dv2 if Du2.is_constant() else _by(Du2, Dv2)
-    lhs = _by(_by(V * V, Du2), Du) - _by(U * U * U, Dv2)
-    N = _by(lhs, W) - _by(Aw * U + _by(Bw, Du), D2)
-    even, odd = _reduce_y(N, model.rhs.num)
+    even, odd = _reduce_y(_equation_numerator(m), m.model.rhs.num)
     return even.is_zero() and odd.is_zero()
 
 
 def ambient_scalar(m: SurfaceMap) -> CycloNum | None:
     """c with F(u, v, w) = c * F as ambient polynomials, if the map is
     polynomial and such a scalar exists."""
-    model = m.model
-    field = model.field
-    if not m.w.is_polynomial():
+    if not all(r.is_polynomial() for r in (m.w, m.u.a, m.u.b, m.v.a, m.v.b)):
         return None
-
-    # Reassemble ambient polynomial images of x and y.
-    def ambient(e: FieldElement) -> MultiPoly | None:
-        if not (e.a.is_polynomial() and e.b.is_polynomial()):
-            return None
-        y = MultiPoly.gen(field, "y")
-        return e.a.as_poly() + e.b.as_poly() * y
-
-    u = ambient(m.u)
-    v = ambient(m.v)
-    if u is None or v is None:
-        return None
-    x = MultiPoly.gen(field, "x")
-    y = MultiPoly.gen(field, "y")
-    F = y ** 2 - x ** 3 - model.A * x - model.B
-    # F(u, v, w) without reduction; w is a polynomial, so W = 1.
-    _, Aw, Bw = _cleared_coefficients(model, m.w)
-    image = v * v - u * u * u - Aw * u - Bw
+    # Every denominator is 1, so the numerator N of verify_morphism is
+    # F(u, v, w) for F = y^2 - x^3 - A x - B, without reduction.
+    image = _equation_numerator(m)
     if image.is_zero():
         return None
+    model = m.model
+    x = MultiPoly.gen(model.field, "x")
+    y = MultiPoly.gen(model.field, "y")
+    F = y ** 2 - x ** 3 - model.A * x - model.B
     # Proportionality: image == c * F with a single scalar c.
     c = None
     if set(image.terms) != set(F.terms):

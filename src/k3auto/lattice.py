@@ -2,16 +2,16 @@
 
 Everything is exact and runs on integers: Smith normal forms, signatures by
 fraction-free symmetric elimination (Sylvester counts), and finite quadratic
-forms compared by an isomorphism search on q and b scaled by the group
-exponent.  ADE lattices follow the K3 curve convention and are negative
-definite.
+forms held as q and b scaled by the group exponent to an integer matrix and
+compared by an isomorphism search on it.  ADE lattices follow the K3 curve
+convention and are negative definite.
 """
 from __future__ import annotations
 
 import re
 from fractions import Fraction
 from itertools import product
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import mul
 from typing import NamedTuple
 
@@ -270,43 +270,35 @@ def smith_normal_form(matrix) -> tuple[list[list[int]], list[list[int]]]:
 
 
 class DiscriminantGroup(NamedTuple):
-    """L*/L of the nondegenerate part, with its quadratic and bilinear forms.
+    """L*/L of the nondegenerate part, with its discriminant form.
 
-    q values live in Q/2Z and b values in Q/Z, given on the generators of the
-    invariant-factor decomposition.
+    With g_i the generator of the i-th summand of the invariant-factor
+    decomposition, ``form`` holds the form scaled by the exponent e, the
+    largest invariant factor: e q(g_i) mod 2e on the diagonal and
+    e b(g_i, g_j) mod e off it, all integers.  As integers the entries give
+    e q(x) = x.F.x mod 2e for every x, because each off-diagonal entry
+    counts twice, and e b(x, y) = x.F.y mod e.
     """
 
     invariant_factors: tuple[int, ...]
-    generators: tuple[tuple[Fraction, ...], ...]
-    q_values: tuple[Fraction, ...]
-    b_values: tuple[tuple[Fraction, ...], ...]
+    form: tuple[tuple[int, ...], ...]
 
     @property
     def order(self) -> int:
-        out = 1
-        for d in self.invariant_factors:
-            out *= d
-        return out
+        return prod(self.invariant_factors)
+
+    @property
+    def exponent(self) -> int:
+        return max(self.invariant_factors, default=1)
+
+    @property
+    def q_values(self) -> tuple[Fraction, ...]:
+        """q(g_i) in Q/2Z, as the report prints them."""
+        e = self.exponent
+        return tuple(Fraction(row[i], e) for i, row in enumerate(self.form))
 
     def elements(self):
         return product(*(range(d) for d in self.invariant_factors))
-
-    def q_of(self, coeffs) -> Fraction:
-        total = Fraction(0)
-        k = len(coeffs)
-        for i in range(k):
-            total += coeffs[i] * coeffs[i] * self.q_values[i]
-            for j in range(i + 1, k):
-                total += 2 * coeffs[i] * coeffs[j] * self.b_values[i][j]
-        return total % 2
-
-    def b_of(self, u, v) -> Fraction:
-        total = Fraction(0)
-        k = len(u)
-        for i in range(k):
-            for j in range(k):
-                total += u[i] * v[j] * self.b_values[i][j]
-        return total % 1
 
     def element_order(self, coeffs) -> int:
         out = 1
@@ -349,37 +341,25 @@ def discriminant_data(G: GramMatrix) -> DiscriminantGroup:
     M = _nondegenerate_gram(G)
     n = len(M)
     if n == 0:
-        return DiscriminantGroup((), (), (), ())
+        return DiscriminantGroup((), ())
     D, V = smith_normal_form(M)
-    # U M V = D gives M^{-1} U^{-1} e_i = V e_i / d_i: the generator of the
-    # i-th cyclic summand is column i of V over d_i, and the form on two
-    # generators is (V^T M V)[i][j] / (d_i d_j).
+    # U M V = D gives M^{-1} U^{-1} e_i = V e_i / d_i: the generator g_i of
+    # the i-th cyclic summand is column i of V over d_i, and the form on g_i
+    # and g_j is W[i][j] / (d_i d_j) for W = V^T M V.  d_i g_i lies in L,
+    # so q(g_i) and b(g_i, g_j) lie in (1/d_i)Z, and the division of
+    # e W[i][j] by d_i d_j is exact.
     cyclic = [i for i in range(n) if D[i][i] > 1]
     factors = tuple(D[i][i] for i in cyclic)
-    gens = tuple(tuple(Fraction(V[r][i], D[i][i]) for r in range(n)) for i in cyclic)
+    e = max(factors, default=1)
     W = _gram_of_columns(M, V, cyclic)
-    q_vals = tuple(Fraction(W[a][a], d * d) % 2 for a, d in enumerate(factors))
-    b_vals = tuple(
-        tuple(Fraction(W[a][b], da * db) % 1 for b, db in enumerate(factors))
+    form = tuple(
+        tuple(
+            e * W[a][b] // (da * db) % (2 * e if a == b else e)
+            for b, db in enumerate(factors)
+        )
         for a, da in enumerate(factors)
     )
-    return DiscriminantGroup(factors, gens, q_vals, b_vals)
-
-
-def _scaled_form(dd: DiscriminantGroup, e: int) -> list[list[int]]:
-    """The form on the generators scaled by e, a multiple of every order:
-    e q(g_i) as an int mod 2e on the diagonal, e b(g_i, g_j) mod e off it.
-
-    A generator g of order d has d g in L, so q(g) and b(g, h) lie in (1/d)Z.
-    As integers the entries give e q(x) = x.F.x mod 2e for every x, because
-    each off-diagonal entry counts twice, and e b(x, y) = x.F.y mod e.
-    """
-    k = len(dd.invariant_factors)
-    return [
-        [int(dd.q_values[i] * e) % (2 * e) if i == j else int(dd.b_values[i][j] * e) % e
-         for j in range(k)]
-        for i in range(k)
-    ]
+    return DiscriminantGroup(factors, form)
 
 
 def _b_scaled(row, y, e: int) -> int:
@@ -393,8 +373,9 @@ def genus_equal(G1: GramMatrix, G2: GramMatrix) -> bool:
     A lattice is its nondegenerate quotient plus its radical, so equal rank
     and signature fix the radical.  For the even indefinite lattices in scope
     this decides the genus; the finite-form isomorphism is found by search
-    over generator images, with q and b scaled by the group exponent e to
-    integers mod 2e and mod e (group order capped at 1024).
+    over generator images on the scaled forms of ``discriminant_data``,
+    integers mod 2e and mod e for the group exponent e (group order capped
+    at 1024).
     """
     if G1.size != G2.size or signature(G1) != signature(G2):
         return False
@@ -406,9 +387,8 @@ def genus_equal(G1: GramMatrix, G2: GramMatrix) -> bool:
         raise GroupTooLargeError(f"discriminant group of order {d1.order}")
     if d1.order == 1:
         return True
-    e = max(d1.invariant_factors)
-    F1 = _scaled_form(d1, e)
-    F2 = _scaled_form(d2, e)
+    e = d1.exponent
+    F1, F2 = d1.form, d2.form
     # Candidates by element order and scaled q, each with its row x.F mod e.
     by_order_q: dict[tuple[int, int], list[tuple[tuple[int, ...], list[int]]]] = {}
     for el in d2.elements():
@@ -423,10 +403,10 @@ def genus_equal(G1: GramMatrix, G2: GramMatrix) -> bool:
     gens1 = sorted(range(len(F1)), key=lambda i: -d1.invariant_factors[i])
 
     def extend(i, images):
-        # Images with the generators' orders and q values that keep b on
-        # generator pairs define a homomorphism that keeps b (b(x, x) is
-        # q(x) mod 1); b is nondegenerate, so it is injective, and onto
-        # since the two groups have one order.
+        # Images with the orders and q values of the generator they replace
+        # that keep b on generator pairs define a homomorphism that keeps b
+        # (b(x, x) is q(x) mod 1); b is nondegenerate, so it is injective,
+        # and onto since the two groups have one order.
         if i == len(gens1):
             return True
         g = gens1[i]

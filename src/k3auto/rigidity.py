@@ -143,7 +143,8 @@ def cycles(perm: dict[str, str]) -> list[tuple[str, ...]]:
 
 class CensusPoint(NamedTuple):
     location: str
-    kind: str  # transverse-intersection | tangency | free-point | swap-point
+    # transverse-intersection | tangency | free-point | swap-point | on-fixed-curve
+    kind: str
     weights: tuple[tuple[str, int], ...] | None
 
 
@@ -281,9 +282,20 @@ class GraphAction:
     def census(self) -> FixedLocusCensus:
         """Fixed points and pointwise-fixed curves.  An edge between two
         stable curves is a fixed point unless it lies on a pointwise-fixed
-        curve; an edge whose ends the permutation swaps is a swap point."""
+        curve; an edge whose ends the permutation swaps is a swap point.
+
+        A point of weight w along a curve through it has normal weight
+        c - w.  When that is 0 mod n, a pointwise-fixed curve outside the
+        configuration passes through the point: it is listed as
+        on-fixed-curve and not counted in N.  This happens only at a
+        tangency or a free point: at a transverse point c - w is the weight
+        along the other stable curve, never 0."""
         perm, pointwise = self.perm, self.pointwise
         points = []
+
+        def kind_of(kind, w):
+            return "on-fixed-curve" if w is not None and (self.c - w) % self.n == 0 else kind
+
         for (a, b), mult in sorted(self.config.edges.items()):
             pid = edge_point_id(a, b)
             if perm[a] == a and perm[b] == b:
@@ -291,16 +303,17 @@ class GraphAction:
                     continue
                 kind = "tangency" if mult == 2 else "transverse-intersection"
                 weights = ((a, self.weights.get((a, pid))), (b, self.weights.get((b, pid))))
-                points.append(CensusPoint(pid, kind, weights))
+                points.append(CensusPoint(pid, kind_of(kind, weights[0][1]), weights))
             elif perm[a] == b and perm[b] == a:
                 points.append(CensusPoint(pid, "swap-point", None))
         for curve, pids in sorted(self.free_points.items()):
             for pid in pids:
                 weights = ((curve, self.weights[(curve, pid)]),)
-                points.append(CensusPoint(pid, "free-point", weights))
+                points.append(CensusPoint(pid, kind_of("free-point", weights[0][1]), weights))
         points.sort(key=lambda p: p.location)
         curves = tuple(sorted(pointwise))
-        return FixedLocusCensus(len(points), len(curves), tuple(points), curves)
+        isolated = sum(p.kind != "on-fixed-curve" for p in points)
+        return FixedLocusCensus(isolated, len(curves), tuple(points), curves)
 
 
 def _frame(config, perm):

@@ -290,6 +290,21 @@ def test_rigidity_power(capsys):
     assert "n = 8" in out
 
 
+def test_rigidity_power_eight_lists_its_points_on_a_fixed_curve(capsys):
+    # sigma^8 is a non-symplectic involution, so every fixed point lies on a
+    # fixed curve: the tangencies a_i:b_i (weights 1 and 1) and C8.free0
+    # (weight 1) have normal weight c - 1 = 0 mod 2.
+    for name in ("sigma", "sigma_alt"):
+        code, out, _ = run_cli(capsys, "rigidity", GRAPH, "power", name, "8")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[:5] == [f"action = {name}^8", "n = 2", "c = 1", "N = 0", "k = 5"]
+        assert [line for line in lines if line.startswith("fixed-point")] == [
+            "fixed-point C8.free0 | on-fixed-curve | C8=1",
+            *(f"fixed-point a{i}:b{i} | on-fixed-curve | a{i}=1 b{i}=1" for i in range(1, 6)),
+        ]
+
+
 def test_rigidity_compose(capsys):
     code, out, _ = run_cli(capsys, "rigidity", GRAPH, "compose", "sigma", "inv(sigma_alt)")
     assert code == 0
@@ -520,6 +535,35 @@ def test_lattice_graph_report(capsys):
     assert "invariant_factors = (2, 2, 2, 2)" in out
 
 
+LATTICE_REPORTS = {
+    "D8": [
+        "rank = 8", "signature = (0, 8)", "det = 4", "invariant_factors = (2, 2)",
+        "q(g1) = 0 mod 2", "q(g2) = 1 mod 2",
+    ],
+    "D6+D8": [
+        "rank = 14", "signature = (0, 14)", "det = 16", "invariant_factors = (2, 2, 2, 2)",
+        "q(g1) = 1/2 mod 2", "q(g2) = 1 mod 2", "q(g3) = 0 mod 2", "q(g4) = 1 mod 2",
+    ],
+    "A4+D6+E8+E8": [
+        "rank = 26", "signature = (0, 26)", "det = 20", "invariant_factors = (2, 10)",
+        "q(g1) = 1/2 mod 2", "q(g2) = 9/5 mod 2",
+    ],
+    "A2+E7+E8+A1": [
+        "rank = 18", "signature = (0, 18)", "det = 12", "invariant_factors = (2, 6)",
+        "q(g1) = 3/2 mod 2", "q(g2) = 4/3 mod 2",
+    ],
+}
+
+
+def test_lattice_report_bytes_where_the_generators_show(capsys):
+    # A q-value that is not an integer depends on which generators the two
+    # Smith forms of discriminant_data pick; these reports pin that choice.
+    for expr, lines in LATTICE_REPORTS.items():
+        code, out, err = run_cli(capsys, "lattice", "expr", expr)
+        assert (code, err) == (0, ""), expr
+        assert out == "\n".join([f"lattice = {expr}", *lines]) + "\n", expr
+
+
 def test_lattice_unknown_name_exits_2(capsys):
     code, _out, err = run_cli(capsys, "lattice", "expr", "Z9")
     assert code == 2
@@ -655,6 +699,23 @@ def test_cli_runs_on_the_standard_library_alone():
     )
     assert (proc.returncode, proc.stderr) == (0, "")
     assert "classes = 1" in proc.stdout.splitlines()
+
+
+def test_a_closed_pipe_exits_141_with_nothing_on_stderr():
+    # The read end of the pipe is closed before the child can have written,
+    # so its one write always meets a closed pipe, unlike `| head`.
+    src = str(Path(k3auto.__file__).resolve().parent.parent)
+    for _ in range(3):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "k3auto.cli", "rigidity", GRAPH, "census", "sigma"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(), err) == (141, b"")
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
+from math import gcd, lcm, prod
 
 import pytest
 
@@ -214,39 +215,77 @@ def test_discriminant_groups_of_named_lattices():
     assert dd.order == abs(determinant(big))
 
 
-def _fraction_inverse(M):
-    n = len(M)
-    aug = [[Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(M)]
+def _fraction_solve(A, columns):
+    """The columns x with A x = b for each column b, by Fraction elimination."""
+    n = len(A)
+    aug = [[Fraction(v) for v in row] + [Fraction(b[i]) for b in columns] for i, row in enumerate(A)]
     for col in range(n):
         pivot = next(r for r in range(col, n) if aug[r][col] != 0)
         aug[col], aug[pivot] = aug[pivot], aug[col]
         aug[col] = [v / aug[col][col] for v in aug[col]]
+        nonzero = [(c, p) for c, p in enumerate(aug[col]) if p]
         for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [v - f * p for v, p in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+            f = aug[r][col]
+            if r != col and f:
+                row = aug[r]
+                for c, p in nonzero:
+                    row[c] -= f * p
+    return [[aug[r][n + j] for r in range(n)] for j in range(len(columns))]
 
 
 def _reference_discriminant(G):
-    # Generators M^-1 U^-1 e_i with U M V = D, forms by Fraction pairings.
+    # Generators g = M^-1 U^-1 e_i with U M V = D, forms by Fraction
+    # pairings: M h = U^-1 e_j for a generator h, so g.M.h = g.U^-1 e_j.
     M = _nondegenerate_gram(G)
     n = len(M)
     D, U, _V = _reference_smith_normal_form(M)
-    U_inv = _fraction_inverse(U)
-    M_inv = _fraction_inverse(M)
-    factors, gens = [], []
-    for i in range(n):
-        if D[i][i] > 1:
-            factors.append(D[i][i])
-            gens.append(tuple(sum(M_inv[r][c] * U_inv[c][i] for c in range(n)) for r in range(n)))
+    cyclic = [i for i in range(n) if D[i][i] > 1]
+    factors = [D[i][i] for i in cyclic]
+    images = _fraction_solve(U, [[int(r == i) for r in range(n)] for i in cyclic])
+    gens = _fraction_solve(M, images)
 
-    def pair(u, v):
-        return sum(u[r] * M[r][c] * v[c] for r in range(n) for c in range(n))
+    def pair(g, image):
+        return sum(x * y for x, y in zip(g, image))
 
-    q_vals = tuple(pair(g, g) % 2 for g in gens)
-    b_vals = tuple(tuple(pair(g, h) % 1 for h in gens) for g in gens)
-    return tuple(factors), tuple(gens), q_vals, b_vals
+    q_vals = tuple(pair(g, image) % 2 for g, image in zip(gens, images))
+    b_vals = tuple(tuple(pair(g, image) % 1 for image in images) for g in gens)
+    return tuple(factors), q_vals, b_vals
+
+
+def _scaled_form(factors, q_vals, b_vals):
+    """Fraction q and b values on the generators scaled by the exponent e:
+    e q mod 2e on the diagonal and e b mod e off it, each an integer."""
+    e = max(factors, default=1)
+    k = len(factors)
+    scaled = [[q_vals[i] * e if i == j else b_vals[i][j] * e for j in range(k)] for i in range(k)]
+    assert all(v.denominator == 1 for row in scaled for v in row)
+    return tuple(
+        tuple(int(v) % (2 * e if i == j else e) for j, v in enumerate(row))
+        for i, row in enumerate(scaled)
+    )
+
+
+def q_of(data, coeffs) -> Fraction:
+    """q of the element with these coefficients, from _reference_discriminant's data."""
+    _factors, q_vals, b_vals = data
+    total = Fraction(0)
+    k = len(coeffs)
+    for i in range(k):
+        total += coeffs[i] * coeffs[i] * q_vals[i]
+        for j in range(i + 1, k):
+            total += 2 * coeffs[i] * coeffs[j] * b_vals[i][j]
+    return total % 2
+
+
+def b_of(data, u, v) -> Fraction:
+    """b of two elements, from _reference_discriminant's data."""
+    b_vals = data[2]
+    total = Fraction(0)
+    k = len(u)
+    for i in range(k):
+        for j in range(k):
+            total += u[i] * v[j] * b_vals[i][j]
+    return total % 1
 
 
 def test_discriminant_data_matches_inverse_formula():
@@ -258,20 +297,32 @@ def test_discriminant_data_matches_inverse_formula():
     for parts in sums:
         G = direct_sum(parts)
         dd = discriminant_data(G)
-        got = (dd.invariant_factors, dd.generators, dd.q_values, dd.b_values)
-        assert got == _reference_discriminant(G), parts
+        factors, q_vals, b_vals = _reference_discriminant(G)
+        assert dd == (factors, _scaled_form(factors, q_vals, b_vals)), parts
+        assert dd.q_values == q_vals, parts
 
 
 def test_q_and_b_consistency():
-    # q(g + h) - q(g) - q(h) == 2 b(g, h) mod 2Z, on all element pairs.
-    dd = discriminant_data(direct_sum(["U(2)", "D4"]))
+    # q(g + h) - q(g) - q(h) == 2 b(g, h) mod 2Z, on all element pairs; the
+    # scaled form gives e q(x) = x.F.x mod 2e and e b(x, y) = x.F.y mod e.
+    G = direct_sum(["U(2)", "D4"])
+    dd = discriminant_data(G)
+    data = _reference_discriminant(G)
+    e = dd.exponent
+    F = dd.form
     els = list(dd.elements())
+
+    def scaled(u, v):
+        return sum(u[i] * F[i][j] * v[j] for i in range(len(u)) for j in range(len(v)))
+
     for u in els:
+        assert q_of(data, u) * e % (2 * e) == scaled(u, u) % (2 * e)
         for v in els:
             s = tuple((a + b) % d for a, b, d in zip(u, v, dd.invariant_factors))
-            lhs = (dd.q_of(s) - dd.q_of(u) - dd.q_of(v)) % 2
-            rhs = (2 * dd.b_of(u, v)) % 2
+            lhs = (q_of(data, s) - q_of(data, u) - q_of(data, v)) % 2
+            rhs = (2 * b_of(data, u, v)) % 2
             assert lhs == rhs
+            assert b_of(data, u, v) * e % e == scaled(u, v) % e
 
 
 def test_from_curve_config_small():
@@ -400,26 +451,36 @@ def test_signature_matches_the_hyperbolic_pair_reference():
         assert signature(G) == _reference_signature(G) == (k, k)
 
 
+def _element_order(factors, coeffs):
+    out = 1
+    for d, c in zip(factors, coeffs):
+        out = lcm(out, d // gcd(d, c))
+    return out
+
+
 def _reference_genus_equal(G1, G2):
     """genus_equal as it was with a final check that the generator images
-    generate all of group 2; also returns how many full assignments reached
+    generate all of group 2, on the Fraction forms of
+    _reference_discriminant; also returns how many full assignments reached
     that check."""
     if signature(G1) != signature(G2):
         return False, 0
-    d1 = discriminant_data(G1)
-    d2 = discriminant_data(G2)
-    if sorted(d1.invariant_factors) != sorted(d2.invariant_factors):
+    d1 = _reference_discriminant(G1)
+    d2 = _reference_discriminant(G2)
+    (factors1, q1, b1), factors2 = d1, d2[0]
+    if sorted(factors1) != sorted(factors2):
         return False, 0
-    if d1.order != d2.order:
+    order1, order2 = prod(factors1), prod(factors2)
+    if order1 != order2:
         return False, 0
-    if d1.order > 1024:
-        raise GroupTooLargeError(f"discriminant group of order {d1.order}")
-    if d1.order == 1:
+    if order1 > 1024:
+        raise GroupTooLargeError(f"discriminant group of order {order1}")
+    if order1 == 1:
         return True, 0
     by_order_q = {}
-    for el in d2.elements():
-        by_order_q.setdefault((d2.element_order(el), d2.q_of(el)), []).append(el)
-    k = len(d1.invariant_factors)
+    for el in product(*(range(d) for d in factors2)):
+        by_order_q.setdefault((_element_order(factors2, el), q_of(d2, el)), []).append(el)
+    k = len(factors1)
     full_checks = 0
 
     def extend(i, images):
@@ -427,14 +488,14 @@ def _reference_genus_equal(G1, G2):
         if i == k:
             full_checks += 1
             seen = set()
-            for coeffs in d1.elements():
+            for coeffs in product(*(range(d) for d in factors1)):
                 seen.add(tuple(
                     sum(coeffs[m] * images[m][j] for m in range(k)) % d
-                    for j, d in enumerate(d2.invariant_factors)
+                    for j, d in enumerate(factors2)
                 ))
-            return len(seen) == d2.order
-        for cand in by_order_q.get((d1.invariant_factors[i], d1.q_values[i] % 2), ()):
-            if all(d2.b_of(cand, images[j]) == d1.b_values[i][j] % 1 for j in range(i)):
+            return len(seen) == order2
+        for cand in by_order_q.get((factors1[i], q1[i] % 2), ()):
+            if all(b_of(d2, cand, images[j]) == b1[i][j] % 1 for j in range(i)):
                 if extend(i + 1, images + [cand]):
                     return True
         return False
@@ -592,18 +653,17 @@ def _dense_discriminant_data(G):
     M = _dense_gram_of_columns(G.entries, V, [j for j in range(G.size) if D[j][j]])
     n = len(M)
     if n == 0:
-        return DiscriminantGroup((), (), (), ())
+        return DiscriminantGroup((), ())
     D, _U, V = _full_scan_smith_normal_form(M)
     cyclic = [i for i in range(n) if D[i][i] > 1]
     factors = tuple(D[i][i] for i in cyclic)
-    gens = tuple(tuple(Fraction(V[r][i], D[i][i]) for r in range(n)) for i in cyclic)
     W = _dense_gram_of_columns(M, V, cyclic)
     q_vals = tuple(Fraction(W[a][a], d * d) % 2 for a, d in enumerate(factors))
     b_vals = tuple(
         tuple(Fraction(W[a][b], da * db) % 1 for b, db in enumerate(factors))
         for a, da in enumerate(factors)
     )
-    return DiscriminantGroup(factors, gens, q_vals, b_vals)
+    return DiscriminantGroup(factors, _scaled_form(factors, q_vals, b_vals))
 
 
 SUMMANDS = (

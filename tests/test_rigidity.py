@@ -154,6 +154,29 @@ def test_power_of_sigma_squares_to_same_census():
     assert sq.order() == 8
 
 
+def test_census_counts_no_point_of_zero_normal_weight():
+    # Every class of order 2, 4 and 8 on the fixture: a point is on a fixed
+    # curve exactly when its normal weight c - w is 0 mod n, never at a
+    # transverse point, and N counts the other points.
+    on_curve = 0
+    for n in (2, 4, 8):
+        for c in range(n):
+            for act in enumerate_actions(CFG, n, c):
+                cen = act.census()
+                for p in cen.points:
+                    if p.kind == "swap-point":
+                        continue
+                    (curve, w), *other = p.weights
+                    zero = (act.c - w) % act.n == 0
+                    assert (p.kind == "on-fixed-curve") == zero
+                    if other and CFG.edges[(curve, other[0][0])] == 1:
+                        assert (act.c - w) % act.n == other[0][1] != 0
+                marked = sum(p.kind == "on-fixed-curve" for p in cen.points)
+                assert cen.N == len(cen.points) - marked
+                on_curve += marked
+    assert on_curve > 0
+
+
 def test_power_to_the_order_is_trivial():
     for act in BUNDLE.actions.values():
         triv = power(act, act.order())
@@ -1067,6 +1090,9 @@ def test_enumeration_finds_actions_with_two_stable_components():
         cfg, perm, 4, 1, {("q", edge_point_id("p", "q")): 2, ("u", edge_point_id("u", "v")): 2}
     )
     cen = seeded.census()
-    assert (cen.N, cen.k) == (6, 0)
+    # p.free0 and v.free0 have weight 1 = c, so a fixed curve outside the
+    # configuration passes through each: 6 points, 4 of them isolated.
+    assert (cen.N, cen.k) == (4, 0)
+    assert len(cen.points) == 6
     classes = enumerate_actions(cfg, 4, 1)
     assert any(canonical_key(a) == canonical_key(seeded) for a in classes)
