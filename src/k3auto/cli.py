@@ -17,7 +17,14 @@ import sys
 
 from .errors import InputError, VerificationFailure
 from .files import load_graph_file, load_surface_file, parse_lattice_expression
-from .funfield import NotAMorphismError, ambient_scalar, map_order, omega_factor
+from .funfield import (
+    NotAMorphismError,
+    OrderBoundExceededError,
+    ambient_scalar,
+    check_order_bound,
+    map_order,
+    omega_factor,
+)
 from .lattice import discriminant_data, from_curve_config, genus_equal, signature
 from .polyring import INF
 from .rigidity import (
@@ -98,8 +105,13 @@ def cmd_check_map(args) -> int:
         _emit(args, {"map": args.map, "well_defined": False, "residual": str(err.residual)})
         raise VerificationFailure(f"map {args.map!r} is not a morphism") from err
     scalar = ambient_scalar(m)
-    order = map_order(m, args.max_order)
+    check_order_bound(args.max_order)
     factor_order = factor.multiplicative_order(args.max_order)
+    if factor_order is None:
+        # The 2-form factor is multiplicative, so m^k = id forces c^k = 1:
+        # the verdict needs no composition.
+        raise OrderBoundExceededError(f"order exceeds {args.max_order}")
+    order = map_order(m, args.max_order)
     _emit(args, {
         "map": args.map,
         "well_defined": True,

@@ -15,6 +15,7 @@ denominators with no gcd.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .cyclotomic import CycloNum, power
 from .errors import InputError, VerificationFailure
@@ -223,6 +224,20 @@ class SurfaceMap:
             and v.b.num == MultiPoly.one(field)
             and w.is_polynomial()
             and w.num == MultiPoly.gen(field, "t")
+        )
+
+    def is_diagonal(self) -> bool:
+        """Is the map (x, y, t) -> (a x, b y, w) with a and b rational in t?
+
+        Read off the exponents alone: u is free of y with numerator x times
+        a polynomial in t, and v is y times a quotient of polynomials in t.
+        """
+        u, v = self.u, self.v
+        return (
+            u.b.is_zero()
+            and v.a.is_zero()
+            and all(e[0] == 1 and not e[1] for e in u.a.num.terms)
+            and not any(e[0] or e[1] for p in (u.a.den, v.b.num, v.b.den) for e in p.terms)
         )
 
     def __eq__(self, other):
@@ -575,10 +590,18 @@ def omega_factor(m: SurfaceMap) -> CycloNum:
     return c
 
 
-# The largest order bound map_order and inverse accept.  The base order
-# costs one 2x2 matrix step per unit of the bound, so a larger bound would
-# let a map of infinite order such as t -> t + 1 run for minutes.
+# The largest order bound map_order accepts.  The base order costs one 2x2
+# matrix step per unit of the bound, so a larger bound would let a map of
+# infinite order such as t -> t + 1 run for minutes.
 MAX_ORDER = 4096
+
+
+def check_order_bound(max_order: int) -> None:
+    """Raise InputError unless 0 <= max_order <= MAX_ORDER."""
+    if max_order < 0:
+        raise InputError(f"max_order {max_order} is below 0")
+    if max_order > MAX_ORDER:
+        raise InputError(f"max_order {max_order} exceeds the bound {MAX_ORDER}")
 
 
 def _mobius_order(w: RationalFunction, max_order: int) -> int:
@@ -617,61 +640,96 @@ def _mobius_order(w: RationalFunction, max_order: int) -> int:
     raise exceeded
 
 
-def _power(squares: list[SurfaceMap], n: int) -> SurfaceMap:
-    # m^n for n >= 1, where squares = [m, m^2, m^4, ...] grows in place as
-    # far as n needs, so later powers reuse the squares.
-    acc = None
-    for i in range(n.bit_length()):
-        if i == len(squares):
-            squares.append(compose(squares[-1], squares[-1]))
-        if n >> i & 1:
-            acc = squares[i] if acc is None else compose(acc, squares[i])
-    return acc
+def _diagonal_order(m: SurfaceMap, e: int, limit: int) -> int | None:
+    """The order of the diagonal map m (``SurfaceMap.is_diagonal``) if it is
+    at most limit, else None; e is the order of m's base image w.
 
-
-def _order_walk(m: SurfaceMap, max_order: int):
-    # (e, j, squares, M^(j - 1)) with e the base order, M = m^e and M^j the
-    # identity, so the order is e j; M^0 is None.  The t-image of m^k is w
-    # iterated k times, so e divides the order and only the powers of M are
-    # candidates.
-    if max_order < 0:
-        raise InputError(f"max_order {max_order} is below 0")
-    if max_order > MAX_ORDER:
-        raise InputError(f"max_order {max_order} exceeds the bound {MAX_ORDER}")
-    e = _mobius_order(m.w, max_order)
-    squares = [m]
-    step = _power(squares, e)
-    prev, acc, j = None, step, 1
-    while not acc.is_identity():
-        if e * (j + 1) > max_order:
-            raise OrderBoundExceededError(f"order exceeds {max_order}")
-        prev, acc, j = acc, compose(step, acc), j + 1
-    return e, j, squares, prev
+    The powers of m = (a x, b y, w) are (a_k x, b_k y, w^k) with a_k the
+    product of a(w^i) over i < k, and b_k alike.  So m^e scales x by a_e
+    and y by b_e and fixes t, m^(e j) scales them by a_e^j and b_e^j, and
+    the order is e times the lcm of the orders of a_e and b_e when both are
+    constant roots of unity, and infinite otherwise.  The products are
+    formed over cleared denominators with no gcd; a root of unity of
+    Q(zeta_n) has order at most 2 n.
+    """
+    field = m.model.field
+    one = MultiPoly.one(field)
+    w = m.w
+    # (numerator, denominator) of a and of b, and of their products.
+    parts = ((m.u.a.num.coeffs_in("x").get(1, MultiPoly.zero(field)), m.u.a.den),
+             (m.v.b.num, m.v.b.den))
+    products = [(one, one), (one, one)]
+    iterate = RationalFunction.gen(field, "t")
+    for i in range(e):
+        if i:  # w^i = w(w^(i - 1)), a Moebius map, so num and den are coprime
+            iterate = RationalFunction._coprime(
+                *(_substitute_cleared(p, None, image, 0, 1) for p in (w.num, w.den))
+            )
+        image = _cleared_image(iterate.num, iterate.den)
+        for k, part in enumerate(parts):
+            d = max(p.degree_in("t") for p in part)
+            products[k] = tuple(
+                acc * _substitute_cleared(p, None, image, 0, d)
+                for acc, p in zip(products[k], part)
+            )
+    bound = limit // e
+    order = 1
+    for num, den in products:
+        if num.is_zero():
+            return None
+        c = num.leading_coeff_lex() / den.leading_coeff_lex()
+        if num != den * c:
+            return None
+        k = c.multiplicative_order(min(bound, 2 * field.order))
+        if k is None:
+            return None
+        order = lcm(order, k)
+    return e * order if order <= bound else None
 
 
 def map_order(m: SurfaceMap, max_order: int = 64) -> int:
     """Least k <= max_order with m^k the identity; 0 <= max_order <= MAX_ORDER.
 
-    The base order e comes first, from w alone (``_mobius_order``); then
+    The base order e comes first, from w alone (``_mobius_order``): the
+    t-image of m^k is w iterated k times, so e divides the order.  Then
     M = m^e is formed by repeated squaring, and the order is e j for the
-    least j with M^j the identity.
+    least j with M^j the identity.  The walk stops at the first diagonal
+    power of m it forms (``SurfaceMap.is_diagonal``), whose order has a
+    closed form (``_diagonal_order``).  Diagonal maps form a group under
+    composition, so when m has finite order its diagonal powers are the
+    multiples of the least one, k0, and the order is k0 times the order of
+    m^k0; when m has infinite order, so has every power.  Along the squares
+    m^(2^i), the first diagonal one is the least diagonal power; along the
+    powers M^j, the first diagonal M^j is m^(e j) with e j the lcm of k0
+    and e, which divides the order all the same.
     """
-    e, j, _, _ = _order_walk(m, max_order)
+    check_order_bound(max_order)
+    e = _mobius_order(m.w, max_order)
+
+    def closed_form(power: SurfaceMap, k: int) -> int:
+        # The order of m, from its diagonal power m^k with k dividing it.
+        order = _diagonal_order(power, e // gcd(e, k), max_order // k)
+        if order is None:
+            raise OrderBoundExceededError(f"order exceeds {max_order}")
+        return k * order
+
+    # M = m^e by square-and-multiply on the squares m^(2^i).
+    square, step = m, None
+    for i in range(e.bit_length()):
+        if i:
+            square = compose(square, square)
+        if square.is_diagonal():
+            return closed_form(square, 1 << i)
+        if e >> i & 1:
+            step = square if step is None else compose(step, square)
+    power, j = step, 1
+    while not power.is_identity():
+        if power.is_diagonal():
+            return closed_form(power, e * j)
+        if e * (j + 1) > max_order:
+            raise OrderBoundExceededError(f"order exceeds {max_order}")
+        power, j = compose(step, power), j + 1
     return e * j
-
-
-def inverse(m: SurfaceMap, max_order: int = 64) -> SurfaceMap:
-    """m^(order - 1); maps in scope all have finite small order.
-
-    It reuses the powers that ``map_order`` forms: with M = m^e and order
-    e j, it is M^(j - 1) after m^(e - 1), and m^(e - 1) is built from the
-    squares of m.
-    """
-    e, _, squares, walked = _order_walk(m, max_order)
-    if e == 1:
-        return SurfaceMap.identity(m.model) if walked is None else walked
-    head = _power(squares, e - 1)
-    return head if walked is None else compose(walked, head)
 
 
 class Section:
@@ -759,27 +817,3 @@ def translation_map(model: WeierstrassModel, t_section: Section) -> SurfaceMap:
     u = slope * slope - x_e - xT
     v = slope * (x_e - u) - y_e
     return SurfaceMap(model, u, v, RationalFunction.gen(field, "t"))
-
-
-def build_named_maps(model: WeierstrassModel) -> dict:
-    """The bundled trio on the fixture model: the coordinate scaling
-    (x, y, t) -> (z^6 x, z^9 y, z^4 t), its
-    composite with translation by the 2-torsion section (0, 0), and the
-    symplectic quotient of the two.
-
-    The alternative factorization equals translation composed with the
-    scaling, and the quotient map equals the bare translation; both identities
-    are rechecked here.
-    """
-    field = model.field
-    sigma = SurfaceMap.scaling(model, field.zeta(6), field.zeta(9), field.zeta(4))
-    zero = RationalFunction.constant(field, 0)
-    two_torsion = Section(zero, zero)
-    trans = translation_map(model, two_torsion)
-    sigma_alt = compose(trans, sigma)
-    if compose(sigma, trans) != sigma_alt:
-        raise ArithmeticError("identity sigma o trans = trans o sigma failed")
-    tau = compose(sigma, inverse(sigma_alt))
-    if tau != trans:
-        raise ArithmeticError("identity sigma o sigma_alt^-1 = trans failed")
-    return {"sigma": sigma, "sigma_alt": sigma_alt, "tau": tau}

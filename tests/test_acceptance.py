@@ -16,7 +16,6 @@ from k3auto.funfield import (
     add_points,
     ambient_scalar,
     compose,
-    inverse,
     map_order,
     normalize,
     omega_factor,
@@ -40,6 +39,7 @@ from k3auto.rigidity import (
     to_dot,
 )
 from k3auto.surface import classify_all
+from test_funfield import inverse
 
 F = cyclotomic_field(16)
 BUNDLE = load_bundle()

@@ -266,6 +266,26 @@ def test_check_map_translation_of_infinite_order_is_refuted_at_bound_1(capsys):
     assert err == "verification failed: order exceeds 1\n"
 
 
+def test_check_map_refutes_doubling_by_its_2_form_factor():
+    # P -> 2P has infinite order and pulls the 2-form back to twice itself.
+    # m^k = id would force 2^k = 1, so every bound is refuted with no
+    # composition, in well under a second per process.
+    path = Path(__file__).with_name("duplication_surface.txt")
+    src = str(Path(k3auto.__file__).resolve().parent.parent)
+    for bound in (None, "3", "4", "4096"):
+        argv = ["check-map", str(path), "dup"] + ([] if bound is None else ["--max-order", bound])
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "k3auto.cli", *argv],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert time.perf_counter() - start < 0.5
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == f"verification failed: order exceeds {bound or 64}\n"
+
+
 def test_check_map_negative_order_bound_exits_2(capsys):
     for bound in ("-1", "-3"):
         code, out, err = run_cli(capsys, "check-map", SURFACE, "sigma", "--max-order", bound)

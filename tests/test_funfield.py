@@ -17,9 +17,7 @@ from k3auto.funfield import (
     ZeroDenominatorOnSurfaceError,
     add_points,
     ambient_scalar,
-    build_named_maps,
     compose,
-    inverse,
     map_order,
     morphism_residual,
     negate,
@@ -41,6 +39,31 @@ XYT = {"x", "y", "t"}
 
 def model():
     return WeierstrassModel(F, T ** 3 * (T ** 4 - 1), MultiPoly.zero(F))
+
+
+def inverse(m, max_order=64):
+    """m^(order - 1), from the linear reference walk."""
+    return _reference_order_and_last_power(m, max_order)[1]
+
+
+def build_named_maps(mdl):
+    """The bundled trio on the fixture model: the coordinate scaling
+    (x, y, t) -> (z^6 x, z^9 y, z^4 t), its composite with translation by
+    the 2-torsion section (0, 0), and the symplectic quotient of the two.
+
+    The alternative factorization equals translation composed with the
+    scaling, and the quotient map equals the bare translation; both
+    identities are rechecked here.
+    """
+    field = mdl.field
+    sigma = SurfaceMap.scaling(mdl, field.zeta(6), field.zeta(9), field.zeta(4))
+    zero = RationalFunction.constant(field, 0)
+    trans = translation_map(mdl, Section(zero, zero))
+    sigma_alt = compose(trans, sigma)
+    assert compose(sigma, trans) == sigma_alt
+    tau = compose(sigma, inverse(sigma_alt))
+    assert tau == trans
+    return {"sigma": sigma, "sigma_alt": sigma_alt, "tau": tau}
 
 
 @functools.lru_cache(maxsize=None)
@@ -312,23 +335,16 @@ def test_is_identity_checks_every_component():
 
 
 def test_order_walks_the_powers_of_m_to_the_base_order(monkeypatch):
-    sigma_alt = named_maps()["sigma_alt"]
     calls = _counting_compose(monkeypatch)
-    assert map_order(sigma_alt) == 16
-    # w = z^4 t has order 4: m^2 and m^4 by squaring, then M = m^4 to M^2,
-    # M^3 and M^4, five compositions where m, m^2, ..., m^16 took fifteen.
-    assert len(calls) == 5
-
-
-def test_inverse_reuses_the_powers_of_the_order_loop(monkeypatch):
-    sigma_alt = named_maps()["sigma_alt"]
-    calls = _counting_compose(monkeypatch)
-    inv = inverse(sigma_alt)
-    # The five of map_order, then m^3 = m o m^2 from the squares and
-    # M^3 o m^3 = m^15.
-    assert len(calls) == 7
-    monkeypatch.undo()
-    assert compose(sigma_alt, inv).is_identity()
+    counts = {}
+    for name, mp in named_maps().items():
+        calls.clear()
+        map_order(mp)
+        counts[name] = len(calls)
+    # sigma is diagonal, so its order comes from (z^6)^4 and (z^9)^4 with no
+    # composition; sigma_alt^2 = sigma^2 is its first diagonal power; tau o
+    # tau is the identity.
+    assert counts == {"sigma": 0, "sigma_alt": 1, "tau": 1}
 
 
 def test_base_of_no_finite_order_is_refused_before_any_composition(monkeypatch):
@@ -376,7 +392,40 @@ def _outcome(fn, *args):
         return ("error", str(exc))
 
 
-def test_order_and_inverse_match_the_linear_reference():
+def _walk_compositions(m, order, bound):
+    # The compositions of the order walk without its diagonal stop: m^e by
+    # square-and-multiply, then M = m^e to M^j one step at a time, up to the
+    # order (None when infinite) or the bound; none when the base order e
+    # passes the bound.
+    try:
+        e = funfield._mobius_order(m.w, bound)
+    except OrderBoundExceededError:
+        return 0
+    j = order // e if order is not None and order <= bound else bound // e
+    return e.bit_length() - 1 + bin(e).count("1") - 1 + j - 1
+
+
+def _assert_orders_match_the_linear_reference(monkeypatch, pool, limit=64):
+    # map_order agrees with the reference at the bounds 0, 1, o - 1, o and
+    # limit, or 0, 1 and limit for an order o past limit, and composes no
+    # more than the walk without its diagonal stop.  Returns the orders,
+    # None for one past limit.
+    calls = _counting_compose(monkeypatch)
+    orders = []
+    for mp in dict.fromkeys(pool):
+        ref = _outcome(_reference_order_and_last_power, mp, limit)
+        order = None if ref[0] == "error" else ref[0]
+        orders.append(order)
+        tested = {0, 1, limit} | (set() if order is None else {order - 1, order})
+        for bound in tested:
+            ref = _outcome(_reference_order_and_last_power, mp, bound)
+            calls.clear()
+            assert _outcome(map_order, mp, bound) == (ref if ref[0] == "error" else ref[0])
+            assert len(calls) <= _walk_compositions(mp, order, bound)
+    return orders
+
+
+def test_order_matches_the_linear_reference(monkeypatch):
     m = model()
     gens = list(named_maps().values()) + [SurfaceMap.identity(m)]
     pool = gens + [
@@ -393,16 +442,143 @@ def test_order_and_inverse_match_the_linear_reference():
     pool.append(SurfaceMap.scaling(m, F.zeta(3), F.zeta(1), F.zeta(8)))
     zero = RationalFunction.constant(F, 0)
     pool.append(translation_map(m, Section(zero, zero)))
-    orders = set()
-    for mp in dict.fromkeys(pool):
-        order = _reference_order_and_last_power(mp, 64)[0]
-        orders.add(order)
-        for bound in {0, 1, order - 1, order, 64}:
-            ref = _outcome(_reference_order_and_last_power, mp, bound)
-            assert _outcome(map_order, mp, bound) == (ref if ref[0] == "error" else ref[0])
-            got = _outcome(inverse, mp, bound)
-            assert got == (ref if ref[0] == "error" else ref[1])
-    assert orders == {1, 2, 4, 8, 16}
+    orders = _assert_orders_match_the_linear_reference(monkeypatch, pool)
+    assert set(orders) == {1, 2, 4, 8, 16}
+
+
+def _diagonal(mdl, a, b, w):
+    # (x, y, t) -> (a x, b y, w) for a, b and w rational in t.
+    zero = RationalFunction.constant(F, 0)
+    x = FieldElement.coordinate(mdl, "x") * FieldElement.from_ratfunc(mdl, a)
+    return SurfaceMap(mdl, x, FieldElement(mdl, zero, b), w)
+
+
+def _at(r, w):
+    # r(w) for r and w rational in t, in reduced rational arithmetic.
+    def poly_at(p):
+        out = RationalFunction.constant(F, 0)
+        for (_, _, k), c in p.terms.items():
+            out = out + w ** k * c
+        return out
+
+    return poly_at(r.num) / poly_at(r.den)
+
+
+# Moebius maps of orders 1, 2, 3 and 4; the last two do not fix t = 0.
+MOBIUS = {
+    "t": T_RF,
+    "1/t": 1 / T_RF,
+    "1/(1-t)": 1 / (1 - T_RF),
+    "(t+1)/(1-t)": (T_RF + 1) / (1 - T_RF),
+    "z^4 t": T_RF * F.zeta(4),
+}
+
+
+def test_diagonal_maps_match_the_linear_reference(monkeypatch):
+    # a = c g / g(w) has a_e = c^e, so these seeded maps have finite order
+    # though a and b are not constant; a = g alone and the constant 2 are
+    # not roots of unity, so those maps have infinite order.
+    m = model()
+    rng = random.Random(27)
+
+    def small_poly():
+        while True:
+            g = MultiPoly.from_int_coeffs(F, [rng.randint(-2, 2) for _ in range(rng.randint(2, 3))])
+            if not g.is_constant():
+                return RationalFunction(g)
+
+    def coboundary(w):
+        g = small_poly()
+        return g / _at(g, w)
+
+    finite, infinite = [], []
+    for w in MOBIUS.values():
+        for _ in range(3):
+            a, b = (coboundary(w) for _ in range(2))
+            parts = [a * F.zeta(rng.randrange(16)), b * -F.zeta(rng.randrange(16))]
+            finite.append(_diagonal(m, *parts, w))
+            finite.append(_diagonal(m, coboundary(w), RationalFunction.constant(F, F.zeta(2)), w))
+        infinite.append(_diagonal(m, small_poly(), RationalFunction.constant(F, 1), w))
+        infinite.append(_diagonal(m, RationalFunction.constant(F, 2), T_RF / _at(T_RF, w), w))
+        # b_e is not constant, though its leading coefficient is 1.
+        infinite.append(_diagonal(m, RationalFunction.constant(F, 1), T_RF + 1, w))
+    assert all(mp.is_diagonal() for mp in finite + infinite)
+    orders = _assert_orders_match_the_linear_reference(monkeypatch, finite)
+    assert None not in orders and {o for o in orders if o % 3 == 0}
+    # Their degrees grow with the power, so the reference stops at 3.
+    orders = _assert_orders_match_the_linear_reference(monkeypatch, infinite, 3)
+    assert orders == [None] * len(infinite)
+    x2 = SurfaceMap.scaling(m, F.from_rational(2), F.one(), F.one())
+    assert _assert_orders_match_the_linear_reference(monkeypatch, [x2]) == [None]
+    # Over Q(zeta_5), -zeta_5 is a root of unity of order 10, past the
+    # field's order 5.
+    F5 = cyclotomic_field(5)
+    t5 = MultiPoly.gen(F5, "t")
+    m5 = WeierstrassModel(F5, t5, t5 + 1)
+    minus_zeta = SurfaceMap.scaling(m5, -F5.zeta(1), F5.one(), F5.one())
+    assert _assert_orders_match_the_linear_reference(monkeypatch, [minus_zeta]) == [10]
+
+
+def test_powers_of_non_diagonal_maps_that_turn_diagonal_match_the_linear_reference(monkeypatch):
+    # tau composed with a power d of sigma, which commutes with it: the
+    # square is d^2, so the walk stops there, at the first diagonal square.
+    m = model()
+    tau = named_maps()["tau"]
+    pool = []
+    for k in range(16):
+        d = SurfaceMap.scaling(m, F.zeta(6 * k), F.zeta(9 * k), F.zeta(4 * k))
+        assert compose(d, tau) == compose(tau, d)
+        pool.append(compose(tau, d))
+    assert not any(mp.is_diagonal() for mp in pool)
+    orders = _assert_orders_match_the_linear_reference(monkeypatch, pool)
+    assert set(orders) == {2, 4, 8, 16}
+
+
+def test_a_translation_of_infinite_order_composes_no_more_than_before(monkeypatch):
+    tr = _test_surface_map("translation_surface.txt", "tr")
+    calls = _counting_compose(monkeypatch)
+    for bound in (0, 1, 2):
+        calls.clear()
+        with pytest.raises(OrderBoundExceededError, match=f"^order exceeds {bound}$"):
+            map_order(tr, bound)
+        assert len(calls) == _walk_compositions(tr, None, bound) == max(bound - 1, 0)
+    # Every power of tr is the translation by a section of infinite order,
+    # so neither the identity nor diagonal, and a stand-in that returns tr
+    # for every composite walks as the real one does; tr^3 takes seconds.
+    calls = []
+
+    def stand_in(m1, m2):
+        calls.append(1)
+        return tr
+
+    monkeypatch.setattr(funfield, "compose", stand_in)
+    with pytest.raises(OrderBoundExceededError, match="^order exceeds 3$"):
+        map_order(tr, 3)
+    assert len(calls) == _walk_compositions(tr, None, 3) == 2
+
+
+def test_is_diagonal_reads_the_exponents():
+    m = model()
+    x, y = (FieldElement.coordinate(m, var) for var in ("x", "y"))
+    s = FieldElement.from_ratfunc(m, 1 / (T_RF + 1))
+    diagonal = [
+        SurfaceMap.identity(m),
+        SurfaceMap(m, x * s, y * s, 1 / T_RF),
+        SurfaceMap(m, x * 2, y * F.zeta(8), T_RF + 1),
+        named_maps()["sigma"],
+    ]
+    other = [
+        SurfaceMap(m, x + s, y, T_RF),
+        SurfaceMap(m, x * x, y, T_RF),
+        SurfaceMap(m, x, y * x, T_RF),
+        SurfaceMap(m, x, y + x, T_RF),
+        SurfaceMap(m, x * y, y, T_RF),
+        SurfaceMap(m, x / (x + 1), y, T_RF),
+        named_maps()["tau"],
+        named_maps()["sigma_alt"],
+    ]
+    assert [mp.is_diagonal() for mp in diagonal] == [True] * len(diagonal)
+    assert [mp.is_diagonal() for mp in other] == [False] * len(other)
 
 
 # Reference: the function-field arithmetic, normalize and compose as they

@@ -22,7 +22,6 @@ from k3auto.funfield import (
     NotConstantFactorError,
     Section,
     SurfaceMap,
-    build_named_maps,
     compose,
     map_order,
     morphism_residual,
@@ -33,6 +32,7 @@ from k3auto.funfield import (
 from k3auto.parser import parse_expression
 from k3auto.polyring import MultiPoly, RationalFunction
 from k3auto.surface import WeierstrassModel, classify_all, is_k3
+from test_funfield import build_named_maps
 
 F = cyclotomic_field(16)
 T = MultiPoly.gen(F, "t")
