@@ -21,10 +21,13 @@ propagation stops at the first weight whose rotation order disagrees with an
 orbit of neighbours; the final validation rechecks every rule.
 
 Every rule maps a weight w to w, -w or c - w, so from an anchor of weight w
-each flag carries an affine form s w + k c.  Enumeration runs the propagation
-once per anchor with w and c left as symbols (_plan), and solves the
-recorded constraints for each (n, c) to find the few anchor weights worth a
-concrete saturation.
+each flag carries an affine form s w + k c.  The propagation is one walk
+(_walk) run in two modes: concretely, on weights mod n, by _saturate, which
+raises at the first contradiction; and symbolically, with w and c left as
+symbols, by _plan, which records the assumptions the concrete run would
+decide on.  Enumeration plans each anchor once and solves the recorded
+constraints for each (n, c) to find the few anchor weights worth a concrete
+saturation.
 """
 from __future__ import annotations
 
@@ -362,41 +365,56 @@ def _check_rotation(curve, w, n, orbit_lengths):
             )
 
 
-def _saturate(config, perm, n, c, seeds, free_seeds=None, frame=None) -> GraphAction:
-    """Close the rule set over the graph from the given seed flags.
+def _walk(frame, seeds, free_seeds, n, c, plan=None):
+    """Close the rule set over the stable curves of frame from the seeds;
+    returns the weights, the pointwise-fixed curves and the free points.
 
-    frame is _frame(config, perm) when the caller has built it already; the
-    final validation reuses it.
-    """
-    frame = frame or _frame(config, perm)
+    Concrete with n an order: weights are ints mod n, and a contradiction
+    raises at once.  Symbolic with n and c None: a weight is a form (s, k),
+    and plan, as _plan describes, records each assumption a concrete run
+    decides on (a form assumed nonzero before any raise on it)."""
     stable, fixed_points, edge_of, orbit_lengths = frame
-    c %= n
-
-    weights: dict[tuple[str, str], int] = {}
+    zero = 0 if n else (0, 0)
+    nonzero, equal, rotations = plan or (None, None, None)
+    weights: dict[tuple[str, str], int | tuple[int, int]] = {}
     pointwise: set[str] = set()
     free: dict[str, list[str]] = {v: [] for v in stable}
     queue: deque[tuple[str, str]] = deque()
 
     def set_weight(curve, pid, w):
-        w %= n
-        if w != 0 and len(fixed_points[curve]) >= 3:
-            raise TooManyFixedPointsError(
-                f"curve {curve} has {len(fixed_points[curve])} fixed points, "
-                f"cannot carry nonzero weight {w}"
-            )
+        if n:
+            w %= n
         key = (curve, pid)
-        if key in weights:
-            if weights[key] != w:
-                raise InconsistentCycleError(
-                    f"contradictory weights {weights[key]} and {w} at {pid} on {curve}"
+        seen = key in weights
+        if w != zero and (not seen or len(fixed_points[curve]) >= 3):
+            # Orbits first: pointwise-fixed curves (crowded ones too) meet no mobile one.
+            if n:
+                _check_rotation(curve, w, n, orbit_lengths)
+            else:
+                nonzero[w] = None
+                lengths = orbit_lengths.get(curve, {})
+                if len(lengths) > 1:
+                    raise InconsistentCycleError(f"curve {curve} meets orbits of two lengths")
+                for length in lengths:
+                    rotations[w, length] = None
+            if len(fixed_points[curve]) >= 3:
+                raise TooManyFixedPointsError(
+                    f"curve {curve} has {len(fixed_points[curve])} fixed points, "
+                    f"cannot carry nonzero weight {w}"
                 )
-            return
-        if w != 0:
             if curve in pointwise:
                 raise InconsistentCycleError(
                     f"nonzero weight {w} on pointwise-fixed curve {curve}"
                 )
-            _check_rotation(curve, w, n, orbit_lengths)
+        if seen:
+            old = weights[key]
+            if old != w:
+                if n:
+                    raise InconsistentCycleError(
+                        f"contradictory weights {old} and {w} at {pid} on {curve}"
+                    )
+                equal[old[0] - w[0], old[1] - w[1]] = None
+            return
         weights[key] = w
         queue.append(key)
 
@@ -414,7 +432,7 @@ def _saturate(config, perm, n, c, seeds, free_seeds=None, frame=None) -> GraphAc
             )
         pointwise.add(curve)
         for pid in fixed_points[curve]:
-            set_weight(curve, pid, 0)
+            set_weight(curve, pid, zero)
 
     # A stable curve with three or more fixed points must be the identity.
     for curve in stable:
@@ -430,7 +448,7 @@ def _saturate(config, perm, n, c, seeds, free_seeds=None, frame=None) -> GraphAc
             )
         set_weight(curve, pid, w)
 
-    for curve, ws in sorted((free_seeds or {}).items()):
+    for curve, ws in sorted(free_seeds.items()):
         if curve not in stable:
             raise AnchorOnMobileCurveError(f"curve {curve} is mobile under the action")
         for w in ws:
@@ -446,54 +464,56 @@ def _saturate(config, perm, n, c, seeds, free_seeds=None, frame=None) -> GraphAc
     while queue:
         curve, pid = queue.popleft()
         w = weights[(curve, pid)]
-        if w == 0:
+        if w == zero:
             mark_pointwise(curve)
         else:
             known = fixed_points[curve] + free[curve]
             if len(known) == 1:
-                new_pid = f"{curve}.free{len(free[curve])}"
-                free[curve].append(new_pid)
-                set_weight(curve, new_pid, -w)
-            elif len(known) == 2:
-                other = known[0] if known[1] == pid else known[1]
-                set_weight(curve, other, -w)
-            else:
+                known.append(f"{curve}.free{len(free[curve])}")
+                free[curve].append(known[1])
+            elif len(known) != 2:
                 raise TooManyFixedPointsError(
                     f"curve {curve} would carry {len(known)} fixed points"
                 )
+            other = known[0] if known[1] == pid else known[1]
+            set_weight(curve, other, -w if n else (-w[0], -w[1]))
         if pid in edge_of:
             a, b, mult = edge_of[pid]
-            other_curve = b if curve == a else a
-            set_weight(other_curve, pid, w if mult == 2 else c - w)
+            if mult == 1:
+                w = c - w if n else (-w[0], 1 - w[1])
+            set_weight(b if curve == a else a, pid, w)
 
     for curve in stable:
         if curve in pointwise:
             continue
         known = fixed_points[curve] + free[curve]
-        missing = [p for p in known if (curve, p) not in weights]
-        if missing or len(known) != 2:
+        if len(known) != 2 or (curve, known[0]) not in weights or (curve, known[1]) not in weights:
             raise UnderdeterminedActionError(
                 f"stable curve {curve} is underdetermined after propagation"
             )
+    return weights, pointwise, free
 
-    action = GraphAction(config, n, c, perm, weights, pointwise, free)
+
+def _saturate(config, perm, n, c, seeds, free_seeds=None, frame=None) -> GraphAction:
+    """Close the rule set over the graph from the given seed flags: the walk
+    run concretely, then the final validation, which reuses frame when the
+    caller has built _frame(config, perm) already."""
+    frame = frame or _frame(config, perm)
+    c %= n
+    action = GraphAction(config, n, c, perm, *_walk(frame, seeds, free_seeds or {}, n, c))
     action.validate(frame)
     return action
 
 
-# A form (s, k) stands for the weight s w + k c mod n, w the anchor weight.
-_ZERO = (0, 0)
-_Form = tuple[int, int]
-
-
 def _plan(frame, anchor) -> tuple:
-    """The propagation of _saturate from {anchor: w}, with every weight an
-    affine form s w + k c: tangency copies a weight, the other fixed point of
-    a curve (or a free point it synthesizes) negates it, and the volume rule
-    maps it to c - w.  Returns (nonzero, equal, rotations, failed):
+    """The walk that _saturate runs, from {anchor: w} with w and c left as
+    symbols: every weight is an affine form s w + k c, since tangency copies
+    a weight, the other fixed point of a curve (or a free point it
+    synthesizes) negates it, and the volume rule maps it to c - w.  Returns
+    (nonzero, equal, rotations, failed):
 
-    * nonzero: the forms other than 0 that were assumed nonzero, where
-      _saturate branches on them;
+    * nonzero: the forms other than 0 that were assumed nonzero, where the
+      concrete walk branches on them;
     * equal: for each flag reached twice with different forms, their
       difference, which must vanish mod n;
     * rotations: (form, length) for each nonzero form on a curve with mobile
@@ -503,79 +523,17 @@ def _plan(frame, anchor) -> tuple:
       curve with a mobile neighbour or a free point, an underdetermined
       curve, two orbit lengths on one rotating curve).
 
-    Wherever the assumptions hold, _saturate takes this path, so it succeeds
+    The concrete and the symbolic run are one walk, so wherever the
+    assumptions hold a concrete run takes this path: _saturate succeeds
     exactly when the plan did not fail and every recorded difference and
     rotation order holds (see _anchor_weights)."""
-    stable, fixed_points, edge_of, orbit_lengths = frame
-    weights: dict[tuple[str, str], _Form] = {}
-    pointwise: set[str] = set()
-    free: dict[str, list[str]] = {v: [] for v in stable}
-    queue: deque[tuple[str, str]] = deque()
-    # Dicts as ordered sets.
-    nonzero: dict[_Form, None] = {}
-    equal: dict[_Form, None] = {}
-    rotations: dict[tuple[_Form, int], None] = {}
-
-    def set_weight(curve, pid, form):
-        key = (curve, pid)
-        crowded = len(fixed_points[curve]) >= 3
-        if form != _ZERO and (crowded or key not in weights):
-            nonzero[form] = None
-            if crowded or curve in pointwise:
-                raise RigidityError
-            lengths = orbit_lengths.get(curve, ())
-            if len(lengths) > 1:
-                raise RigidityError
-            for length in lengths:
-                rotations[form, length] = None
-        if key in weights:
-            s, k = weights[key]
-            if (s, k) != form:
-                equal[s - form[0], k - form[1]] = None
-            return
-        weights[key] = form
-        queue.append(key)
-
-    def mark_pointwise(curve):
-        if curve in pointwise:
-            return
-        if curve in orbit_lengths or free[curve]:
-            raise RigidityError
-        pointwise.add(curve)
-        for pid in fixed_points[curve]:
-            set_weight(curve, pid, _ZERO)
-
+    plan: tuple[dict, dict, dict] = ({}, {}, {})
     try:
-        for curve in stable:
-            if len(fixed_points[curve]) >= 3:
-                mark_pointwise(curve)
-        set_weight(*anchor, (1, 0))
-        while queue:
-            curve, pid = queue.popleft()
-            s, k = weights[(curve, pid)]
-            if (s, k) == _ZERO:
-                mark_pointwise(curve)
-            else:
-                known = fixed_points[curve] + free[curve]
-                if len(known) == 1:
-                    known.append(f"{curve}.free0")
-                    free[curve].append(known[1])
-                elif len(known) != 2:
-                    raise RigidityError
-                set_weight(curve, known[0] if known[1] == pid else known[1], (-s, -k))
-            if pid in edge_of:
-                a, b, mult = edge_of[pid]
-                set_weight(b if curve == a else a, pid, (s, k) if mult == 2 else (-s, 1 - k))
-        for curve in stable:
-            known = fixed_points[curve] + free[curve]
-            if curve not in pointwise and (
-                len(known) != 2 or any((curve, p) not in weights for p in known)
-            ):
-                raise RigidityError
+        _walk(frame, {anchor: (1, 0)}, {}, None, None, plan)
         failed = False
     except RigidityError:
         failed = True
-    return tuple(nonzero), tuple(equal), tuple(rotations), failed
+    return (*map(tuple, plan), failed)
 
 
 def _anchor_weights(plan, n: int, c: int) -> list[int]:
@@ -646,7 +604,9 @@ def inverse_action(action: GraphAction) -> GraphAction:
 
 def compose_actions(a1: GraphAction, a2: GraphAction) -> GraphAction:
     """Germ-wise composition: weights add at points fixed by both actions."""
-    if a1.config is not a2.config and a1.config.edges != a2.config.edges:
+    if a1.config is not a2.config and (
+        a1.config.vertices != a2.config.vertices or a1.config.edges != a2.config.edges
+    ):
         raise IncompatibleActionsError("actions live on different configurations")
     config = a1.config
     n = lcm(a1.n, a2.n)

@@ -1,4 +1,6 @@
 import random
+from collections import deque
+from itertools import product
 from math import gcd, lcm
 
 import pytest
@@ -13,10 +15,12 @@ from k3auto.rigidity import (
     AnchorOnMobileCurveError,
     CurveConfig,
     GraphAction,
+    IncompatibleActionsError,
     InconsistentCycleError,
     RigidityError,
     TooManyFixedPointsError,
     UnderdeterminedActionError,
+    _check_rotation,
     _conjugacy_classes,
     _frame,
     _saturate,
@@ -218,6 +222,19 @@ def test_compose_matches_power():
     assert compose_actions(act, act) == power(act, 2)
 
 
+def test_compose_refuses_actions_on_different_configurations():
+    # Both graphs have the one edge P-Q; the second adds R1 and R2, which its
+    # action swaps.
+    small = CurveConfig(["P", "Q"], [("P", "Q", 1)])
+    large = CurveConfig(["P", "Q", "R1", "R2"], [("P", "Q", 1)])
+    on_small = propagate(small, identity_perm(small), 4, 1, ("P", "P:Q"), 1)
+    on_large = propagate(large, perm_from_cycles(large, [["R1", "R2"]]), 4, 1, ("P", "P:Q"), 1)
+    for a1, a2 in ((on_small, on_large), (on_large, on_small)):
+        with pytest.raises(IncompatibleActionsError) as excinfo:
+            compose_actions(a1, a2)
+        assert str(excinfo.value) == "actions live on different configurations"
+
+
 def test_propagation_is_anchor_independent():
     for act in BUNDLE.actions.values():
         flags = [
@@ -398,6 +415,88 @@ def test_validate_names_each_broken_rule(edit, error, message):
     assert str(excinfo.value) == message
 
 
+# P meets Q and the curves R1 and R2, which SWAP exchanges; V is isolated.
+# Each case reaches one raise of the saturation walk, with order 8 and
+# volume exponent 1: (perm, seeds, free seeds, error class, message).
+PQR = CurveConfig(["P", "Q", "R1", "R2", "V"], [("P", "Q", 1), ("P", "R1", 1), ("P", "R2", 1)])
+SWAP = perm_from_cycles(PQR, [["R1", "R2"]])
+SATURATION_FAILURES = [
+    (
+        identity_perm(PQR),
+        {("P", "P:Q"): 3},
+        None,
+        TooManyFixedPointsError,
+        "curve P has 3 fixed points, cannot carry nonzero weight 3",
+    ),
+    (SWAP, {}, {"Q": [2, 5]}, TooManyFixedPointsError, "curve Q would carry 3 fixed points"),
+    (
+        identity_perm(PQR),
+        {("Q", "P:Q"): 3},
+        None,
+        InconsistentCycleError,
+        "contradictory weights 3 and 1 at P:Q on Q",
+    ),
+    (
+        identity_perm(PQR),
+        {},
+        {"V": [0, 3]},
+        InconsistentCycleError,
+        "nonzero weight 3 on pointwise-fixed curve V",
+    ),
+    (
+        SWAP,
+        {("P", "P:Q"): 0},
+        None,
+        InconsistentCycleError,
+        "curve P forced pointwise fixed but neighbor R1 moves",
+    ),
+    (
+        identity_perm(PQR),
+        {},
+        {"V": [3, 0]},
+        InconsistentCycleError,
+        "curve V is pointwise fixed yet carries free points",
+    ),
+    (
+        SWAP,
+        {("P", "P:Q"): 2},
+        None,
+        InconsistentCycleError,
+        "orbit of R1 on P has length 2, rotation order is 4",
+    ),
+    (
+        SWAP,
+        {("R1", "P:R1"): 3},
+        None,
+        AnchorOnMobileCurveError,
+        "curve R1 is mobile under the action",
+    ),
+    (SWAP, {}, {"R1": [3]}, AnchorOnMobileCurveError, "curve R1 is mobile under the action"),
+    (
+        SWAP,
+        {("P", "P:R1"): 3},
+        None,
+        AnchorOnMobileCurveError,
+        "point P:R1 is not a fixed point of the stable curve P",
+    ),
+    (
+        SWAP,
+        {("P", "P:Q"): 4},
+        None,
+        UnderdeterminedActionError,
+        "stable curve V is underdetermined after propagation",
+    ),
+]
+
+
+@pytest.mark.parametrize("perm, seeds, free_seeds, error, message", SATURATION_FAILURES)
+def test_saturation_names_each_contradiction(perm, seeds, free_seeds, error, message):
+    with pytest.raises(RigidityError) as excinfo:
+        _saturate(PQR, perm, 8, 1, seeds, free_seeds)
+    assert type(excinfo.value) is error
+    assert str(excinfo.value) == message
+
+
 def test_graph_automorphism_group():
     auts = automorphism_dicts(CFG)
     assert len(auts) == 240
@@ -534,6 +633,181 @@ def test_power_exponent_is_taken_modulo_the_period():
             assert power(act, -m) == power(inv, m)
 
 
+# -- the shared walk against the concrete walk it replaced ----------------------
+
+
+def _reference_saturate(config, perm, n, c, seeds, free_seeds=None, frame=None) -> GraphAction:
+    """_saturate as it was before its propagation became one walk with
+    _plan's: the concrete walk alone, an oracle for the shared one.
+
+    frame is _frame(config, perm) when the caller has built it already; the
+    final validation reuses it.
+    """
+    frame = frame or _frame(config, perm)
+    stable, fixed_points, edge_of, orbit_lengths = frame
+    c %= n
+
+    weights: dict[tuple[str, str], int] = {}
+    pointwise: set[str] = set()
+    free: dict[str, list[str]] = {v: [] for v in stable}
+    queue: deque[tuple[str, str]] = deque()
+
+    def set_weight(curve, pid, w):
+        w %= n
+        if w != 0 and len(fixed_points[curve]) >= 3:
+            raise TooManyFixedPointsError(
+                f"curve {curve} has {len(fixed_points[curve])} fixed points, "
+                f"cannot carry nonzero weight {w}"
+            )
+        key = (curve, pid)
+        if key in weights:
+            if weights[key] != w:
+                raise InconsistentCycleError(
+                    f"contradictory weights {weights[key]} and {w} at {pid} on {curve}"
+                )
+            return
+        if w != 0:
+            if curve in pointwise:
+                raise InconsistentCycleError(
+                    f"nonzero weight {w} on pointwise-fixed curve {curve}"
+                )
+            _check_rotation(curve, w, n, orbit_lengths)
+        weights[key] = w
+        queue.append(key)
+
+    def mark_pointwise(curve):
+        if curve in pointwise:
+            return
+        if curve in orbit_lengths:
+            d = next(iter(orbit_lengths[curve].values()))
+            raise InconsistentCycleError(
+                f"curve {curve} forced pointwise fixed but neighbor {d} moves"
+            )
+        if free[curve]:
+            raise InconsistentCycleError(
+                f"curve {curve} is pointwise fixed yet carries free points"
+            )
+        pointwise.add(curve)
+        for pid in fixed_points[curve]:
+            set_weight(curve, pid, 0)
+
+    # A stable curve with three or more fixed points must be the identity.
+    for curve in stable:
+        if len(fixed_points[curve]) >= 3:
+            mark_pointwise(curve)
+
+    for (curve, pid), w in sorted(seeds.items()):
+        if curve not in stable:
+            raise AnchorOnMobileCurveError(f"curve {curve} is mobile under the action")
+        if pid not in fixed_points[curve]:
+            raise AnchorOnMobileCurveError(
+                f"point {pid} is not a fixed point of the stable curve {curve}"
+            )
+        set_weight(curve, pid, w)
+
+    for curve, ws in sorted((free_seeds or {}).items()):
+        if curve not in stable:
+            raise AnchorOnMobileCurveError(f"curve {curve} is mobile under the action")
+        for w in ws:
+            if w % n == 0:
+                # Weight zero means the rotation is trivial: the would-be free
+                # point melts into a pointwise-fixed curve.
+                mark_pointwise(curve)
+                continue
+            pid = f"{curve}.free{len(free[curve])}"
+            free[curve].append(pid)
+            set_weight(curve, pid, w)
+
+    while queue:
+        curve, pid = queue.popleft()
+        w = weights[(curve, pid)]
+        if w == 0:
+            mark_pointwise(curve)
+        else:
+            known = fixed_points[curve] + free[curve]
+            if len(known) == 1:
+                new_pid = f"{curve}.free{len(free[curve])}"
+                free[curve].append(new_pid)
+                set_weight(curve, new_pid, -w)
+            elif len(known) == 2:
+                other = known[0] if known[1] == pid else known[1]
+                set_weight(curve, other, -w)
+            else:
+                raise TooManyFixedPointsError(
+                    f"curve {curve} would carry {len(known)} fixed points"
+                )
+        if pid in edge_of:
+            a, b, mult = edge_of[pid]
+            other_curve = b if curve == a else a
+            set_weight(other_curve, pid, w if mult == 2 else c - w)
+
+    for curve in stable:
+        if curve in pointwise:
+            continue
+        known = fixed_points[curve] + free[curve]
+        missing = [p for p in known if (curve, p) not in weights]
+        if missing or len(known) != 2:
+            raise UnderdeterminedActionError(
+                f"stable curve {curve} is underdetermined after propagation"
+            )
+
+    action = GraphAction(config, n, c, perm, weights, pointwise, free)
+    action.validate(frame)
+    return action
+
+
+def _reference_propagate(config, perm, n, c, anchor_flag, anchor_weight):
+    """propagate on _reference_saturate."""
+    return _reference_saturate(config, perm, n, c, {anchor_flag: anchor_weight})
+
+
+def outcome(build, *args, **kwargs):
+    """The action build returns, or the class and text of its error."""
+    try:
+        return action_data([build(*args, **kwargs)])
+    except RigidityError as err:
+        return type(err), str(err)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_configs(), st.sampled_from([1, 2, 3, 4, 6, 8]), st.data())
+def test_saturation_matches_the_reference_on_small_graphs(config, n, data):
+    # Every call of _saturate below is also run on _reference_saturate: the
+    # two give the same action, or raise the same error class with the same
+    # text.  The calls come from propagate at every flag of every edge (on
+    # mobile curves and at moving points too) and weight, under two
+    # automorphisms; from power, which seeds every weight of an action; and
+    # from compose_actions, which also seeds free points.
+    c = data.draw(st.integers(0, n - 1))
+    perms = automorphism_dicts(config)
+    original = rigidity._saturate
+
+    def checked(*args, **kwargs):
+        got = outcome(original, *args, **kwargs)
+        assert got == outcome(_reference_saturate, *args, **kwargs), args
+        return original(*args, **kwargs)
+
+    def attempt(build, *args):
+        try:
+            survivors.append(build(*args))
+        except RigidityError:
+            pass
+
+    survivors = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rigidity, "_saturate", checked)
+        for perm in (data.draw(st.sampled_from(perms)), data.draw(st.sampled_from(perms))):
+            for a, b in sorted(config.edges):
+                for curve, w in product((a, b), range(n)):
+                    attempt(propagate, config, perm, n, c, (curve, edge_point_id(a, b)), w)
+        if survivors:
+            chosen = st.sampled_from(survivors)
+            for act, m in data.draw(st.lists(st.tuples(chosen, st.integers(-64, 64)), max_size=8)):
+                attempt(power, act, m)
+            for a1, a2 in data.draw(st.lists(st.tuples(chosen, chosen), max_size=8)):
+                attempt(compose_actions, a1, a2)
+
+
 def _reference_power(action, m):
     """power with free weights seeded only on curves that stay rotating: a
     curve whose weight m annihilates is marked pointwise fixed by hand."""
@@ -553,14 +827,9 @@ def _reference_power(action, m):
     for (curve, pid), w in action.weights.items():
         if not pid.startswith(f"{curve}.free"):
             seeds[(curve, pid)] = ((m * w) % n) // g
-    return _saturate(action.config, perm2, n // g, ((m * action.c) % n) // g, seeds, free_seeds)
-
-
-def power_outcome(power_of, action, m):
-    try:
-        return action_data([power_of(action, m)])
-    except RigidityError as exc:
-        return type(exc), str(exc)
+    return _reference_saturate(
+        action.config, perm2, n // g, ((m * action.c) % n) // g, seeds, free_seeds
+    )
 
 
 def test_power_matches_the_reference():
@@ -570,7 +839,7 @@ def test_power_matches_the_reference():
     for act in actions:
         order = act.order()
         for m in range(-2 * order, 2 * order + 1):
-            assert power_outcome(power, act, m) == power_outcome(_reference_power, act, m)
+            assert outcome(power, act, m) == outcome(_reference_power, act, m)
 
 
 def test_enumeration_rejects_a_non_positive_order():
@@ -617,7 +886,7 @@ def reference_enumerate_actions(config, n, c, census_filter=None):
             continue
         for w in range(n):
             try:
-                action = propagate(config, perm, n, c, anchor, w)
+                action = _reference_propagate(config, perm, n, c, anchor, w)
             except RigidityError:
                 continue
             if census_filter is not None:
@@ -668,9 +937,11 @@ def test_enumeration_matches_reference_on_small_graphs(config, n, data):
 # -- early orbit-length rule and centraliser orbits against their references --
 
 
-def saturation_outcome(config, perm, n, c, anchor, w, frame, revalidate=False):
+def saturation_outcome(
+    config, perm, n, c, anchor, w, frame, revalidate=False, saturate=_saturate
+):
     try:
-        action = _saturate(config, perm, n, c, {anchor: w}, frame=frame)
+        action = saturate(config, perm, n, c, {anchor: w}, frame=frame)
         if revalidate:
             action.validate()
         return action.reduced_key()
@@ -1033,7 +1304,8 @@ def test_interchangeable_curves_cost_one_saturation_per_class_and_weight(monkeyp
 
 def assert_plans_match_saturation(config, cases):
     """For every class and anchor of enumerate_actions, (n, c) in cases and w
-    in Z_n: a weight the plan refutes does not saturate, and a weight it
+    in Z_n, saturated by the reference walk rather than the one the plans
+    run: a weight the plan refutes does not saturate, and a weight it
     keeps at which no form it assumed nonzero vanishes (a non-degenerate
     weight) saturates.  Returns how many weights were refuted, kept and
     degenerate."""
@@ -1044,7 +1316,9 @@ def assert_plans_match_saturation(config, cases):
             for n, c in cases:
                 kept = rigidity._anchor_weights(plan, n, c)
                 for w in range(n):
-                    outcome = saturation_outcome(config, perm, n, c, anchor, w, frame)
+                    outcome = saturation_outcome(
+                        config, perm, n, c, anchor, w, frame, saturate=_reference_saturate
+                    )
                     if w not in kept:
                         assert outcome is None, (perm, anchor, n, c, w)
                         seen["refuted"] += 1
