@@ -702,6 +702,10 @@ def map_order(m: SurfaceMap, max_order: int = 64) -> int:
     m^(2^i), the first diagonal one is the least diagonal power; along the
     powers M^j, the first diagonal M^j is m^(e j) with e j the lcm of k0
     and e, which divides the order all the same.
+
+    It does not refute by the 2-form factor c, though m^k = id forces
+    c^k = 1: callers check that first, as check-map does, or a map of
+    infinite order pays for every composition up to max_order.
     """
     check_order_bound(max_order)
     e = _mobius_order(m.w, max_order)

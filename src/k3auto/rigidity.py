@@ -18,7 +18,7 @@ graph, synthesizing free fixed points where a curve has fewer than two marked
 ones, and failing loudly on any contradiction.  The orbit-length part of the
 projective-line rule is checked as each nonzero weight is set, so a
 propagation stops at the first weight whose rotation order disagrees with an
-orbit of neighbours; the final validation rechecks every rule.
+orbit of neighbours; GraphAction.validate runs the propagation again.
 
 Every rule maps a weight w to w, -w or c - w, so from an anchor of weight w
 each flag carries an affine form s w + k c.  The propagation is one walk
@@ -225,60 +225,37 @@ class GraphAction:
 
     # -- validation --------------------------------------------------------
 
-    def validate(self, frame=None):
-        """Recheck every rule; raises RigidityError on any violation.
-
-        frame is _frame(config, perm) of this action's permutation when the
-        caller holds it already (its automorphism check ran when it was
-        built); otherwise it is built and checked here."""
-        n, c = self.n, self.c
-        stable, _fixed_points, edge_of, orbit_lengths = frame or _frame(self.config, self.perm)
-        for curve in sorted(self.pointwise):
-            if curve not in stable:
-                raise RigidityError(f"pointwise-fixed curve {curve} is mobile")
-            if curve in orbit_lengths:
-                d = next(iter(orbit_lengths[curve].values()))
-                raise InconsistentCycleError(
-                    f"pointwise-fixed curve {curve} meets mobile curve {d}"
-                )
-        for (curve, point), w in self.weights.items():
-            if curve not in stable:
-                raise RigidityError(f"weight on mobile curve {curve}")
-            if not 0 <= w < n:
-                raise RigidityError("weight out of range")
-        for pid, (a, b, mult) in edge_of.items():
-            wa = self.weight_at(a, pid)
-            wb = self.weight_at(b, pid)
-            if wa is None or wb is None:
+    def validate(self):
+        """Run the walk again from every edge flag, every free point in order
+        and a zero free seed on each pointwise-fixed curve; raises
+        RigidityError unless it gives back exactly these weights, pointwise
+        curves and free points, or if a weight lies outside 0 <= w < n."""
+        if not all(0 <= w < self.n for w in self.weights.values()):
+            raise RigidityError("weight out of range")
+        seeds = {flag: w for flag, w in self.weights.items() if ":" in flag[1]}
+        free_seeds = {
+            curve: [self.weights[(curve, pid)] for pid in pids if (curve, pid) in self.weights]
+            for curve, pids in self.free_points.items()
+        }
+        for curve in self.pointwise:
+            free_seeds.setdefault(curve, []).append(0)
+        walk = _walk(_frame(self.config, self.perm), seeds, free_seeds, self.n, self.c)
+        rules = GraphAction(self.config, self.n, self.c, self.perm, *walk)
+        for curve, pid in sorted(rules.weights.keys() | self.weights.keys()):
+            mine, theirs = self.weights.get((curve, pid)), rules.weights.get((curve, pid))
+            if mine is None:
                 raise UnderdeterminedActionError(f"missing weight at {pid}")
-            if mult == 1:
-                if (wa + wb) % n != c:
-                    raise InconsistentCycleError(
-                        f"volume rule fails at {pid}: {wa} + {wb} != {c} mod {n}"
-                    )
-            else:
-                if wa != wb:
-                    raise InconsistentCycleError(
-                        f"tangency rule fails at {pid}: {wa} != {wb}"
-                    )
-        for curve in stable:
-            if curve in self.pointwise:
-                continue
-            flags = {
-                point: w for (cv, point), w in self.weights.items() if cv == curve
-            }
-            if not flags:
-                raise UnderdeterminedActionError(f"no weights on stable curve {curve}")
-            if len(flags) != 2:
-                raise TooManyFixedPointsError(
-                    f"curve {curve} carries {len(flags)} fixed points"
-                )
-            (p1, w1), (p2, w2) = sorted(flags.items())
-            if (w1 + w2) % n != 0 or w1 % n == 0:
+            if mine != theirs:
                 raise InconsistentCycleError(
-                    f"projective-line rule fails on {curve}: weights {w1}, {w2}"
+                    f"weight {mine} at {pid} on {curve}, the rules give {theirs}"
                 )
-            _check_rotation(curve, w1, n, orbit_lengths)
+        if rules.pointwise != self.pointwise:
+            curve = min(rules.pointwise - self.pointwise)
+            raise InconsistentCycleError(f"curve {curve} has weight 0 but is not pointwise fixed")
+        if rules.free_points != self.free_points:
+            raise InconsistentCycleError(
+                f"free points {self.free_points}, the rules give {rules.free_points}"
+            )
 
     # -- census --------------------------------------------------------------
 
@@ -353,18 +330,6 @@ def _frame(config, perm):
     return stable, fixed_points, edge_of, orbit_lengths
 
 
-def _check_rotation(curve, w, n, orbit_lengths):
-    """The projective-line rule on orbits: a curve that rotates with nonzero
-    weight w has rotation order n / gcd(n, w), and so must every orbit of its
-    mobile neighbours."""
-    rotation = n // gcd(n, w)
-    for length, d in orbit_lengths.get(curve, {}).items():
-        if length != rotation:
-            raise InconsistentCycleError(
-                f"orbit of {d} on {curve} has length {length}, rotation order is {rotation}"
-            )
-
-
 def _walk(frame, seeds, free_seeds, n, c, plan=None):
     """Close the rule set over the stable curves of frame from the seeds;
     returns the weights, the pointwise-fixed curves and the free points.
@@ -387,12 +352,20 @@ def _walk(frame, seeds, free_seeds, n, c, plan=None):
         key = (curve, pid)
         seen = key in weights
         if w != zero and (not seen or len(fixed_points[curve]) >= 3):
-            # Orbits first: pointwise-fixed curves (crowded ones too) meet no mobile one.
+            # Orbits first: pointwise-fixed curves (crowded ones too) meet no
+            # mobile one.  A curve rotating with weight w has rotation order
+            # n / gcd(n, w), and so must every orbit of its mobile neighbours.
+            lengths = orbit_lengths.get(curve, {})
             if n:
-                _check_rotation(curve, w, n, orbit_lengths)
+                rotation = n // gcd(n, w)
+                for length, d in lengths.items():
+                    if length != rotation:
+                        raise InconsistentCycleError(
+                            f"orbit of {d} on {curve} has length {length}, "
+                            f"rotation order is {rotation}"
+                        )
             else:
                 nonzero[w] = None
-                lengths = orbit_lengths.get(curve, {})
                 if len(lengths) > 1:
                     raise InconsistentCycleError(f"curve {curve} meets orbits of two lengths")
                 for length in lengths:
@@ -484,10 +457,9 @@ def _walk(frame, seeds, free_seeds, n, c, plan=None):
             set_weight(b if curve == a else a, pid, w)
 
     for curve in stable:
-        if curve in pointwise:
-            continue
         known = fixed_points[curve] + free[curve]
-        if len(known) != 2 or (curve, known[0]) not in weights or (curve, known[1]) not in weights:
+        # The queue weights both marked points of a rotating curve or neither.
+        if curve not in pointwise and (not known or (curve, known[0]) not in weights):
             raise UnderdeterminedActionError(
                 f"stable curve {curve} is underdetermined after propagation"
             )
@@ -496,13 +468,9 @@ def _walk(frame, seeds, free_seeds, n, c, plan=None):
 
 def _saturate(config, perm, n, c, seeds, free_seeds=None, frame=None) -> GraphAction:
     """Close the rule set over the graph from the given seed flags: the walk
-    run concretely, then the final validation, which reuses frame when the
-    caller has built _frame(config, perm) already."""
-    frame = frame or _frame(config, perm)
-    c %= n
-    action = GraphAction(config, n, c, perm, *_walk(frame, seeds, free_seeds or {}, n, c))
-    action.validate(frame)
-    return action
+    run concretely, on frame when the caller has built _frame(config, perm)."""
+    walked = _walk(frame or _frame(config, perm), seeds, free_seeds or {}, n, c)
+    return GraphAction(config, n, c, perm, *walked)
 
 
 def _plan(frame, anchor) -> tuple:
@@ -589,12 +557,15 @@ def power(action: GraphAction, m: int) -> GraphAction:
     g = gcd(n, m)
     perm2 = {cyc[i]: cyc[(i + m) % len(cyc)] for cyc in perm_cycles for i in range(len(cyc))}
     # A free weight that m scales to 0 melts into a pointwise-fixed curve in
-    # _saturate.
+    # _saturate; when all do (n == g), so does every curve perm2 fixes.
     seeds = {flag: ((m * w) % n) // g for flag, w in action.weights.items() if ":" in flag[1]}
-    free_seeds = {
-        curve: [((m * action.weights[(curve, pid)]) % n) // g for pid in pids]
-        for curve, pids in action.free_points.items()
-    }
+    if n == g:
+        free_seeds = {curve: [0] for curve, image in perm2.items() if image == curve}
+    else:
+        free_seeds = {
+            curve: [((m * action.weights[(curve, pid)]) % n) // g for pid in pids]
+            for curve, pids in action.free_points.items()
+        }
     return _saturate(action.config, perm2, n // g, ((m * action.c) % n) // g, seeds, free_seeds)
 
 
@@ -963,8 +934,8 @@ def enumerate_actions(config, n, c, census_filter=None) -> list[GraphAction]:
     _saturate may take another path, and those that pass every constraint
     the plan recorded.  Every other weight is refuted exactly, so the
     survivors are those of saturating every w in Z_n; each is still built
-    and validated by _saturate.  On the fixture graph (16, 1) saturates 38
-    weights instead of 224.
+    by the concrete walk of _saturate.  On the fixture graph (16, 1)
+    saturates 38 weights instead of 224.
 
     Aut(G), its classes, each representative's frame, moves, and pulled-back
     anchors with their plans and transporters depend on the graph alone:

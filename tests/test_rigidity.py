@@ -2,6 +2,7 @@ import random
 from collections import deque
 from itertools import product
 from math import gcd, lcm
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from k3auto import rigidity
 from k3auto.errors import InputError
-from k3auto.files import load_graph_text
+from k3auto.files import load_graph_file, load_graph_text
 from k3auto.fixtures import fixture_text, load_bundle
 from k3auto.rigidity import (
     AnchorOnMobileCurveError,
@@ -20,7 +21,6 @@ from k3auto.rigidity import (
     RigidityError,
     TooManyFixedPointsError,
     UnderdeterminedActionError,
-    _check_rotation,
     _conjugacy_classes,
     _frame,
     _saturate,
@@ -41,6 +41,9 @@ from k3auto.rigidity import (
 
 BUNDLE = load_bundle()
 CFG = BUNDLE.config
+# P-Q and the isolated 3-cycle X1 -> X2 -> X3; the action a has n = 2, c = 1
+# and weight 1 at (P, P:Q), so order 6.
+ISOLATED_CYCLE = load_graph_file(Path(__file__).with_name("isolated_cycle_graph.txt"))
 
 
 def identity_perm(config):
@@ -340,9 +343,10 @@ def test_orbit_rule_rejects_double_transpositions():
         propagate(CFG, perm, 16, 1, ("C4", edge_point_id("C4", "C8")), 0)
 
 
-def edited_sigma(perm=None, weights=(), dropped=(), pointwise=()):
-    """sigma with its permutation replaced, weights set or dropped and curves
-    added to the pointwise-fixed set, unchecked."""
+def edited_sigma(perm=None, weights=(), dropped=(), pointwise=(), unmarked=(), free_points=None):
+    """sigma with its permutation replaced, weights set or dropped, curves
+    added to or removed from the pointwise-fixed set and its free points
+    replaced, unchecked."""
     act = BUNDLE.actions["sigma"]
     new_weights = {**act.weights, **dict(weights)}
     for flag in dropped:
@@ -353,25 +357,34 @@ def edited_sigma(perm=None, weights=(), dropped=(), pointwise=()):
         act.c,
         act.perm if perm is None else perm,
         new_weights,
-        act.pointwise | set(pointwise),
-        act.free_points,
+        (act.pointwise | set(pointwise)) - set(unmarked),
+        act.free_points if free_points is None else free_points,
     )
 
 
-# Each edit of sigma breaks one rule, and validate names the first failure.
+# Each edit of sigma breaks one rule, and validate names the first failure
+# that the walk, run again from the edited data, meets.
 VALIDATE_FAILURES = [
     (
         dict(perm=perm_from_cycles(CFG, [["a1", "C1"]])),
         RigidityError,
         "permutation is not a graph automorphism",
     ),
-    (dict(pointwise={"a1"}), RigidityError, "pointwise-fixed curve a1 is mobile"),
+    (
+        dict(pointwise={"a1"}),
+        AnchorOnMobileCurveError,
+        "curve a1 is mobile under the action",
+    ),
     (
         dict(pointwise={"s0"}),
         InconsistentCycleError,
-        "pointwise-fixed curve s0 meets mobile curve a1",
+        "curve s0 forced pointwise fixed but neighbor a1 moves",
     ),
-    (dict(weights={("a1", "a1:b1"): 3}), RigidityError, "weight on mobile curve a1"),
+    (
+        dict(weights={("a1", "a1:b1"): 3}),
+        AnchorOnMobileCurveError,
+        "curve a1 is mobile under the action",
+    ),
     (dict(weights={("C1", "C1:C2"): 19}), RigidityError, "weight out of range"),
     (
         dict(dropped=[("C1", "C1:C2")]),
@@ -381,27 +394,39 @@ VALIDATE_FAILURES = [
     (
         dict(weights={("C2", "C1:C2"): 13}),
         InconsistentCycleError,
-        "volume rule fails at C1:C2: 3 + 13 != 1 mod 16",
+        "contradictory weights 13 and 14 at C1:C2 on C2",
     ),
     (
         dict(weights={("b5", "a5:b5"): 10}),
         InconsistentCycleError,
-        "tangency rule fails at a5:b5: 11 != 10",
+        "contradictory weights 10 and 11 at a5:b5 on b5",
     ),
     (
         dict(weights={("C8", "C8.free1"): 15}),
-        TooManyFixedPointsError,
-        "curve C8 carries 3 fixed points",
+        InconsistentCycleError,
+        "weight 15 at C8.free1 on C8, the rules give None",
     ),
     (
         dict(weights={("C8", "C8.free0"): 14}),
         InconsistentCycleError,
-        "projective-line rule fails on C8: weights 1, 14",
+        "contradictory weights 14 and 15 at C8.free0 on C8",
     ),
     (
         dict(perm=perm_from_cycles(CFG, [["a1", "a2"], ["b1", "b2"], ["a3", "a4"], ["b3", "b4"]])),
         InconsistentCycleError,
         "orbit of a1 on s0 has length 2, rotation order is 4",
+    ),
+    # The walk gives back every weight here, but C4 pointwise fixed and C8
+    # with its free point.
+    (
+        dict(unmarked={"C4"}),
+        InconsistentCycleError,
+        "curve C4 has weight 0 but is not pointwise fixed",
+    ),
+    (
+        dict(free_points={}),
+        InconsistentCycleError,
+        "free points {}, the rules give {'C8': ('C8.free0',)}",
     ),
 ]
 
@@ -636,9 +661,80 @@ def test_power_exponent_is_taken_modulo_the_period():
 # -- the shared walk against the concrete walk it replaced ----------------------
 
 
+def _check_rotation(curve, w, n, orbit_lengths):
+    """The projective-line rule on orbits: a curve that rotates with nonzero
+    weight w has rotation order n / gcd(n, w), and so must every orbit of its
+    mobile neighbours."""
+    rotation = n // gcd(n, w)
+    for length, d in orbit_lengths.get(curve, {}).items():
+        if length != rotation:
+            raise InconsistentCycleError(
+                f"orbit of {d} on {curve} has length {length}, rotation order is {rotation}"
+            )
+
+
+def _reference_validate(action, frame=None):
+    """GraphAction.validate as it was before it ran the walk again: every
+    rule stated a second time, an oracle for the walk.
+
+    frame is _frame(config, perm) of this action's permutation when the
+    caller holds it already (its automorphism check ran when it was
+    built); otherwise it is built and checked here."""
+    n, c = action.n, action.c
+    stable, _fixed_points, edge_of, orbit_lengths = frame or _frame(action.config, action.perm)
+    for curve in sorted(action.pointwise):
+        if curve not in stable:
+            raise RigidityError(f"pointwise-fixed curve {curve} is mobile")
+        if curve in orbit_lengths:
+            d = next(iter(orbit_lengths[curve].values()))
+            raise InconsistentCycleError(
+                f"pointwise-fixed curve {curve} meets mobile curve {d}"
+            )
+    for (curve, point), w in action.weights.items():
+        if curve not in stable:
+            raise RigidityError(f"weight on mobile curve {curve}")
+        if not 0 <= w < n:
+            raise RigidityError("weight out of range")
+    for pid, (a, b, mult) in edge_of.items():
+        wa = action.weight_at(a, pid)
+        wb = action.weight_at(b, pid)
+        if wa is None or wb is None:
+            raise UnderdeterminedActionError(f"missing weight at {pid}")
+        if mult == 1:
+            if (wa + wb) % n != c:
+                raise InconsistentCycleError(
+                    f"volume rule fails at {pid}: {wa} + {wb} != {c} mod {n}"
+                )
+        else:
+            if wa != wb:
+                raise InconsistentCycleError(
+                    f"tangency rule fails at {pid}: {wa} != {wb}"
+                )
+    for curve in stable:
+        if curve in action.pointwise:
+            continue
+        flags = {
+            point: w for (cv, point), w in action.weights.items() if cv == curve
+        }
+        if not flags:
+            raise UnderdeterminedActionError(f"no weights on stable curve {curve}")
+        if len(flags) != 2:
+            raise TooManyFixedPointsError(
+                f"curve {curve} carries {len(flags)} fixed points"
+            )
+        (p1, w1), (p2, w2) = sorted(flags.items())
+        if (w1 + w2) % n != 0 or w1 % n == 0:
+            raise InconsistentCycleError(
+                f"projective-line rule fails on {curve}: weights {w1}, {w2}"
+            )
+        _check_rotation(curve, w1, n, orbit_lengths)
+
+
 def _reference_saturate(config, perm, n, c, seeds, free_seeds=None, frame=None) -> GraphAction:
     """_saturate as it was before its propagation became one walk with
-    _plan's: the concrete walk alone, an oracle for the shared one.
+    _plan's: the concrete walk alone, then the final validation, which
+    states every rule again (_reference_validate); an oracle for the shared
+    walk.
 
     frame is _frame(config, perm) when the caller has built it already; the
     final validation reuses it.
@@ -752,7 +848,7 @@ def _reference_saturate(config, perm, n, c, seeds, free_seeds=None, frame=None) 
             )
 
     action = GraphAction(config, n, c, perm, weights, pointwise, free)
-    action.validate(frame)
+    _reference_validate(action, frame)
     return action
 
 
@@ -810,7 +906,9 @@ def test_saturation_matches_the_reference_on_small_graphs(config, n, data):
 
 def _reference_power(action, m):
     """power with free weights seeded only on curves that stay rotating: a
-    curve whose weight m annihilates is marked pointwise fixed by hand."""
+    curve whose weight m annihilates is marked pointwise fixed by hand.  When
+    m annihilates every weight, every curve perm2 fixes gets a zero free
+    seed, as in power."""
     n = action.n
     perm_cycles = cycles(action.perm)
     m %= lcm(n, *map(len, perm_cycles))
@@ -827,6 +925,8 @@ def _reference_power(action, m):
     for (curve, pid), w in action.weights.items():
         if not pid.startswith(f"{curve}.free"):
             seeds[(curve, pid)] = ((m * w) % n) // g
+    if n // g == 1:
+        free_seeds = {curve: [0] for curve in perm2 if perm2[curve] == curve}
     return _reference_saturate(
         action.config, perm2, n // g, ((m * action.c) % n) // g, seeds, free_seeds
     )
@@ -835,11 +935,145 @@ def _reference_power(action, m):
 def test_power_matches_the_reference():
     actions = list(BUNDLE.actions.values())
     actions += [inverse_action(act) for act in actions]
-    actions += enumerate_actions(CFG, 16, 1)
+    actions += enumerate_actions(CFG, 16, 1) + list(ISOLATED_CYCLE[1].values())
     for act in actions:
         order = act.order()
         for m in range(-2 * order, 2 * order + 1):
             assert outcome(power, act, m) == outcome(_reference_power, act, m)
+
+
+def test_power_at_a_multiple_of_the_order_fixes_every_curve():
+    # A power with every weight 0 fixes pointwise every curve its permutation
+    # fixes, also the X curves, which meet no curve that a fixes.
+    act = ISOLATED_CYCLE[1]["a"]
+    assert act.order() == 6
+    for m, k in ((6, 5), (12, 5), (-6, 5), (2, 2)):
+        cen = power(act, m).census()
+        assert (power(act, m).n, cen.N, cen.k) == (1, 0, k)
+    with pytest.raises(UnderdeterminedActionError) as excinfo:
+        power(act, 3)
+    assert str(excinfo.value) == "stable curve X1 is underdetermined after propagation"
+    for name, m in (("tau", 2), ("sigma", 16)):
+        triv = power(BUNDLE.actions[name], m)
+        assert (triv.n, triv.census().k) == (1, 20)
+
+
+def single_flag_edits(action):
+    """Each action that differs from action in one datum: a weight moved by
+    +-1, a flag dropped (from the free points too), an extra free point of
+    weight +-1 on any curve, a curve added to or removed from the
+    pointwise-fixed set, or the permutation composed with a transposition of
+    two curves of equal degree."""
+    config, n, weights, free_points = action.config, action.n, action.weights, action.free_points
+
+    def edited(perm=action.perm, weights=weights, pointwise=action.pointwise, free=free_points):
+        return GraphAction(config, n, action.c, perm, weights, pointwise, free)
+
+    for flag, w in weights.items():
+        for w2 in {(w + 1) % n, (w - 1) % n} - {w}:
+            yield edited(weights={**weights, flag: w2})
+        yield edited(
+            weights={f: v for f, v in weights.items() if f != flag},
+            free={cv: [p for p in pids if (cv, p) != flag] for cv, pids in free_points.items()},
+        )
+    for curve in config.vertices:
+        pids = free_points.get(curve, ())
+        pid = f"{curve}.free{len(pids)}"
+        for w in {1 % n, -1 % n}:
+            extra = {**free_points, curve: pids + (pid,)}
+            yield edited(weights={**weights, (curve, pid): w}, free=extra)
+        yield edited(pointwise=action.pointwise ^ {curve})
+    for u, v in product(config.vertices, repeat=2):
+        if u < v and degree(config, u) == degree(config, v):
+            swap = {u: v, v: u}
+            yield edited(perm={x: action.perm[swap.get(x, x)] for x in config.vertices})
+
+
+def passes(check, action):
+    try:
+        check(action)
+    except RigidityError:
+        return False
+    return True
+
+
+def records_zeros(action):
+    """Each pointwise-fixed curve records weight 0 at each of its fixed points
+    and nothing else, as GraphAction states.  _reference_validate reads such
+    a curve through weight_at, which gives 0 whatever is recorded, and checks
+    no free point on it."""
+    fixed_points = _frame(action.config, action.perm)[1]
+    return all(
+        {pid: w for (cv, pid), w in action.weights.items() if cv == curve}
+        == dict.fromkeys(fixed_points[curve], 0)
+        for curve in action.pointwise
+    )
+
+
+def assert_validate_matches_the_reference(actions):
+    """Every action passes _reference_validate and validate(), and each
+    single-flag edit of it is rejected by validate() exactly when
+    _reference_validate rejects it or it records no zeros as records_zeros
+    asks.  Returns how many edits were accepted, how many rejected, and how
+    many of those for the recorded zeros alone."""
+    seen = {"accepted": 0, "rejected": 0, "recorded zeros": 0}
+    for action in actions:
+        _reference_validate(action)
+        action.validate()
+        for edit in single_flag_edits(action):
+            by_rules = passes(_reference_validate, edit)
+            verdict = by_rules and records_zeros(edit)
+            assert passes(GraphAction.validate, edit) == verdict, action_data([edit])
+            seen["accepted" if verdict else "rejected"] += 1
+            seen["recorded zeros"] += by_rules and not verdict
+    return seen
+
+
+def built(build, calls):
+    """What build returns for each argument tuple in calls, where it raises
+    no RigidityError."""
+    out = []
+    for args in calls:
+        try:
+            out.append(build(*args))
+        except RigidityError:
+            pass
+    return out
+
+
+def returned_actions(actions):
+    """actions, their powers up to their order, their inverses and their
+    pairwise compositions, each distinct action once."""
+    actions = list(actions)
+    actions += built(power, [(a, m) for a in actions for m in range(-1, a.order() + 1)])
+    actions += built(compose_actions, product(actions[:8], repeat=2))
+    return list({repr(action_data([a])): a for a in actions}.values())
+
+
+def test_returned_actions_pass_the_reference_validation_on_the_fixture_sweep():
+    for n, c in sorted({(n, c) for n, c, _filter in SWEEP}):
+        for action in enumerate_actions(CFG, n, c):
+            _reference_validate(action)
+            action.validate()
+    actions = list(BUNDLE.actions.values())
+    for n, c in ((16, 1), (8, 3), (16, 0), (2, 1)):
+        actions += enumerate_actions(CFG, n, c)
+    actions = returned_actions(actions) + returned_actions(ISOLATED_CYCLE[1].values())
+    seen = assert_validate_matches_the_reference(actions)
+    # Every edit breaks a rule.
+    assert seen["accepted"] == 0 and seen["recorded zeros"] > 0, seen
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_configs(), st.sampled_from([1, 2, 3, 4, 6]), st.data())
+def test_returned_actions_pass_the_reference_validation_on_small_graphs(config, n, data):
+    c = data.draw(st.integers(0, n - 1))
+    perms = automorphism_dicts(config)
+    perms = [data.draw(st.sampled_from(perms)), data.draw(st.sampled_from(perms))]
+    flags = [(curve, edge_point_id(a, b)) for a, b in sorted(config.edges) for curve in (a, b)]
+    calls = product([config], perms, [n], [c], flags, range(n))
+    actions = enumerate_actions(config, n, c) + built(propagate, calls)
+    assert_validate_matches_the_reference(returned_actions(actions))
 
 
 def test_enumeration_rejects_a_non_positive_order():
@@ -943,7 +1177,7 @@ def saturation_outcome(
     try:
         action = saturate(config, perm, n, c, {anchor: w}, frame=frame)
         if revalidate:
-            action.validate()
+            _reference_validate(action)
         return action.reduced_key()
     except RigidityError:
         return None
@@ -952,9 +1186,9 @@ def saturation_outcome(
 def assert_early_orbit_rule_is_sound(config, perms, ns, c):
     """Saturating every anchor weight from the first fixed edge flag gives the
     same outcome with the orbit-length table as with it emptied, where only
-    the final validation applies the rule: _saturate validates against the
-    frame it is given, so the emptied run is validated again by a bare
-    validate(), which builds the full frame."""
+    a final validation applies the rule: _saturate does not check the action
+    its walk returns, so the emptied run is validated by _reference_validate,
+    which builds the full frame and states every rule again."""
     accepted = 0
     for perm in perms:
         frame = _frame(config, perm)
@@ -1115,8 +1349,8 @@ def test_enumeration_transports_once_per_class(monkeypatch):
     # (w = 0 and w = c among them), so 38 saturations, against 14 * 16 = 224
     # for one per anchor and weight (the reference, one scan per
     # automorphism, makes 3,840).  One frame per class (14 automorphism
-    # checks); each saturation validates against the frame it was given, so
-    # no other frame is built.  Each of the 8 classes of actions transports
+    # checks); each saturation walks the frame it was given and is not
+    # validated again, so no other frame is built.  Each of the 8 classes of actions transports
     # its survivor along one member of the centraliser of its permutation per
     # distinct restriction to the fixed curves (9 in all, against 330
     # members), whose least key is the class key, and its representative
