@@ -11,6 +11,11 @@ once, by the gcds of one division.  ``normalize`` does only that, and every
 substitution (composition, the morphism test, the residual) goes through
 ``_substitute_cleared``, which evaluates a polynomial at images over cleared
 denominators with no gcd.
+
+The surface equation under a map, over cleared denominators, is built once
+per map and kept on it (``_ClearedEquation``): the morphism verdict, the
+ambient scalar and the residual's coefficients A(w), B(w) all read that one
+record.
 """
 from __future__ import annotations
 
@@ -170,10 +175,14 @@ class SurfaceMap:
     """A candidate automorphism: images of (x, y, t) over a fixed model.
 
     The t image is a rational function of t alone, so the map respects the
-    elliptic fibration.
+    elliptic fibration.  The private slot ``_equation`` holds the map's
+    cleared surface equation (``_ClearedEquation``) once one of
+    ``verify_morphism``, ``omega_factor``, ``ambient_scalar`` or
+    ``morphism_residual`` has built it; it lives and dies with the map,
+    whose images never change.
     """
 
-    __slots__ = ("model", "u", "v", "w")
+    __slots__ = ("model", "u", "v", "w", "_equation")
 
     def __init__(self, model, u: FieldElement, v: FieldElement, w: RationalFunction):
         if not w.uses_only("t"):
@@ -182,6 +191,7 @@ class SurfaceMap:
         self.u = u
         self.v = v
         self.w = w
+        self._equation = None
 
     @classmethod
     def identity(cls, model) -> "SurfaceMap":
@@ -455,42 +465,56 @@ def compose(m1: SurfaceMap, m2: SurfaceMap) -> SurfaceMap:
     return SurfaceMap(model, u, v, w.a)
 
 
-def morphism_residual(m: SurfaceMap) -> FieldElement:
-    """The defect v^2 - u^3 - A(w) u - B(w); zero exactly for morphisms.
+class _ClearedEquation:
+    """The surface equation under a map, over cleared denominators.
 
-    A(w) and B(w) are W A(w) / W and W B(w) / W from the cleared
-    coefficients of ``verify_morphism``; the defect is then formed in
-    reduced FieldElement arithmetic, so it prints in normal form.
+    W = den(w)^d for d = max(deg A, deg B), with Aw = W A(w) and
+    Bw = W B(w); N is the numerator of ``verify_morphism``, unreduced, and
+    holds says whether N reduces to 0 by y^2 -> rhs.
     """
+
+    __slots__ = ("W", "Aw", "Bw", "N", "holds")
+
+    def __init__(self, W: MultiPoly, Aw: MultiPoly, Bw: MultiPoly, N: MultiPoly, holds: bool):
+        self.W, self.Aw, self.Bw, self.N, self.holds = W, Aw, Bw, N, holds
+
+
+def _cleared_equation(m: SurfaceMap) -> _ClearedEquation:
+    # The record of m's cleared equation, every part formed with no gcd.
     model = m.model
-    W, Aw, Bw = _cleared_coefficients(model, m.w)
-    Aw, Bw = (FieldElement.from_ratfunc(model, RationalFunction(p, W)) for p in (Aw, Bw))
-    return m.v * m.v - m.u * m.u * m.u - Aw * m.u - Bw
-
-
-def _cleared_coefficients(model: WeierstrassModel, w: RationalFunction) -> tuple:
-    # (W, W A(w), W B(w)) for W = den(w)^d, d = max(deg A, deg B): all
-    # polynomials, formed with no gcd.
-    d = max(model.A.degree_in("t"), model.B.degree_in("t"))
-    image = _cleared_image(w.num, w.den)
-    W = _cleared_power(image, 0, d)
-    return (
-        MultiPoly.one(model.field) if W is None else W,
-        _substitute_cleared(model.A, None, image, 0, d),
-        _substitute_cleared(model.B, None, image, 0, d),
-    )
-
-
-def _equation_numerator(m: SurfaceMap) -> MultiPoly:
-    # The numerator N of ``verify_morphism``, unreduced: the surface
-    # equation under the map times its cleared denominators.
     U, Du = _cleared(m.u)
     V, Dv = _cleared(m.v)
-    W, Aw, Bw = _cleared_coefficients(m.model, m.w)
+    d = max(model.A.degree_in("t"), model.B.degree_in("t"))
+    image = _cleared_image(m.w.num, m.w.den)
+    W = _cleared_power(image, 0, d)
+    W = MultiPoly.one(model.field) if W is None else W
+    Aw, Bw = (_substitute_cleared(p, None, image, 0, d) for p in (model.A, model.B))
     Du2, Dv2 = _by(Du, Du), _by(Dv, Dv)
     D2 = Dv2 if Du2.is_constant() else _by(Du2, Dv2)
     lhs = _by(_by(V * V, Du2), Du) - _by(U * U * U, Dv2)
-    return _by(lhs, W) - _by(Aw * U + _by(Bw, Du), D2)
+    N = _by(lhs, W) - _by(Aw * U + _by(Bw, Du), D2)
+    even, odd = _reduce_y(N, model.rhs.num)
+    return _ClearedEquation(W, Aw, Bw, N, even.is_zero() and odd.is_zero())
+
+
+def _equation(m: SurfaceMap) -> _ClearedEquation:
+    # m's cleared equation, built on the first call and kept in its slot.
+    if m._equation is None:
+        m._equation = _cleared_equation(m)
+    return m._equation
+
+
+def morphism_residual(m: SurfaceMap) -> FieldElement:
+    """The defect v^2 - u^3 - A(w) u - B(w); zero exactly for morphisms.
+
+    A(w) and B(w) are W A(w) / W and W B(w) / W, read from m's cleared
+    equation (``_equation``); the defect is then formed in reduced
+    FieldElement arithmetic, so it prints in normal form.
+    """
+    model = m.model
+    eq = _equation(m)
+    Aw, Bw = (FieldElement.from_ratfunc(model, RationalFunction(p, eq.W)) for p in (eq.Aw, eq.Bw))
+    return m.v * m.v - m.u * m.u * m.u - Aw * m.u - Bw
 
 
 def verify_morphism(m: SurfaceMap) -> bool:
@@ -506,26 +530,28 @@ def verify_morphism(m: SurfaceMap) -> bool:
     N reduces by y^2 -> x^3 + A x + B to N_0 + N_1 y with N_0, N_1 free of
     y, and the map is a morphism exactly when N_0 = N_1 = 0: every cleared
     factor is a nonzero polynomial, hence a unit of the function field, and
-    y is not in Q(zeta)(x, t), so 1 and y are independent over it.
+    y is not in Q(zeta)(x, t), so 1 and y are independent over it.  The
+    identity is decided once per map object: the verdict is kept with N in
+    the map's cleared equation (``_equation``), and later calls read it.
     """
-    even, odd = _reduce_y(_equation_numerator(m), m.model.rhs.num)
-    return even.is_zero() and odd.is_zero()
+    return _equation(m).holds
 
 
 def ambient_scalar(m: SurfaceMap) -> CycloNum | None:
     """c with F(u, v, w) = c * F as ambient polynomials, if the map is
-    polynomial and such a scalar exists."""
+    polynomial and such a scalar exists.
+
+    Every denominator of a polynomial map is 1, so the numerator N of the
+    map's cleared equation (``_equation``) is F(u, v, w) for
+    F = y^2 - rhs, without reduction.
+    """
     if not all(r.is_polynomial() for r in (m.w, m.u.a, m.u.b, m.v.a, m.v.b)):
         return None
-    # Every denominator is 1, so the numerator N of verify_morphism is
-    # F(u, v, w) for F = y^2 - x^3 - A x - B, without reduction.
-    image = _equation_numerator(m)
+    image = _equation(m).N
     if image.is_zero():
         return None
     model = m.model
-    x = MultiPoly.gen(model.field, "x")
-    y = MultiPoly.gen(model.field, "y")
-    F = y ** 2 - x ** 3 - model.A * x - model.B
+    F = MultiPoly.gen(model.field, "y") ** 2 - model.rhs.num
     # Proportionality: image == c * F with a single scalar c.
     c = None
     if set(image.terms) != set(F.terms):
@@ -553,7 +579,9 @@ def omega_factor(m: SurfaceMap) -> CycloNum:
     polynomials, formed with no gcd; the same parts compare cross-multiplied
     by their nonzero denominators, c is the ratio of the lex-leading
     coefficients, and the full identity is checked, so the verdict is
-    exact.  A map that is not a morphism raises NotAMorphismError with its
+    exact.  The morphism is checked first, by ``verify_morphism``, which
+    after an earlier check of the same map object only reads the kept
+    verdict.  A map that is not a morphism raises NotAMorphismError with its
     residual; a map whose image is a curve (y goes to 0, or L = 0) raises it
     without one; any other L not in Q(zeta) v raises NotConstantFactorError.
     """

@@ -58,3 +58,32 @@ def test_graphs_round_does_the_same_work_on_a_second_pass(monkeypatch):
         passes.append(dict(calls))
     assert passes[0] == passes[1]
     assert passes[0]["_saturate"] > 0
+
+
+def test_maps_round_does_the_same_work_on_a_second_pass(monkeypatch):
+    # The traced run compares span counts with cProfile counts from a second
+    # pass over the same jobs in the same process.  The fixture maps keep
+    # their cleared equations between jobs, so the second pass may read what
+    # the first built, but it must make the same checks, compositions and
+    # gcds.
+    from k3auto import funfield, polyring
+
+    first_round = next(workloads.maps_rounds(1))
+    calls = {}
+    for module, name in ((funfield, "verify_morphism"), (funfield, "compose"),
+                         (polyring, "multi_gcd")):
+        original = getattr(module, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    passes = []
+    for _ in range(2):
+        calls.update(verify_morphism=0, compose=0, multi_gcd=0)
+        for job in first_round:
+            assert job.check(job.run()) is None, job.kind
+        passes.append(dict(calls))
+    assert passes[0] == passes[1]
+    assert passes[0]["verify_morphism"] > 0

@@ -11,7 +11,7 @@ import pytest
 import k3auto
 from k3auto import cyclotomic, funfield, polyring
 from k3auto.cli import main
-from k3auto.files import parse_lattice_expression
+from k3auto.files import load_surface_text, parse_lattice_expression
 from k3auto.fixtures import fixture_path
 from test_lattice import determinant
 
@@ -208,12 +208,15 @@ def _count_calls(monkeypatch, name):
 
 def test_check_map_verifies_the_morphism_once(capsys, monkeypatch, tmp_path):
     # A morphism is decided by one identity check and builds no residual; a
-    # non-morphism builds its residual once, for the printed text.
+    # non-morphism builds its residual once, for the printed text.  Either
+    # way the map's cleared equation is built once, and the ambient scalar
+    # and the residual read it.
     checks = _count_calls(monkeypatch, "verify_morphism")
     residuals = _count_calls(monkeypatch, "morphism_residual")
+    builds = _count_calls(monkeypatch, "_cleared_equation")
     code, _out, _err = run_cli(capsys, "check-map", SURFACE, "sigma")
     assert code == 0
-    assert (len(checks), len(residuals)) == (1, 0)
+    assert (len(checks), len(residuals), len(builds)) == (1, 0, 1)
     path = tmp_path / "bad_map.txt"
     path.write_text(
         'field_order = 16\nA = "t^3*(t^4-1)"\nB = "0"\n'
@@ -221,7 +224,22 @@ def test_check_map_verifies_the_morphism_once(capsys, monkeypatch, tmp_path):
     )
     code, _out, _err = run_cli(capsys, "check-map", str(path), "broken")
     assert code == 1
-    assert (len(checks), len(residuals)) == (2, 1)
+    assert (len(checks), len(residuals), len(builds)) == (2, 1, 2)
+
+
+def test_the_check_sequence_builds_each_cleared_equation_once(monkeypatch):
+    # The benchmark's check sequence verifies, takes the ambient scalar and
+    # then the 2-form factor, which verifies again: the second check and the
+    # scalar read the equation the first one built, once per map object.
+    _model, maps = load_surface_text(fixture_path("order16_surface.txt").read_text())
+    builds = _count_calls(monkeypatch, "_cleared_equation")
+    for _ in range(2):
+        for m in maps.values():
+            assert funfield.verify_morphism(m)
+            funfield.ambient_scalar(m)
+            funfield.omega_factor(m)
+    assert len(builds) == len(maps) == 3
+    assert all(built is m for built, m in zip(builds, maps.values()))
 
 
 def test_check_map_order_bound_is_a_verdict(capsys):

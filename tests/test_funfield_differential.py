@@ -8,6 +8,10 @@ with h = (3 x^2 + A) / (2 y).  A(w) and B(w) are formed here term by term,
 not through the cleared coefficients that the kernels and
 ``morphism_residual`` share.  Both sides must give the same verdict, the
 same factor, the same residual and the same exception with the same message.
+
+The four checks read one cleared equation that each map keeps once it is
+built, so every map is also rebuilt fresh and checked in the reverse order,
+residual first: the answers must not depend on which check built it.
 """
 import functools
 import random
@@ -22,6 +26,7 @@ from k3auto.funfield import (
     NotConstantFactorError,
     Section,
     SurfaceMap,
+    ambient_scalar,
     compose,
     map_order,
     morphism_residual,
@@ -78,6 +83,32 @@ def reference_omega(m):
     return factor.a.constant_value()
 
 
+def reference_scalar(m):
+    # c with F(u, v, w) = c F for F = y^2 - x^3 - A x - B, both formed
+    # directly as polynomials in x, y, t; None unless the map is polynomial
+    # and such a c exists.
+    parts = (m.w, m.u.a, m.u.b, m.v.a, m.v.b)
+    if not all(r.is_polynomial() for r in parts):
+        return None
+    model = m.model
+    x, y = (MultiPoly.gen(model.field, var) for var in ("x", "y"))
+    w, ua, ub, va, vb = (r.num for r in parts)
+    u, v = ua + ub * y, va + vb * y
+
+    def at_w(p):
+        out = MultiPoly.zero(model.field)
+        for (_, _, k), c in p.terms.items():
+            out = out + w ** k * c
+        return out
+
+    image = v * v - u * u * u - at_w(model.A) * u - at_w(model.B)
+    equation = y ** 2 - x ** 3 - model.A * x - model.B
+    if image.is_zero():
+        return None
+    c = image.leading_coeff_lex() / equation.leading_coeff_lex()
+    return c if image == equation * c else None
+
+
 def outcome(fn, m):
     # The value, or the class, message and residual text of the exception.
     try:
@@ -94,6 +125,15 @@ def assert_agree(m):
     assert morphism_residual(m) == residual
     got = outcome(omega_factor, m)
     assert got == outcome(reference_omega, m)
+    scalar = ambient_scalar(m)
+    assert scalar == reference_scalar(m)
+    fresh = SurfaceMap(m.model, m.u, m.v, m.w)
+    again = morphism_residual(fresh)
+    assert again == residual
+    assert str(again) == str(morphism_residual(m))
+    assert outcome(omega_factor, fresh) == got
+    assert ambient_scalar(fresh) == scalar
+    assert verify_morphism(fresh) is verdict
     return verdict, got
 
 
@@ -153,6 +193,7 @@ def test_seeded_scalings_agree():
         assert verdict is _scaling_is_morphism(a, b, c)
         if verdict:
             assert got == ("value", F.zeta(a + c - b))
+            assert ambient_scalar(m) == F.zeta(2 * b)
 
 
 @pytest.mark.parametrize(
