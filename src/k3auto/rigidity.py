@@ -18,7 +18,12 @@ graph, synthesizing free fixed points where a curve has fewer than two marked
 ones, and failing loudly on any contradiction.  The orbit-length part of the
 projective-line rule is checked as each nonzero weight is set, so a
 propagation stops at the first weight whose rotation order disagrees with an
-orbit of neighbours; GraphAction.validate runs the propagation again.
+orbit of neighbours.
+
+An action rebuilds from one seed set (GraphAction._seeds): every edge flag,
+the free weights of each curve in order, and a zero free seed on each
+pointwise-fixed curve.  GraphAction.validate walks these seeds again, power
+walks them scaled, and compose_actions adds two actions' scaled seeds.
 
 Every rule maps a weight w to w, -w or c - w, so from an anchor of weight w
 each flag carries an affine form s w + k c.  The propagation is one walk
@@ -164,6 +169,7 @@ class GraphAction:
     Weights are exponents mod n at flags (curve, point id); free fixed points
     carry ids "<curve>.free<i>", the only point ids without a ":".
     Pointwise-fixed curves record weight 0 at each of their marked points.
+    _seeds gives the walk seeds that rebuild the action.
     """
 
     __slots__ = ("config", "n", "c", "perm", "weights", "pointwise", "free_points")
@@ -178,11 +184,6 @@ class GraphAction:
         self.free_points = {k: tuple(v) for k, v in free_points.items() if v}
 
     # -- structure ---------------------------------------------------------
-
-    def weight_at(self, curve: str, point: str) -> int | None:
-        if curve in self.pointwise:
-            return 0
-        return self.weights.get((curve, point))
 
     def _weight_gcd(self) -> int:
         """gcd(n, c, every weight): n over it is the order of the weights."""
@@ -225,20 +226,29 @@ class GraphAction:
 
     # -- validation --------------------------------------------------------
 
-    def validate(self):
-        """Run the walk again from every edge flag, every free point in order
-        and a zero free seed on each pointwise-fixed curve; raises
-        RigidityError unless it gives back exactly these weights, pointwise
-        curves and free points, or if a weight lies outside 0 <= w < n."""
-        if not all(0 <= w < self.n for w in self.weights.values()):
-            raise RigidityError("weight out of range")
-        seeds = {flag: w for flag, w in self.weights.items() if ":" in flag[1]}
+    def _seeds(self, scale):
+        """The walk seeds that rebuild this action, each weight passed through
+        scale: (seeds, free_seeds) for _walk, holding every edge flag, the
+        free weights of each curve in order, and a zero free seed on each
+        pointwise-fixed curve, which a curve with no marked point needs."""
+        seeds = {flag: scale(w) for flag, w in self.weights.items() if ":" in flag[1]}
         free_seeds = {
-            curve: [self.weights[(curve, pid)] for pid in pids if (curve, pid) in self.weights]
+            curve: [
+                scale(self.weights[(curve, pid)]) for pid in pids if (curve, pid) in self.weights
+            ]
             for curve, pids in self.free_points.items()
         }
         for curve in self.pointwise:
             free_seeds.setdefault(curve, []).append(0)
+        return seeds, free_seeds
+
+    def validate(self):
+        """Walk the seeds of _seeds again; raises RigidityError unless the
+        walk gives back exactly these weights, pointwise curves and free
+        points, or if a weight lies outside 0 <= w < n."""
+        if not all(0 <= w < self.n for w in self.weights.values()):
+            raise RigidityError("weight out of range")
+        seeds, free_seeds = self._seeds(lambda w: w)
         walk = _walk(_frame(self.config, self.perm), seeds, free_seeds, self.n, self.c)
         rules = GraphAction(self.config, self.n, self.c, self.perm, *walk)
         for curve, pid in sorted(rules.weights.keys() | self.weights.keys()):
@@ -545,7 +555,8 @@ def census(action: GraphAction) -> FixedLocusCensus:
 
 
 def power(action: GraphAction, m: int) -> GraphAction:
-    """The action of the m-th power: weights scale by m, order divides out.
+    """The action of the m-th power: the seeds of action._seeds with weights
+    scaled by m, and the order divided out.
 
     m is taken modulo lcm(n, order of the permutation), which fixes the
     permutation, the weights and n // gcd(n, m); so a negative m is a power
@@ -558,14 +569,9 @@ def power(action: GraphAction, m: int) -> GraphAction:
     perm2 = {cyc[i]: cyc[(i + m) % len(cyc)] for cyc in perm_cycles for i in range(len(cyc))}
     # A free weight that m scales to 0 melts into a pointwise-fixed curve in
     # _saturate; when all do (n == g), so does every curve perm2 fixes.
-    seeds = {flag: ((m * w) % n) // g for flag, w in action.weights.items() if ":" in flag[1]}
+    seeds, free_seeds = action._seeds(lambda w: (m * w) % n // g)
     if n == g:
         free_seeds = {curve: [0] for curve, image in perm2.items() if image == curve}
-    else:
-        free_seeds = {
-            curve: [((m * action.weights[(curve, pid)]) % n) // g for pid in pids]
-            for curve, pids in action.free_points.items()
-        }
     return _saturate(action.config, perm2, n // g, ((m * action.c) % n) // g, seeds, free_seeds)
 
 
@@ -574,7 +580,10 @@ def inverse_action(action: GraphAction) -> GraphAction:
 
 
 def compose_actions(a1: GraphAction, a2: GraphAction) -> GraphAction:
-    """Germ-wise composition: weights add at points fixed by both actions."""
+    """Germ-wise composition from the seeds of each action's _seeds, scaled
+    to the common order: edge weights add at points fixed by both actions.
+    A curve that one action fixes pointwise takes the other action's free
+    seeds, and a curve with one free point in each takes their sum."""
     if a1.config is not a2.config and (
         a1.config.vertices != a2.config.vertices or a1.config.edges != a2.config.edges
     ):
@@ -584,42 +593,21 @@ def compose_actions(a1: GraphAction, a2: GraphAction) -> GraphAction:
     s1, s2 = n // a1.n, n // a2.n
     perm = {v: a1.perm[a2.perm[v]] for v in config.vertices}
     c = (a1.c * s1 + a2.c * s2) % n
-
-    def defined(action, scale, curve, pid):
-        a, b = pid.split(":")
-        if action.perm[a] != a or action.perm[b] != b:
-            return None
-        w = action.weight_at(curve, pid)
-        return None if w is None else (w * scale) % n
-
-    seeds = {}
-    for (a, b), _mult in sorted(config.edges.items()):
-        pid = edge_point_id(a, b)
-        for curve in (a, b):
-            w1 = defined(a1, s1, curve, pid)
-            w2 = defined(a2, s2, curve, pid)
-            if w1 is not None and w2 is not None and perm[curve] == curve:
-                seeds[(curve, pid)] = (w1 + w2) % n
+    seeds1, free1 = a1._seeds(lambda w: w * s1 % n)
+    seeds2, free2 = a2._seeds(lambda w: w * s2 % n)
+    seeds = {flag: (w + seeds2[flag]) % n for flag, w in seeds1.items() if flag in seeds2}
 
     free_seeds: dict[str, list[int]] = {}
-    for curve in config.vertices:
-        if perm[curve] != curve:
-            continue
-        f1 = list(a1.free_points.get(curve, ()))
-        f2 = list(a2.free_points.get(curve, ()))
-        if curve in a1.pointwise and f2:
-            for pid in f2:
-                free_seeds.setdefault(curve, []).append(
-                    (a2.weights[(curve, pid)] * s2) % n
-                )
-        elif curve in a2.pointwise and f1:
-            for pid in f1:
-                free_seeds.setdefault(curve, []).append(
-                    (a1.weights[(curve, pid)] * s1) % n
-                )
-        elif len(f1) == 1 and len(f2) == 1:
-            w = (a1.weights[(curve, f1[0])] * s1 + a2.weights[(curve, f2[0])] * s2) % n
-            free_seeds.setdefault(curve, []).append(w)
+    for curve in free1.keys() | free2.keys():
+        f1, f2 = free1.get(curve, []), free2.get(curve, [])
+        if curve in a1.pointwise:
+            ws = f2
+        elif curve in a2.pointwise:
+            ws = f1
+        else:
+            ws = [(f1[0] + f2[0]) % n] if len(f1) == len(f2) == 1 else []
+        if ws:
+            free_seeds[curve] = ws
 
     if not seeds and not free_seeds:
         raise IncompatibleActionsError("no common germ data to compose from")
@@ -994,8 +982,7 @@ def to_dot(config: CurveConfig, action: GraphAction | None = None) -> str:
             attrs.append("penwidth=2")
         if action is not None:
             pid = edge_point_id(a, b)
-            wa = action.weight_at(a, pid) if action.perm[a] == a else None
-            wb = action.weight_at(b, pid) if action.perm[b] == b else None
+            wa, wb = action.weights.get((a, pid)), action.weights.get((b, pid))
             if action.perm[a] == b and action.perm[b] == a:
                 attrs.append('label="swap"')
             elif wa is not None and wb is not None:

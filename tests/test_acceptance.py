@@ -164,7 +164,7 @@ def test_criterion_8_property_suites(capsys):
         ]
         for a, b, mult in fixed_edges:
             pid = edge_point_id(a, b)
-            wa, wb = act.weight_at(a, pid), act.weight_at(b, pid)
+            wa, wb = act.weights[(a, pid)], act.weights[(b, pid)]
             if mult == 1:
                 assert (wa + wb) % act.n == act.c % act.n
             else:

@@ -67,7 +67,7 @@ def test_anchor_accepts_either_point_order():
     text = fixture_text("order16_graph.txt")
     assert "anchor = s0 @ s0:C1 = 4" in text
     config, actions = load_graph_text(text)
-    assert actions["sigma"].weight_at("s0", "C1:s0") == 4
+    assert actions["sigma"].weights[("s0", "C1:s0")] == 4
 
 
 def test_lattice_expression_parsing():

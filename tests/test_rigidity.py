@@ -115,8 +115,8 @@ def test_sigma_action_from_the_anchor():
     # The central component is pointwise fixed and both sections carry the
     # order-4 rotation exponent.
     assert act.pointwise == frozenset({"C4"})
-    assert act.weight_at("s0", edge_point_id("s0", "C1")) == 4
-    assert act.weight_at("s1", edge_point_id("s1", "C7")) == 4
+    assert act.weights[("s0", edge_point_id("s0", "C1"))] == 4
+    assert act.weights[("s1", edge_point_id("s1", "C7"))] == 4
     # Hand propagation along the chain: weights 3, 2, 1, 0, 1, 2, 3.
     chain = [curve_weight(act, f"C{i}") for i in range(1, 8)]
     assert chain == [3, 2, 1, 0, 1, 2, 3]
@@ -257,7 +257,7 @@ def test_volume_rule_holds_everywhere():
         act.validate()
         for a, b, mult in fixed_edge_points(act):
             pid = edge_point_id(a, b)
-            wa, wb = act.weight_at(a, pid), act.weight_at(b, pid)
+            wa, wb = act.weights[(a, pid)], act.weights[(b, pid)]
             if mult == 1:
                 assert (wa + wb) % act.n == act.c % act.n
             else:
@@ -280,9 +280,9 @@ def test_chain_of_three_with_zero_anchor():
         cfg, identity_perm(cfg), 16, 1, ("M", edge_point_id("L", "M")), 0
     )
     assert act.pointwise == frozenset({"M"})
-    assert act.weight_at("L", edge_point_id("L", "M")) == 1
-    assert act.weight_at("R", edge_point_id("M", "R")) == 1
-    assert act.weight_at("L", "L.free0") == 15
+    assert act.weights[("L", edge_point_id("L", "M"))] == 1
+    assert act.weights[("R", edge_point_id("M", "R"))] == 1
+    assert act.weights[("L", "L.free0")] == 15
     cen = act.census()
     assert (cen.N, cen.k) == (2, 1)
 
@@ -682,6 +682,11 @@ def _reference_validate(action, frame=None):
     built); otherwise it is built and checked here."""
     n, c = action.n, action.c
     stable, _fixed_points, edge_of, orbit_lengths = frame or _frame(action.config, action.perm)
+
+    def weight_at(curve, point):
+        # 0 on any point of a pointwise-fixed curve, whatever is recorded.
+        return 0 if curve in action.pointwise else action.weights.get((curve, point))
+
     for curve in sorted(action.pointwise):
         if curve not in stable:
             raise RigidityError(f"pointwise-fixed curve {curve} is mobile")
@@ -696,8 +701,8 @@ def _reference_validate(action, frame=None):
         if not 0 <= w < n:
             raise RigidityError("weight out of range")
     for pid, (a, b, mult) in edge_of.items():
-        wa = action.weight_at(a, pid)
-        wb = action.weight_at(b, pid)
+        wa = weight_at(a, pid)
+        wb = weight_at(b, pid)
         if wa is None or wb is None:
             raise UnderdeterminedActionError(f"missing weight at {pid}")
         if mult == 1:
@@ -1000,8 +1005,8 @@ def passes(check, action):
 def records_zeros(action):
     """Each pointwise-fixed curve records weight 0 at each of its fixed points
     and nothing else, as GraphAction states.  _reference_validate reads such
-    a curve through weight_at, which gives 0 whatever is recorded, and checks
-    no free point on it."""
+    a curve through its weight_at, which gives 0 whatever is recorded, and
+    checks no free point on it."""
     fixed_points = _frame(action.config, action.perm)[1]
     return all(
         {pid: w for (cv, pid), w in action.weights.items() if cv == curve}
@@ -1080,6 +1085,41 @@ def test_enumeration_rejects_a_non_positive_order():
     for n in (0, -4):
         with pytest.raises(ValueError, match="at least 1"):
             enumerate_actions(CFG, n, 1)
+
+
+def pointwise_isolated_curve_action():
+    """The edge P-Q and a curve R that meets nothing, all stable: n = 4,
+    c = 1, weight 1 at (P, P:Q), and a zero free seed on R, which fixes R
+    pointwise though no marked point lies on it."""
+    config = CurveConfig(["P", "Q", "R"], [("P", "Q", 1)])
+    return _saturate(config, identity_perm(config), 4, 1, {("P", "P:Q"): 1}, {"R": [0]})
+
+
+def test_power_and_compose_keep_a_pointwise_curve_with_no_marked_point():
+    # power and compose_actions rebuild from the seeds validate walks, so
+    # each seeds the zero that keeps R pointwise fixed.
+    act = pointwise_isolated_curve_action()
+    act.validate()
+    assert act.pointwise == frozenset({"Q", "R"})
+    assert power(act, 1) == act
+    for m, n, c, counts in ((2, 2, 1, (0, 2)), (-1, 4, 3, (1, 2))):
+        act_m = power(act, m)
+        cen = act_m.census()
+        assert (act_m.n, act_m.c, cen.N, cen.k) == (n, c, *counts)
+    assert inverse_action(act) == power(act, -1)
+    assert compose_actions(act, act) == power(act, 2)
+
+
+def test_first_power_rebuilds_every_action_of_the_sweep():
+    actions = list(BUNDLE.actions.values())
+    actions += [inverse_action(act) for act in actions]
+    for n in (2, 4, 8, 16):
+        for c in range(n):
+            actions += enumerate_actions(CFG, n, c)
+    actions += list(ISOLATED_CYCLE[1].values()) + [pointwise_isolated_curve_action()]
+    for act in actions:
+        assert power(act, 1) == act
+        assert action_data([power(act, 1)]) == action_data([act])
 
 
 def test_census_of_full_power_is_everything_fixed():
