@@ -16,6 +16,9 @@ The surface equation under a map, over cleared denominators, is built once
 per map and kept on it (``_ClearedEquation``): the morphism verdict, the
 ambient scalar and the residual's coefficients A(w), B(w) all read that one
 record.
+
+A translation P -> P + T is written down by the chord law in closed form over
+cleared denominators (``translation_map``), with no gcd in x.
 """
 from __future__ import annotations
 
@@ -24,7 +27,7 @@ from math import gcd, lcm
 
 from .cyclotomic import CycloNum, power
 from .errors import InputError, VerificationFailure
-from .polyring import MultiPoly, RationalFunction
+from .polyring import MultiPoly, RationalFunction, multi_gcd
 from .surface import WeierstrassModel
 
 
@@ -836,16 +839,84 @@ def add_points(model: WeierstrassModel, p: Section, q: Section) -> Section:
     return Section(x3, y3)
 
 
+def _chord_part(num: MultiPoly, t_den: MultiPoly, l_powers: list, k: int) -> RationalFunction:
+    # num / (t_den L^k) reduced, for t_den monic in t alone and
+    # l_powers = [1, L, L^2, L^3] with L = q x - p, gcd(p, q) = 1.
+    if num.is_zero():
+        return RationalFunction._coprime(num, t_den)  # _store makes it 0/1
+    while k:
+        try:
+            num = num.exact_div(l_powers[1])
+        except ArithmeticError:
+            break
+        k -= 1
+    if not t_den.is_constant():
+        # A factor of t_den divides num exactly when it divides every
+        # x-coefficient of num, so the gcd is taken in t alone.
+        g = t_den
+        for coeff in num.coeffs_in("x").values():
+            g = multi_gcd(g, coeff)
+            if g.is_constant():
+                break
+        if not g.is_constant():
+            num, t_den = num.exact_div(g), t_den.exact_div(g)
+    return RationalFunction._coprime(num, _by(l_powers[k], t_den))
+
+
 def translation_map(model: WeierstrassModel, t_section: Section) -> SurfaceMap:
-    """The fiberwise map P -> P + T on the generic fiber, with t fixed."""
+    """The fiberwise map P -> P + T on the generic fiber, with t fixed.
+
+    By the chord law (Silverman, AEC III.2), over cleared denominators.  With
+    T = (p/q, r/s) reduced and monic in t, L = q x - p and
+    R = x^3 + A x + B, the images u = u_a + u_b y and v = v_a + v_b y are
+
+        u_a = [q^3 s^2 R + q^3 r^2 - s^2 (q x + p) L^2] / (q s^2 L^2)
+        u_b = -2 r q^2 / (s L^2)
+        v_a = r [3 q^3 s^2 R + q^3 r^2 - s^2 (2 q x + p) L^2] / (s^3 L^3)
+        v_b = [s^2 (q x + 2 p) L^2 - q^3 s^2 R - 3 q^3 r^2] / (s^2 L^3).
+
+    They come from the slope (y - r/s) q / L with y^2 -> R, and do not use
+    T's own equation, so a section off the model gets the same images as
+    chord arithmetic in the function field would give it.  Each part is
+    reduced without a gcd in x: L is linear in x and primitive, hence
+    irreducible, so a common factor of a numerator N and its denominator is
+    a power of L or a factor of the part of the denominator in t alone.
+    N is divided by L while L divides it, which happens only when N vanishes
+    at x = p/q (for u_a and v_b, when r = 0 on the model).  Then one gcd,
+    in t alone, of the denominator's factor in t and the x-coefficients of N
+    cancels the rest; it is skipped when that factor is 1, as it is for
+    q = s = 1.  A zero part is 0/1, and the zero section gives the identity.
+
+    >>> from k3auto.fixtures import load_bundle
+    >>> bundle = load_bundle()
+    >>> zero = RationalFunction.constant(bundle.model.field, 0)
+    >>> translation_map(bundle.model, Section(zero, zero)) == bundle.maps["tau"]
+    True
+    """
     if t_section.is_zero_section:
         return SurfaceMap.identity(model)
     field = model.field
-    xT = FieldElement.from_ratfunc(model, t_section.x)
-    yT = FieldElement.from_ratfunc(model, t_section.y)
-    x_e = FieldElement.coordinate(model, "x")
-    y_e = FieldElement.coordinate(model, "y")
-    slope = (y_e - yT) / (x_e - xT)
-    u = slope * slope - x_e - xT
-    v = slope * (x_e - u) - y_e
+    p, q = t_section.x.num, t_section.x.den
+    r, s = t_section.y.num, t_section.y.den
+    qx = _by(MultiPoly.gen(field, "x"), q)
+    L = qx - p
+    L2 = L * L
+    l_powers = [MultiPoly.one(field), L, L2, L2 * L]
+    q2 = _by(q, q)
+    q3 = _by(q2, q)
+    s2 = _by(s, s)
+    s2L2 = _by(L2, s2)
+    xS, pS = qx * s2L2, p * s2L2  # s^2 q x L^2 and s^2 p L^2
+    R = _by(_by(model.rhs.num, s2), q3)  # q^3 s^2 R
+    r2 = _by(r * r, q3)  # q^3 r^2
+    u = FieldElement(
+        model,
+        _chord_part(R + r2 - xS - pS, _by(q, s2), l_powers, 2),
+        _chord_part(r * q2 * -2, s, l_powers, 2),
+    )
+    v = FieldElement(
+        model,
+        _chord_part(r * (R * 3 + r2 - xS * 2 - pS), _by(s2, s), l_powers, 3),
+        _chord_part(xS + pS * 2 - R - r2 * 3, s2, l_powers, 3),
+    )
     return SurfaceMap(model, u, v, RationalFunction.gen(field, "t"))

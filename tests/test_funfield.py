@@ -290,15 +290,19 @@ def test_group_law_axioms_on_random_sections():
         checked += 1
 
 
-def test_translation_by_generic_section_is_morphism():
-    rng = random.Random(99)
+@pytest.mark.parametrize("seed", [99, 17, 2024, 616])
+def test_translation_by_generic_section_is_morphism(seed):
+    # P and 2P: a polynomial section, and a rational one for seeds 17 and
+    # 2024; P is 2-torsion for seed 616, so 2P is O.
+    rng = random.Random(seed)
     built = None
     while built is None:
         built = _random_section_model(rng)
     mdl, p = built
-    tr = translation_map(mdl, p)
-    assert verify_morphism(tr) is True
-    assert omega_factor(tr) == F.one()
+    for q in (p, add_points(mdl, p, p)):
+        tr = translation_map(mdl, q)
+        assert verify_morphism(tr) is True
+        assert omega_factor(tr) == F.one()
 
 
 def _counting_compose(monkeypatch):

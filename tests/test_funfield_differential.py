@@ -1,4 +1,4 @@
-"""The gcd-free morphism and 2-form kernels against FieldElement references.
+"""The gcd-free kernels against FieldElement references.
 
 ``verify_morphism`` and ``omega_factor`` decide their verdicts by polynomial
 identities over cleared denominators.  The references below are the earlier
@@ -12,20 +12,26 @@ same factor, the same residual and the same exception with the same message.
 The four checks read one cleared equation that each map keeps once it is
 built, so every map is also rebuilt fresh and checked in the reverse order,
 residual first: the answers must not depend on which check built it.
+
+``translation_map`` writes the chord law down over cleared denominators; its
+reference is the chord law in reduced function-field arithmetic, and the two
+must give the same numerator and denominator in every part.
 """
 import functools
 import random
 
 import pytest
 
-from k3auto import polyring
+from k3auto import funfield, polyring
 from k3auto.cyclotomic import cyclotomic_field
+from k3auto.fixtures import load_bundle
 from k3auto.funfield import (
     FieldElement,
     NotAMorphismError,
     NotConstantFactorError,
     Section,
     SurfaceMap,
+    add_points,
     ambient_scalar,
     compose,
     map_order,
@@ -37,7 +43,7 @@ from k3auto.funfield import (
 from k3auto.parser import parse_expression
 from k3auto.polyring import MultiPoly, RationalFunction
 from k3auto.surface import WeierstrassModel, classify_all, is_k3
-from test_funfield import build_named_maps
+from test_funfield import _random_section_model, build_named_maps
 
 F = cyclotomic_field(16)
 T = MultiPoly.gen(F, "t")
@@ -150,14 +156,17 @@ def on_model(mdl, *images):
     return SurfaceMap.from_expressions(mdl, *(parse_expression(e, XYT, F) for e in images))
 
 
-def translation(x0, y0, a_coeffs):
-    # Translation by the constant section (x0, y0) on y^2 = x^3 + A x + B,
-    # with B constant chosen to put the section on the curve.
+def constant_section(x0, y0, a_coeffs):
+    # The constant section (x0, y0) on y^2 = x^3 + A x + B, with B constant
+    # chosen to put the section on the curve.
     A = MultiPoly.from_int_coeffs(F, a_coeffs)
     B = MultiPoly.constant(F, y0 * y0 - x0 ** 3) - A * x0
     mdl = WeierstrassModel(F, A, B)
-    section = Section(RationalFunction.constant(F, x0), RationalFunction.constant(F, y0))
-    return translation_map(mdl, section)
+    return mdl, Section(RationalFunction.constant(F, x0), RationalFunction.constant(F, y0))
+
+
+def translation(x0, y0, a_coeffs):
+    return translation_map(*constant_section(x0, y0, a_coeffs))
 
 
 def test_fixture_maps_and_words_agree():
@@ -295,3 +304,159 @@ def test_the_kernels_take_no_gcd(monkeypatch):
         omega_factor(m)
     assert calls == []
 
+
+def _reference_translation_map(model, section):
+    # P -> P + T by the chord law in reduced FieldElement arithmetic: the
+    # slope (y - yT) / (x - xT), u = slope^2 - x - xT, v = slope (x - u) - y.
+    if section.is_zero_section:
+        return SurfaceMap.identity(model)
+    xT, yT = (FieldElement.from_ratfunc(model, c) for c in (section.x, section.y))
+    x, y = (FieldElement.coordinate(model, var) for var in ("x", "y"))
+    slope = (y - yT) / (x - xT)
+    u = slope * slope - x - xT
+    v = slope * (x - u) - y
+    return SurfaceMap(model, u, v, RationalFunction.gen(model.field, "t"))
+
+
+def _parts(m):
+    # (num, den) of u.a, u.b, v.a and v.b: the representation, not only ==.
+    return [(r.num, r.den) for e in (m.u, m.v) for r in (e.a, e.b)]
+
+
+# (x0 = 0?, deg A) of the constant sections: the three strata of the maps
+# benchmark, then x0 != 0 with deg A = 1 and with deg A = 2.
+CONSTANT_STRATA = ((0, 1), (1, 0), (0, 0), (1, 1), (1, 2))
+
+
+def _off_model_sections():
+    # Sections that do not satisfy the model's equation.  (0, i) on
+    # y^2 = x^3 + 1 has R(xT) = -yT^2, so L divides u_a's numerator, as for
+    # the 2-torsion section (here twice); (1, 0) and (t / (t + 1), 0) have
+    # yT = 0.
+    t = RationalFunction.gen(F, "t")
+    one = RationalFunction.constant(F, 1)
+    fixture = fixture_model()
+    flat = WeierstrassModel(F, MultiPoly.zero(F), MultiPoly.constant(F, 1))
+    tx1 = WeierstrassModel(F, T, MultiPoly.constant(F, 1))
+    return [
+        (fixture, Section(one, one * 2)),
+        (fixture, Section(one, RationalFunction.constant(F, 0))),
+        (fixture, Section(t / (t + 1), RationalFunction.constant(F, 0))),
+        (flat, Section(RationalFunction.constant(F, 0), RationalFunction.constant(F, F.zeta(4)))),
+        (tx1, Section(t, t + 1)),
+        (tx1, Section(t / (t + 1), t * t / ((t + 2) * (t + 2)))),
+    ]
+
+
+@functools.lru_cache(maxsize=None)
+def translation_cases():
+    # {kind: [(model, section), ...]}, seeded.
+    rng = random.Random(3232)
+    constant = []
+    for zero_x, deg_a in CONSTANT_STRATA:
+        drawn = len(constant) + 3
+        while len(constant) < drawn:
+            x0 = 0 if zero_x == 0 else rng.choice((-2, -1, 1, 2))
+            y0 = rng.choice((-2, -1, 1, 2))
+            a_coeffs = [rng.choice((-2, -1, 1, 2)) if k else 0 for k in range(deg_a)]
+            a_coeffs.append(rng.choice((-2, -1, 1, 2)))
+            try:
+                constant.append(constant_section(x0, y0, a_coeffs))
+            except ValueError:  # a singular model
+                continue
+    polynomial, rational = [], []
+    for seed in (99, 17, 2024, 616):
+        rng = random.Random(seed)
+        built = None
+        while built is None:
+            built = _random_section_model(rng)
+        mdl, p = built
+        polynomial.append((mdl, p))
+        p2 = add_points(mdl, p, p)
+        p3 = p2 if p2.is_zero_section else add_points(mdl, p2, p)
+        for q in (p2, p3):
+            if q.is_zero_section:
+                continue
+            # Denominators of degree 8 and more cost the reference 0.3 s each.
+            if q.x.den.degree_in("t") <= 4:
+                kind = polynomial if q.x.is_polynomial() and q.y.is_polynomial() else rational
+                kind.append((mdl, q))
+    zero = RationalFunction.constant(F, 0)
+    return {
+        "constant": constant,
+        "polynomial": polynomial,
+        "rational": rational,
+        "two_torsion": [(fixture_model(), Section(zero, zero))],
+        "off_model": _off_model_sections(),
+    }
+
+
+def test_translation_cases_cover_every_kind():
+    cases = translation_cases()
+    assert {kind: len(c) for kind, c in cases.items()} == {
+        "constant": 15, "polynomial": 5, "rational": 3, "two_torsion": 1, "off_model": 6,
+    }
+    for kind, pairs in cases.items():
+        for mdl, section in pairs:
+            assert section.on_model(mdl) is (kind != "off_model")
+
+
+def test_translation_map_matches_the_chord_reference():
+    for kind, pairs in translation_cases().items():
+        for mdl, section in pairs:
+            got, want = translation_map(mdl, section), _reference_translation_map(mdl, section)
+            assert _parts(got) == _parts(want), (kind, section)
+            assert got.w == want.w
+    mdl = fixture_model()
+    assert translation_map(mdl, Section.zero()).is_identity()
+
+
+def _recording_gcd(monkeypatch):
+    # Every multi_gcd call from here on appends its arguments to the list,
+    # whether it comes through polyring or through funfield's own binding.
+    calls = []
+    recorded = polyring.multi_gcd
+
+    def recording(p, q):
+        calls.append((p, q))
+        return recorded(p, q)
+
+    monkeypatch.setattr(polyring, "multi_gcd", recording)
+    monkeypatch.setattr(funfield, "multi_gcd", recording)
+    return calls
+
+
+def test_translation_map_takes_no_gcd_in_x_or_y(monkeypatch):
+    # A count, not a timing: constant and polynomial sections, and (0, 0),
+    # take no gcd at all; a rational section takes gcds in t alone.
+    cases = translation_cases()
+    calls = _recording_gcd(monkeypatch)
+    for kind in ("constant", "polynomial", "two_torsion"):
+        for mdl, section in cases[kind]:
+            translation_map(mdl, section)
+            assert calls == [], (kind, section)
+    for mdl, section in cases["rational"]:
+        translation_map(mdl, section)
+        assert calls
+        for args in calls:
+            assert not any(p.uses_var(v) for p in args for v in "xy")
+        calls.clear()
+
+
+def test_a_translation_by_a_two_torsion_section_has_zero_parts_over_one():
+    # yT = 0: u.b and v.a are 0/1, as RationalFunction stores a zero, and the
+    # translation by (0, 0) on the fixture is tau, part by part.
+    bundle = load_bundle()
+    zero = RationalFunction.constant(bundle.model.field, 0)
+    tr = translation_map(bundle.model, Section(zero, zero))
+    tau = bundle.maps["tau"]
+    assert _parts(tr) == _parts(tau)
+    assert repr(tr) == repr(tau)
+    one = MultiPoly.one(F)
+    sections = [Section(zero, zero)] + [s for s in (c[1] for c in _off_model_sections())
+                                        if s.y.is_zero()]
+    assert len(sections) == 3
+    for section in sections:
+        tr = translation_map(bundle.model, section)
+        for part in (tr.u.b, tr.v.a):
+            assert part.num.is_zero() and part.den == one
