@@ -1,13 +1,17 @@
 """Exact arithmetic in the rationals and in cyclotomic fields Q(zeta_n).
 
-Every scalar in this package is either a ``fractions.Fraction`` or a
-``CycloNum``: a polynomial in zeta_n reduced modulo the n-th cyclotomic
-polynomial, stored as a tuple of integer numerators over one positive common
-denominator.  Arithmetic runs on Python ints; the monic integer Phi_n keeps
-reduction integral, and inverses go through the field norm instead of a
-Euclidean algorithm over the rationals.  Nothing here ever touches floating
-point, and two field elements are equal exactly when their reduced
-numerators and denominators are.
+A scalar is an ``int``, a ``fractions.Fraction`` or a ``CycloNum``.  One
+rule, ``coerce``, makes a scalar an element of a given field, and every ring
+type of the exact core (``CycloNum``, ``polyring.MultiPoly``,
+``polyring.RationalFunction``, ``funfield.FieldElement``) takes its scalar
+operands through it: ints and Fractions go through ``from_rational``, and an
+element of another field raises ``MixedFieldsError``.  A ``CycloNum`` is a
+polynomial in zeta_n reduced modulo the n-th cyclotomic polynomial, stored
+as integer numerators over one positive common denominator.  Arithmetic runs
+on Python ints; the monic integer Phi_n keeps reduction integral, and
+inverses go through the field norm instead of a Euclidean algorithm.  Nothing
+here touches floating point, and two field elements are equal exactly when
+their reduced numerators and denominators are.
 
 Three integer-level helpers are public for the polynomial kernel of
 ``polyring.MultiPoly``, which works on numerator vectors directly:
@@ -198,14 +202,10 @@ class CyclotomicField:
         return self._one
 
     def from_rational(self, value) -> CycloNum:
-        if isinstance(value, int):
-            if value == 0:
-                return self._zero
-            num, den = value, 1
-        else:
-            value = Fraction(value)
-            num, den = value.numerator, value.denominator
-        return CycloNum(self, (num,) + (0,) * (self.degree - 1), den)
+        """An int or a Fraction as an element of the field."""
+        if not value:
+            return self._zero
+        return CycloNum(self, (value.numerator,) + (0,) * (self.degree - 1), value.denominator)
 
     def zeta(self, k: int = 1) -> CycloNum:
         """The root of unity zeta_n^k in canonical form."""
@@ -251,6 +251,34 @@ class CyclotomicField:
 @functools.lru_cache(maxsize=None)
 def cyclotomic_field(n: int) -> CyclotomicField:
     return CyclotomicField(n)
+
+
+def check_field(field: CyclotomicField, other: CyclotomicField) -> None:
+    """Raise MixedFieldsError unless other is the field itself."""
+    if other is not field and other != field:
+        raise MixedFieldsError(f"cannot mix Q(zeta_{field.order}) with Q(zeta_{other.order})")
+
+
+def coerce(field: CyclotomicField, value):
+    """The scalar value as an element of field, or NotImplemented when value
+    is not a scalar, so that an operator can hand it on.
+
+    >>> F = cyclotomic_field(16)
+    >>> coerce(F, 3), coerce(F, Fraction(-1, 2)), coerce(F, F.zeta(3))
+    (CycloNum(3), CycloNum(-1/2), CycloNum(z^3))
+    >>> coerce(F, "3")
+    NotImplemented
+    >>> coerce(F, cyclotomic_field(5).zeta())
+    Traceback (most recent call last):
+    ...
+    k3auto.cyclotomic.MixedFieldsError: cannot mix Q(zeta_16) with Q(zeta_5)
+    """
+    if isinstance(value, CycloNum):
+        check_field(field, value.field)
+        return value
+    if isinstance(value, (int, Fraction)):
+        return field.from_rational(value)
+    return NotImplemented
 
 
 def reduce_mod_phi(vec: list[int], field: CyclotomicField) -> tuple[int, ...]:
@@ -306,17 +334,6 @@ class CycloNum:
         self.num = num
         self.den = den
 
-    def _match(self, other) -> "CycloNum":
-        if isinstance(other, CycloNum):
-            if other.field is not self.field and other.field != self.field:
-                raise MixedFieldsError(
-                    f"cannot mix Q(zeta_{self.field.order}) with Q(zeta_{other.field.order})"
-                )
-            return other
-        if isinstance(other, (int, Fraction)):
-            return self.field.from_rational(other)
-        return NotImplemented
-
     def _plus(self, other: "CycloNum", sign: int) -> "CycloNum":
         # self + sign * other over the least common denominator.
         d1, d2 = self.den, other.den
@@ -330,7 +347,7 @@ class CycloNum:
         )
 
     def __add__(self, other):
-        other = self._match(other)
+        other = coerce(self.field, other)
         if other is NotImplemented:
             return NotImplemented
         return self._plus(other, 1)
@@ -338,7 +355,7 @@ class CycloNum:
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._match(other)
+        other = coerce(self.field, other)
         if other is NotImplemented:
             return NotImplemented
         return self._plus(other, -1)
@@ -350,7 +367,7 @@ class CycloNum:
         return CycloNum(self.field, tuple(-a for a in self.num), self.den)
 
     def __mul__(self, other):
-        other = self._match(other)
+        other = coerce(self.field, other)
         if other is NotImplemented:
             return NotImplemented
         return product(self, other)
@@ -358,13 +375,13 @@ class CycloNum:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = self._match(other)
+        other = coerce(self.field, other)
         if other is NotImplemented:
             return NotImplemented
         return self * other.inverse()
 
     def __rtruediv__(self, other):
-        return self.field.from_rational(other) / self
+        return self.inverse() * other
 
     def __pow__(self, exponent: int) -> "CycloNum":
         if exponent < 0:
@@ -406,19 +423,11 @@ class CycloNum:
         return canonical(field, [c * self.den for c in conjugates], norm[0])
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, CycloNum):
-            return (
-                other.num == self.num
-                and other.den == self.den
-                and other.field == self.field
-            )
-        if isinstance(other, (int, Fraction)):
-            return (
-                self.is_rational()
-                and self.num[0] == other.numerator
-                and self.den == other.denominator
-            )
-        return False
+        if not isinstance(other, CycloNum):
+            other = coerce(self.field, other)
+            if other is NotImplemented:
+                return False
+        return other.num == self.num and other.den == self.den and other.field == self.field
 
     def __hash__(self) -> int:
         return hash((self.field.order, self.num, self.den))

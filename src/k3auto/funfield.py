@@ -22,10 +22,9 @@ cleared denominators (``translation_map``), with no gcd in x.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 
-from .cyclotomic import CycloNum, power
+from .cyclotomic import CycloNum, MixedFieldsError, power
 from .errors import InputError, VerificationFailure
 from .polyring import MultiPoly, RationalFunction, multi_gcd
 from .surface import WeierstrassModel
@@ -89,15 +88,12 @@ class FieldElement:
         return cls(model, r, RationalFunction.constant(model.field, 0))
 
     def _match(self, other) -> "FieldElement":
-        # FieldElement is tested first everywhere: the metaclass of Fraction
-        # is ABCMeta, so a failed isinstance against it is slow.
+        # A scalar becomes a constant; anything else raises TypeError.
         if isinstance(other, FieldElement):
             if other.model != self.model:
                 raise ValueError("elements live on different models")
             return other
-        if isinstance(other, (int, CycloNum, Fraction)):
-            return FieldElement.const(self.model, other)
-        raise TypeError(f"cannot combine a FieldElement with {type(other).__name__}")
+        return FieldElement.const(self.model, other)
 
     def __add__(self, other):
         other = self._match(other)
@@ -109,12 +105,13 @@ class FieldElement:
         other = self._match(other)
         return FieldElement(self.model, self.a - other.a, self.b - other.b)
 
+    def __rsub__(self, other):
+        return (-self) + other
+
     def __neg__(self):
         return FieldElement(self.model, -self.a, -self.b)
 
     def __mul__(self, other):
-        if not isinstance(other, FieldElement) and isinstance(other, (int, CycloNum, Fraction)):
-            return FieldElement(self.model, self.a * other, self.b * other)
         other = self._match(other)
         a, b, c, d = self.a, self.b, other.a, other.b
         if d.is_zero():
@@ -155,9 +152,10 @@ class FieldElement:
 
     def __eq__(self, other):
         if not isinstance(other, FieldElement):
-            if not isinstance(other, (int, CycloNum, Fraction)):
+            try:
+                other = self._match(other)
+            except (MixedFieldsError, TypeError):
                 return False
-            other = FieldElement.const(self.model, other)
         return other.model == self.model and other.a == self.a and other.b == self.b
 
     def __hash__(self):

@@ -8,6 +8,12 @@ Grammar (whitespace insensitive)::
     power  := atom ('^' INT)?
     atom   := INT | 'z' | NAME | '(' expr ')'
 
+Tokens come from one pattern, ``_TOKEN``: INT is a run of decimal digits and
+NAME a word character that is not a decimal digit followed by word
+characters, both as ``re`` defines them for str patterns.  Any other
+character that is not whitespace raises ``ExpressionSyntaxError`` with its
+position, as every other syntax error does.
+
 ``z`` denotes the generator zeta_n of the active cyclotomic field; the field
 order is supplied out of band.  ``^`` takes nonnegative integer exponents up
 to MAX_EXPONENT, and a power is rejected before it is expanded when its total
@@ -16,6 +22,8 @@ deep, which keeps the recursive descent within the interpreter's stack.
 Printing a parsed value and parsing it again is the identity.
 """
 from __future__ import annotations
+
+import re
 
 from .cyclotomic import CyclotomicField
 from .errors import InputError
@@ -44,36 +52,16 @@ MAX_EXPONENT = 1024
 MAX_POWER_DEGREE = 64
 MAX_NESTING = 64
 
-_OPS = set("+-*/^()")
+_TOKEN = re.compile(r"(?P<int>\d+)|(?P<name>[^\W\d]\w*)|(?P<op>[-+*/^()])|(?P<bad>\S)")
 
 
 def _tokenize(src: str) -> list[tuple[str, str, int]]:
     tokens = []
-    i = 0
-    while i < len(src):
-        ch = src[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in _OPS:
-            tokens.append((ch, ch, i))
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < len(src) and src[j].isdigit():
-                j += 1
-            tokens.append(("int", src[i:j], i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < len(src) and (src[j].isalnum() or src[j] == "_"):
-                j += 1
-            tokens.append(("name", src[i:j], i))
-            i = j
-            continue
-        raise ExpressionSyntaxError(f"unexpected character {ch!r}", i)
+    for m in _TOKEN.finditer(src):
+        kind, text = m.lastgroup, m.group()
+        if kind == "bad":
+            raise ExpressionSyntaxError(f"unexpected character {text!r}", m.start())
+        tokens.append((text if kind == "op" else kind, text, m.start()))
     tokens.append(("end", "", len(src)))
     return tokens
 

@@ -21,7 +21,6 @@ identical vanishing data.
 from __future__ import annotations
 
 import functools
-from fractions import Fraction
 from math import gcd
 
 from .cyclotomic import (
@@ -29,6 +28,8 @@ from .cyclotomic import (
     CyclotomicField,
     MixedFieldsError,
     canonical,
+    check_field,
+    coerce,
     power,
     product,
     reduce_mod_phi,
@@ -84,6 +85,9 @@ class MultiPoly:
     nonzero, and canonical as every ``CycloNum`` is.  The arithmetic below
     builds its results through ``_of``, which trusts that invariant instead
     of filtering again.  A MultiPoly is never changed after it is built.
+    A scalar operand or coefficient goes through ``cyclotomic.coerce``, so
+    one of another field raises MixedFieldsError, as a MultiPoly of another
+    field does.
     """
 
     __slots__ = ("field", "terms")
@@ -106,8 +110,7 @@ class MultiPoly:
 
     @classmethod
     def constant(cls, field, value):
-        c = value if isinstance(value, CycloNum) else field.from_rational(value)
-        return cls(field, {(0, 0, 0): c})
+        return cls.monomial(field, (0, 0, 0), value)
 
     # The generators and the constant 1 are built once per field and shared:
     # a MultiPoly is never changed after it is built.
@@ -124,8 +127,11 @@ class MultiPoly:
         return cls(field, {(0, 0, 0): field.one()})
 
     @classmethod
-    def monomial(cls, field, exponents: tuple[int, int, int], coeff: CycloNum):
-        return cls(field, {exponents: coeff})
+    def monomial(cls, field, exponents: tuple[int, int, int], coeff):
+        c = coerce(field, coeff)
+        if c is NotImplemented:
+            raise TypeError(f"{type(coeff).__name__} is not a scalar")
+        return cls(field, {exponents: c})
 
     @classmethod
     def from_int_coeffs(cls, field, coeffs):
@@ -185,37 +191,25 @@ class MultiPoly:
     def __neg__(self):
         return MultiPoly._of(self.field, {e: -c for e, c in self.terms.items()})
 
-    def _check_field(self, other) -> None:
-        # The kernel works on numerators, which mean nothing across fields.
-        if other.field is not self.field and other.field != self.field:
-            raise MixedFieldsError(
-                f"cannot mix Q(zeta_{self.field.order}) with Q(zeta_{other.field.order})"
-            )
-
-    def _scalar(self, value) -> CycloNum:
-        # An int, Fraction or CycloNum as an element of self.field.
-        if not isinstance(value, CycloNum):
-            return self.field.from_rational(value)
-        self._check_field(value)
-        return value
-
     def _match(self, other):
+        # The kernel works on numerators, which mean nothing across fields.
         if isinstance(other, MultiPoly):
-            self._check_field(other)
+            check_field(self.field, other.field)
             return other
-        if isinstance(other, (int, Fraction, CycloNum)):
-            return MultiPoly.constant(self.field, self._scalar(other))
-        return NotImplemented
+        c = coerce(self.field, other)
+        if c is NotImplemented:
+            return NotImplemented
+        return MultiPoly(self.field, {(0, 0, 0): c})
 
     def __mul__(self, other):
         if not isinstance(other, MultiPoly):
-            if not isinstance(other, (int, Fraction, CycloNum)):
+            c = coerce(self.field, other)
+            if c is NotImplemented:
                 return NotImplemented
-            c = self._scalar(other)
             if c.is_zero():
                 return MultiPoly.zero(self.field)
             return _scaled(self, c)
-        self._check_field(other)
+        check_field(self.field, other.field)
         if len(other.terms) == 1:
             (e, c), = other.terms.items()
             return _scaled(self, c, e)
@@ -234,9 +228,12 @@ class MultiPoly:
     def __eq__(self, other):
         # Structural, and False across fields rather than an error.
         if not isinstance(other, MultiPoly):
-            if not isinstance(other, (int, Fraction, CycloNum)):
+            try:
+                other = self._match(other)
+            except MixedFieldsError:
+                return False
+            if other is NotImplemented:
                 return NotImplemented
-            other = MultiPoly.constant(self.field, other)
         return other.terms == self.terms
 
     def __hash__(self):
@@ -277,7 +274,7 @@ class MultiPoly:
         """Exact multivariate division; raises ArithmeticError when not exact."""
         if divisor.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
-        self._check_field(divisor)
+        check_field(self.field, divisor.field)
         if divisor.is_constant():
             return _scaled(self, divisor.constant_value().inverse())
         # The remainder lives in one dict; each quotient term cancels its
@@ -793,11 +790,12 @@ class RationalFunction:
     def _match(self, other):
         if isinstance(other, RationalFunction):
             return other
-        if isinstance(other, (int, Fraction, CycloNum)):
-            return RationalFunction.constant(self.field, other)
         if isinstance(other, MultiPoly):
             return RationalFunction(other)
-        return NotImplemented
+        c = coerce(self.field, other)
+        if c is NotImplemented:
+            return NotImplemented
+        return RationalFunction.constant(self.field, c)
 
     def _plus(self, c: MultiPoly, d: MultiPoly) -> "RationalFunction":
         # a/b + c/d with both fractions reduced.  With g = gcd(b, d), any
@@ -871,9 +869,6 @@ class RationalFunction:
         return RationalFunction._coprime(-self.num, self.den)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, CycloNum)):
-            # A scalar leaves the fraction reduced and den's leading 1.
-            return RationalFunction._coprime(self.num * other, self.den)
         other = self._match(other)
         if other is NotImplemented:
             return NotImplemented
@@ -899,7 +894,10 @@ class RationalFunction:
         return RationalFunction._coprime(self.num ** n, self.den ** n)
 
     def __eq__(self, other):
-        other = self._match(other)
+        try:
+            other = self._match(other)
+        except MixedFieldsError:
+            return False
         if other is NotImplemented:
             return NotImplemented
         return self.num == other.num and self.den == other.den

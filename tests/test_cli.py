@@ -467,6 +467,16 @@ def test_non_positive_field_order_exits_2_with_line(capsys, tmp_path):
     _assert_input_error_at(code, err, line)
 
 
+def test_a_superscript_exponent_exits_2_with_line_and_position(capsys, tmp_path):
+    # The superscript two is a digit to str.isdigit but not to int().
+    path = tmp_path / "superscript.txt"
+    path.write_text('field_order = 16\nA = "t^\u00b2"\nB = "0"\n', encoding="utf-8")
+    code, out, err = run_cli(capsys, "classify", str(path))
+    _assert_input_error_at(code, err, 2)
+    assert "(at position 2)" in err
+    assert out == ""
+
+
 @pytest.mark.parametrize(
     "old, new, message",
     [

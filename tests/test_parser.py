@@ -1,4 +1,5 @@
 import random
+import string
 
 import pytest
 
@@ -10,6 +11,7 @@ from k3auto.parser import (
     ExpressionSyntaxError,
     UnknownVariableError,
     ZeroDenominatorError,
+    _tokenize,
     parse_expression,
     parse_univariate,
 )
@@ -128,3 +130,82 @@ def test_nesting_bound_checked_before_recursing():
     assert str(info.value) == (
         f"parentheses nested deeper than {MAX_NESTING} (at position {MAX_NESTING})"
     )
+
+
+_REFERENCE_OPS = set("+-*/^()")
+
+
+def _reference_tokenize(src: str) -> list[tuple[str, str, int]]:
+    """Reference tokenizer: a character loop over str predicates, which
+    agrees with the token pattern on ASCII."""
+    tokens = []
+    i = 0
+    while i < len(src):
+        ch = src[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch in _REFERENCE_OPS:
+            tokens.append((ch, ch, i))
+            i += 1
+            continue
+        if ch.isdigit():
+            j = i
+            while j < len(src) and src[j].isdigit():
+                j += 1
+            tokens.append(("int", src[i:j], i))
+            i = j
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < len(src) and (src[j].isalnum() or src[j] == "_"):
+                j += 1
+            tokens.append(("name", src[i:j], i))
+            i = j
+            continue
+        raise ExpressionSyntaxError(f"unexpected character {ch!r}", i)
+    tokens.append(("end", "", len(src)))
+    return tokens
+
+
+def _outcome(tokenize, src):
+    try:
+        return tokenize(src)
+    except ExpressionSyntaxError as err:
+        return type(err), str(err), err.position
+
+
+def test_token_pattern_matches_the_reference_on_printable_ascii():
+    rng = random.Random(3301)
+    # Weighted towards the characters of real expressions, so that most
+    # strings tokenize to the end and long names and integers occur.
+    alphabet = string.printable + "xyzt_019+-*/^() " * 4
+    errors = 0
+    for _ in range(3000):
+        src = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 24)))
+        got = _outcome(_tokenize, src)
+        assert got == _outcome(_reference_tokenize, src), src
+        errors += isinstance(got, tuple)
+    assert 300 < errors < 2700
+    for src in ["", " \t\n\r\x0b\x0c", "a.b", "x#1", "t = 2", "_a1 + 10_2", "2x3y"]:
+        assert _outcome(_tokenize, src) == _outcome(_reference_tokenize, src), src
+
+
+def test_non_ascii_characters_get_positioned_errors_or_their_tokens():
+    # str.isdigit takes a superscript two for a digit, which int() then
+    # rejects with no position; the token pattern reads it as a name.
+    assert _reference_tokenize("t^\u00b2")[2] == ("int", "\u00b2", 2)
+    assert _tokenize("t^\u00b2")[2] == ("name", "\u00b2", 2)
+    for src, pos in [("t^\u00b2", 2), ("\u216b", 0), ("t + 2*\u216b", 6)]:
+        with pytest.raises(ExpressionSyntaxError) as info:
+            parse_expression(src, {"t"}, F)
+        assert info.value.position == pos
+        assert str(info.value).endswith(f"(at position {pos})")
+    # A name may go on with a superscript digit, as before.
+    assert _tokenize("x\u00b2") == _reference_tokenize("x\u00b2") == [
+        ("name", "x\u00b2", 0), ("end", "", 2)
+    ]
+    # Arabic-Indic digits are decimal digits: still an integer.
+    arabic = "\u0663\u0664"
+    assert _tokenize(arabic) == _reference_tokenize(arabic) == [("int", arabic, 0), ("end", "", 2)]
+    assert parse_expression(f"{arabic}*t", {"t"}, F) == MultiPoly.gen(F, "t") * 34
