@@ -24,6 +24,13 @@ Graph file::
     anchor = s0 @ s0:C1 = 4
 
 Lattice expressions are sums of named lattices, e.g. ``U(2)+E8+D4``.
+
+Every input error names its line.  ``_read_keys`` reads each ``key = value``
+section (the surface top section and every block) against the keys it takes.
+``_on_line`` re-raises an error of a layer (the parser, ``WeierstrassModel``,
+``SurfaceMap.from_expressions``, ``_saturate``) at the line the layer read;
+``CurveConfig``'s error is the one exception, at the vertex or edge it drew
+last.
 """
 from __future__ import annotations
 
@@ -34,7 +41,7 @@ from .errors import InputError
 from .funfield import SurfaceMap
 from .lattice import GramMatrix, direct_sum, named_lattice
 from .parser import parse_expression, parse_univariate
-from .rigidity import CurveConfig, GraphAction, edge_point_id, propagate
+from .rigidity import CurveConfig, GraphAction, _saturate, edge_point_id
 from .surface import WeierstrassModel
 
 
@@ -86,17 +93,37 @@ def _split_blocks(text: str, kind: str):
     return top, blocks, top_end
 
 
-def _key_values(lines) -> dict[str, tuple[int, str]]:
+def _read_keys(lines, keys, block="", end=None) -> dict[str, tuple[int, str]]:
+    """{key: (line, value)} of a section of key = value lines that takes
+    exactly keys: each line has that form and a key of the section, seen
+    once.  block names a [kind.name] block in the messages; a missing key is
+    reported at end, by default the section's first line (line 1 if empty)."""
     out: dict[str, tuple[int, str]] = {}
     for lineno, line in lines:
-        if "=" not in line:
-            raise InputError(f"expected key = value, got {line!r}", lineno)
-        key, value = line.split("=", 1)
+        key, eq, value = line.partition("=")
         key = key.strip()
+        if not eq:
+            raise InputError(f"expected key = value, got {line!r}", lineno)
+        if key not in keys:
+            message = f"unknown key {key!r}"
+            raise InputError(f"{block}: {message}" if block else message, lineno)
         if key in out:
             raise InputError(f"duplicate key {key!r}", lineno)
         out[key] = (lineno, _unquote(value))
+    for key in keys:
+        if key not in out:
+            message = f"{block} is missing {key!r}" if block else f"missing {key!r}"
+            raise InputError(message, end or (lines[0][0] if lines else 1))
     return out
+
+
+def _on_line(line: int, prefix: str, build, *args):
+    """build(*args), with a ValueError or ZeroDivisionError that a layer
+    raises from it re-raised as an InputError at line, after prefix."""
+    try:
+        return build(*args)
+    except (ValueError, ZeroDivisionError) as err:
+        raise InputError(f"{prefix}{err}", line) from err
 
 
 def _int_value(kv, key: str) -> int:
@@ -116,51 +143,29 @@ def _positive_int(kv, key: str) -> int:
 
 def load_surface_text(text: str) -> tuple[WeierstrassModel, dict[str, SurfaceMap]]:
     top, blocks, top_end = _split_blocks(text, "map")
-    kv = _key_values(top)
-    for required in ("field_order", "A", "B"):
-        if required not in kv:
-            raise InputError(f"missing {required!r}", top_end)
+    kv = _read_keys(top, ("field_order", "A", "B"), end=top_end)
     order = _positive_int(kv, "field_order")
     if order > MAX_FIELD_ORDER:
         raise InputError(
             f"field_order must be at most {MAX_FIELD_ORDER}, got {order}", kv["field_order"][0]
         )
     field = cyclotomic_field(order)
-
-    def poly_of(key):
-        lineno, src = kv[key]
-        try:
-            return parse_univariate(src, "t", field)
-        except (ValueError, ZeroDivisionError) as err:
-            raise InputError(f"{key}: {err}", lineno) from err
-
-    A, B = poly_of("A"), poly_of("B")
-    try:
-        model = WeierstrassModel(field, A, B)
-    except ValueError as err:
-        raise InputError(str(err), kv["A"][0]) from err
+    A, B = (
+        _on_line(kv[key][0], f"{key}: ", parse_univariate, kv[key][1], "t", field)
+        for key in ("A", "B")
+    )
+    model = _on_line(kv["A"][0], "", WeierstrassModel, field, A, B)
 
     maps: dict[str, SurfaceMap] = {}
     for name, lines in blocks.items():
-        mkv = _key_values(lines)
-        for axis in ("x", "y", "t"):
-            if axis not in mkv:
-                raise InputError(f"map {name!r} is missing {axis!r}", lines[0][0] if lines else 1)
-
-        def component(axis, allowed):
-            lineno, src = mkv[axis]
-            try:
-                return parse_expression(src, allowed, field)
-            except (ValueError, ZeroDivisionError) as err:
-                raise InputError(f"map {name!r}, {axis}: {err}", lineno) from err
-
-        ex = component("x", {"x", "y", "t"})
-        ey = component("y", {"x", "y", "t"})
-        et = component("t", {"t"})
-        try:
-            maps[name] = SurfaceMap.from_expressions(model, ex, ey, et)
-        except (ValueError, ZeroDivisionError) as err:
-            raise InputError(f"map {name!r}: {err}", mkv["x"][0]) from err
+        mkv = _read_keys(lines, ("x", "y", "t"), f"map {name!r}")
+        ex, ey, et = (
+            _on_line(mkv[a][0], f"map {name!r}, {a}: ", parse_expression, mkv[a][1], names, field)
+            for a, names in (("x", set("xyt")), ("y", set("xyt")), ("t", {"t"}))
+        )
+        maps[name] = _on_line(
+            mkv["x"][0], f"map {name!r}: ", SurfaceMap.from_expressions, model, ex, ey, et
+        )
     return model, maps
 
 
@@ -224,7 +229,8 @@ def load_graph_text(text: str) -> tuple[CurveConfig, dict[str, GraphAction]]:
 
     def tracked(items):
         # CurveConfig checks each item as it draws it, so an error is about
-        # the item drawn last.
+        # the item drawn last: the one layer error whose line is known only
+        # once it is raised, so _on_line cannot attach it.
         nonlocal line
         for line, item in items:
             yield item
@@ -236,31 +242,21 @@ def load_graph_text(text: str) -> tuple[CurveConfig, dict[str, GraphAction]]:
 
     actions: dict[str, GraphAction] = {}
     for name, lines in blocks.items():
-        kv = _key_values(lines)
-        for required in ("n", "c", "perm", "anchor"):
-            if required not in kv:
-                raise InputError(
-                    f"action {name!r} is missing {required!r}",
-                    lines[0][0] if lines else 1,
-                )
+        kv = _read_keys(lines, ("n", "c", "perm", "anchor"), f"action {name!r}")
         n = _positive_int(kv, "n")
         c = _int_value(kv, "c")
         perm = _parse_perm(kv["perm"][1], config.vertices, kv["perm"][0])
         anchor_line, anchor_text = kv["anchor"]
-        m = re.fullmatch(
-            r"(\S+)\s*@\s*(\S+):(\S+)\s*=\s*(-?\d+)", anchor_text.strip()
-        )
+        m = re.fullmatch(r"(\S+)\s*@\s*(\S+):(\S+)\s*=\s*(-?\d+)", anchor_text.strip())
         if not m:
             raise InputError(
                 f"anchor reads: CURVE @ A:B = WEIGHT, got {anchor_text!r}", anchor_line
             )
-        curve, pa, pb, weight = m.group(1), m.group(2), m.group(3), int(m.group(4))
-        try:
-            actions[name] = propagate(
-                config, perm, n, c, (curve, edge_point_id(pa, pb)), weight
-            )
-        except ValueError as err:
-            raise InputError(f"action {name!r}: {err}", anchor_line) from err
+        flag = (m.group(1), edge_point_id(m.group(2), m.group(3)))
+        actions[name] = _on_line(
+            anchor_line, f"action {name!r}: ",
+            _saturate, config, perm, n, c, {flag: int(m.group(4))},
+        )
     return config, actions
 
 

@@ -101,6 +101,8 @@ class CurveConfig:
         for v in vertices:
             if ":" in v or "." in v:
                 raise ValueError(f"vertex name {v!r} clashes with point-id syntax")
+            if v in names:
+                raise ValueError(f"duplicate vertex {v!r}")
             names.add(v)
         self.vertices = tuple(sorted(names))
         self.edges = {}
@@ -538,16 +540,6 @@ def _anchor_weights(plan, n: int, c: int) -> list[int]:
         and all(n // gcd(n, s * w + k * c) == length for (s, k), length in rotations)
     ]
     return sorted(degenerate.union(passing))
-
-
-def propagate(config, perm, n, c, anchor_flag, anchor_weight) -> GraphAction:
-    """Build the unique consistent action from one anchor flag.
-
-    anchor_flag is (curve, point id); the point must be fixed, i.e. an edge
-    to another stable curve.
-    """
-    curve, pid = anchor_flag
-    return _saturate(config, perm, n, c, {(curve, pid): anchor_weight})
 
 
 def census(action: GraphAction) -> FixedLocusCensus:

@@ -31,11 +31,11 @@ from k3auto.lattice import (
 from k3auto.parser import parse_expression
 from k3auto.polyring import MultiPoly, RationalFunction, gcd_free_basis
 from k3auto.rigidity import (
+    _saturate,
     census,
     edge_point_id,
     enumerate_actions,
     power,
-    propagate,
     to_dot,
 )
 from k3auto.surface import classify_all
@@ -150,8 +150,8 @@ def test_criterion_8_property_suites(capsys):
     for act in BUNDLE.actions.values():
         edge_flags = [(cv, pid) for (cv, pid) in act.weights if ":" in pid]
         for flag in edge_flags:
-            rebuilt = propagate(
-                BUNDLE.config, act.perm, act.n, act.c, flag, act.weights[flag]
+            rebuilt = _saturate(
+                BUNDLE.config, act.perm, act.n, act.c, {flag: act.weights[flag]}
             )
             assert rebuilt == act
     # Volume rule at every fixed point of every bundled action.

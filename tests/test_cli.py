@@ -509,6 +509,67 @@ def test_missing_surface_key_without_maps_names_the_last_line(capsys, tmp_path):
     assert (code, out, err) == (2, "", "input error: line 4: missing 'B'\n")
 
 
+def _fixture_edits():
+    """(name, argv, edited lines, expected message) for each edit of a
+    key line (delete it, duplicate it, rename its key to the unknown key w,
+    insert w after it) and of a vertex line (repeat it) in both fixtures.
+
+    A missing key is reported at the end of the top section, the line of the
+    first block header, which a deleted top key moves up by one; or at the
+    first line of its block, and the key lines of each block are contiguous,
+    so deleting the first one moves the next one onto its line."""
+    out = []
+    for fixture, argv in (
+        (SURFACE, ("check-map", "sigma")),
+        (GRAPH, ("rigidity", "census", "sigma")),
+    ):
+        lines = Path(fixture).read_text().splitlines()
+        headers = [i + 1 for i, line in enumerate(lines) if line.startswith("[")]
+        block, first = "", None
+        for i, line in enumerate(lines):
+            lineno = i + 1
+            if line.startswith("["):
+                kind, name = line[1:-1].split(".")
+                block, first = f"{kind} {name!r}", None
+                continue
+            tag = f"{Path(fixture).stem}:{lineno}"
+            if line.startswith("vertex "):
+                out.append((f"{tag}/repeat", argv, lines[: i + 1] + [line] + lines[i + 1 :],
+                            f"line {lineno + 1}: duplicate vertex {line.split()[1]!r}"))
+            if "=" not in line or line.startswith("#"):
+                continue
+            key, value = line.split("=", 1)
+            key = key.strip()
+            first = first or lineno
+            unknown = f"{block}: unknown key 'w'" if block else "unknown key 'w'"
+            missing = (
+                f"line {first}: {block} is missing {key!r}" if block
+                else f"line {headers[0] - 1}: missing {key!r}"
+            )
+            out += [
+                (f"{tag}/delete", argv, lines[:i] + lines[i + 1 :], missing),
+                (f"{tag}/duplicate", argv, lines[: i + 1] + [line] + lines[i + 1 :],
+                 f"line {lineno + 1}: duplicate key {key!r}"),
+                (f"{tag}/rename", argv, lines[:i] + [f"w ={value}"] + lines[i + 1 :],
+                 f"line {lineno}: {unknown}"),
+                (f"{tag}/insert", argv, lines[: i + 1] + ['w = "0"'] + lines[i + 1 :],
+                 f"line {lineno + 1}: {unknown}"),
+            ]
+    return out
+
+
+FIXTURE_EDITS = _fixture_edits()
+
+
+@pytest.mark.parametrize("case", FIXTURE_EDITS, ids=[case[0] for case in FIXTURE_EDITS])
+def test_each_key_and_vertex_edit_exits_2_with_its_line(capsys, tmp_path, case):
+    _name, argv, lines, message = case
+    path = tmp_path / "edited.txt"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, argv[0], str(path), *argv[1:])
+    assert (code, out, err) == (2, "", f"input error: {message}\n")
+
+
 def test_non_utf8_file_exits_2_with_line(capsys, tmp_path):
     path = tmp_path / "latin1.txt"
     path.write_bytes(b'field_order = 16\nA = "t\xff"\nB = "0"\n')

@@ -35,7 +35,6 @@ from k3auto.rigidity import (
     inverse_action,
     perm_dict,
     power,
-    propagate,
     to_dot,
 )
 
@@ -225,13 +224,18 @@ def test_compose_matches_power():
     assert compose_actions(act, act) == power(act, 2)
 
 
+def test_config_refuses_a_repeated_vertex():
+    with pytest.raises(ValueError, match="^duplicate vertex 'P'$"):
+        CurveConfig(["P", "Q", "P"], [("P", "Q", 1)])
+
+
 def test_compose_refuses_actions_on_different_configurations():
     # Both graphs have the one edge P-Q; the second adds R1 and R2, which its
     # action swaps.
     small = CurveConfig(["P", "Q"], [("P", "Q", 1)])
     large = CurveConfig(["P", "Q", "R1", "R2"], [("P", "Q", 1)])
-    on_small = propagate(small, identity_perm(small), 4, 1, ("P", "P:Q"), 1)
-    on_large = propagate(large, perm_from_cycles(large, [["R1", "R2"]]), 4, 1, ("P", "P:Q"), 1)
+    on_small = _saturate(small, identity_perm(small), 4, 1, {("P", "P:Q"): 1})
+    on_large = _saturate(large, perm_from_cycles(large, [["R1", "R2"]]), 4, 1, {("P", "P:Q"): 1})
     for a1, a2 in ((on_small, on_large), (on_large, on_small)):
         with pytest.raises(IncompatibleActionsError) as excinfo:
             compose_actions(a1, a2)
@@ -246,8 +250,8 @@ def test_propagation_is_anchor_independent():
             if ":" in pid
         ]
         for curve, pid in flags:
-            rebuilt = propagate(
-                CFG, act.perm, act.n, act.c, (curve, pid), act.weights[(curve, pid)]
+            rebuilt = _saturate(
+                CFG, act.perm, act.n, act.c, {(curve, pid): act.weights[(curve, pid)]}
             )
             assert rebuilt == act
 
@@ -276,9 +280,7 @@ def test_every_stable_curve_has_two_fixed_points():
 
 def test_chain_of_three_with_zero_anchor():
     cfg = CurveConfig(["L", "M", "R"], [("L", "M", 1), ("M", "R", 1)])
-    act = propagate(
-        cfg, identity_perm(cfg), 16, 1, ("M", edge_point_id("L", "M")), 0
-    )
+    act = _saturate(cfg, identity_perm(cfg), 16, 1, {("M", edge_point_id("L", "M")): 0})
     assert act.pointwise == frozenset({"M"})
     assert act.weights[("L", edge_point_id("L", "M"))] == 1
     assert act.weights[("R", edge_point_id("M", "R"))] == 1
@@ -292,7 +294,7 @@ def test_triangle_is_inconsistent():
         ["P", "Q", "R"], [("P", "Q", 1), ("Q", "R", 1), ("P", "R", 1)]
     )
     with pytest.raises(RigidityError):
-        propagate(cfg, identity_perm(cfg), 16, 1, ("P", edge_point_id("P", "Q")), 5)
+        _saturate(cfg, identity_perm(cfg), 16, 1, {("P", edge_point_id("P", "Q")): 5})
     # Brute-force oracle: no weight assignment at all satisfies the rules.
     # Each curve is parametrized by w (0 meaning pointwise fixed); flags are
     # (w at first point, -w at second point) in the cyclic order.
@@ -315,24 +317,22 @@ def test_triangle_is_inconsistent():
 def test_anchor_on_mobile_curve_rejected():
     perm = perm_from_cycles(CFG, [["a1", "a2", "a3", "a4"], ["b1", "b2", "b3", "b4"]])
     with pytest.raises(AnchorOnMobileCurveError):
-        propagate(CFG, perm, 16, 1, ("a1", edge_point_id("a1", "b1")), 3)
+        _saturate(CFG, perm, 16, 1, {("a1", edge_point_id("a1", "b1")): 3})
     with pytest.raises(AnchorOnMobileCurveError):
-        propagate(CFG, perm, 16, 1, ("s0", edge_point_id("s0", "a1")), 3)
+        _saturate(CFG, perm, 16, 1, {("s0", edge_point_id("s0", "a1")): 3})
 
 
 def test_too_many_fixed_points_under_identity():
     # Under the identity the section s0 carries six fixed points, so any
     # nonzero anchor weight there is impossible.
     with pytest.raises(TooManyFixedPointsError):
-        propagate(
-            CFG, identity_perm(CFG), 16, 1, ("s0", edge_point_id("s0", "C1")), 4
-        )
+        _saturate(CFG, identity_perm(CFG), 16, 1, {("s0", edge_point_id("s0", "C1")): 4})
 
 
 def test_wrong_anchor_weight_contradicts():
     perm = perm_from_cycles(CFG, [["a1", "a2", "a3", "a4"], ["b1", "b2", "b3", "b4"]])
     with pytest.raises(RigidityError):
-        propagate(CFG, perm, 16, 1, ("s0", edge_point_id("s0", "C1")), 5)
+        _saturate(CFG, perm, 16, 1, {("s0", edge_point_id("s0", "C1")): 5})
 
 
 def test_orbit_rule_rejects_double_transpositions():
@@ -340,7 +340,7 @@ def test_orbit_rule_rejects_double_transpositions():
     # sections, but the propagated section weight 4 has order 4.
     perm = perm_from_cycles(CFG, [["a1", "a2"], ["b1", "b2"], ["a3", "a4"], ["b3", "b4"]])
     with pytest.raises(RigidityError):
-        propagate(CFG, perm, 16, 1, ("C4", edge_point_id("C4", "C8")), 0)
+        _saturate(CFG, perm, 16, 1, {("C4", edge_point_id("C4", "C8")): 0})
 
 
 def edited_sigma(perm=None, weights=(), dropped=(), pointwise=(), unmarked=(), free_points=None):
@@ -857,11 +857,6 @@ def _reference_saturate(config, perm, n, c, seeds, free_seeds=None, frame=None) 
     return action
 
 
-def _reference_propagate(config, perm, n, c, anchor_flag, anchor_weight):
-    """propagate on _reference_saturate."""
-    return _reference_saturate(config, perm, n, c, {anchor_flag: anchor_weight})
-
-
 def outcome(build, *args, **kwargs):
     """The action build returns, or the class and text of its error."""
     try:
@@ -875,7 +870,7 @@ def outcome(build, *args, **kwargs):
 def test_saturation_matches_the_reference_on_small_graphs(config, n, data):
     # Every call of _saturate below is also run on _reference_saturate: the
     # two give the same action, or raise the same error class with the same
-    # text.  The calls come from propagate at every flag of every edge (on
+    # text.  The calls come from one seed at every flag of every edge (on
     # mobile curves and at moving points too) and weight, under two
     # automorphisms; from power, which seeds every weight of an action; and
     # from compose_actions, which also seeds free points.
@@ -900,7 +895,8 @@ def test_saturation_matches_the_reference_on_small_graphs(config, n, data):
         for perm in (data.draw(st.sampled_from(perms)), data.draw(st.sampled_from(perms))):
             for a, b in sorted(config.edges):
                 for curve, w in product((a, b), range(n)):
-                    attempt(propagate, config, perm, n, c, (curve, edge_point_id(a, b)), w)
+                    flag = (curve, edge_point_id(a, b))
+                    attempt(rigidity._saturate, config, perm, n, c, {flag: w})
         if survivors:
             chosen = st.sampled_from(survivors)
             for act, m in data.draw(st.lists(st.tuples(chosen, st.integers(-64, 64)), max_size=8)):
@@ -1076,8 +1072,8 @@ def test_returned_actions_pass_the_reference_validation_on_small_graphs(config, 
     perms = automorphism_dicts(config)
     perms = [data.draw(st.sampled_from(perms)), data.draw(st.sampled_from(perms))]
     flags = [(curve, edge_point_id(a, b)) for a, b in sorted(config.edges) for curve in (a, b)]
-    calls = product([config], perms, [n], [c], flags, range(n))
-    actions = enumerate_actions(config, n, c) + built(propagate, calls)
+    calls = [(config, p, n, c, {flag: w}) for p in perms for flag in flags for w in range(n)]
+    actions = enumerate_actions(config, n, c) + built(_saturate, calls)
     assert_validate_matches_the_reference(returned_actions(actions))
 
 
@@ -1160,7 +1156,7 @@ def reference_enumerate_actions(config, n, c, census_filter=None):
             continue
         for w in range(n):
             try:
-                action = _reference_propagate(config, perm, n, c, anchor, w)
+                action = _reference_saturate(config, perm, n, c, {anchor: w})
             except RigidityError:
                 continue
             if census_filter is not None:
