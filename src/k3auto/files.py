@@ -63,11 +63,11 @@ def _unquote(value: str) -> str:
 
 
 def _split_blocks(text: str, kind: str):
-    """(top-level lines, {name: block lines}, top end) for [kind.name]
-    sections; the top-level section ends at the first header, or at the last
-    line if there is none."""
+    """(top-level lines, {name: (header line, block lines)}, top end) for
+    [kind.name] sections; the top-level section ends at the first header, or
+    at the last line if there is none."""
     top: list[tuple[int, str]] = []
-    blocks: dict[str, list[tuple[int, str]]] = {}
+    blocks: dict[str, tuple[int, list[tuple[int, str]]]] = {}
     current: list[tuple[int, str]] | None = None
     top_end = max(len(text.splitlines()), 1)
     for lineno, line in _logical_lines(text):
@@ -83,8 +83,8 @@ def _split_blocks(text: str, kind: str):
             name = header.group(2)
             if name in blocks:
                 raise InputError(f"duplicate block {name!r}", lineno)
-            blocks[name] = []
-            current = blocks[name]
+            current = []
+            blocks[name] = (lineno, current)
             continue
         if current is not None:
             current.append((lineno, line))
@@ -93,11 +93,12 @@ def _split_blocks(text: str, kind: str):
     return top, blocks, top_end
 
 
-def _read_keys(lines, keys, block="", end=None) -> dict[str, tuple[int, str]]:
+def _read_keys(lines, keys, block="", end=None, start=1) -> dict[str, tuple[int, str]]:
     """{key: (line, value)} of a section of key = value lines that takes
     exactly keys: each line has that form and a key of the section, seen
     once.  block names a [kind.name] block in the messages; a missing key is
-    reported at end, by default the section's first line (line 1 if empty)."""
+    reported at end, by default the section's first line, or start (a
+    block's header line) if the section is empty."""
     out: dict[str, tuple[int, str]] = {}
     for lineno, line in lines:
         key, eq, value = line.partition("=")
@@ -113,7 +114,7 @@ def _read_keys(lines, keys, block="", end=None) -> dict[str, tuple[int, str]]:
     for key in keys:
         if key not in out:
             message = f"{block} is missing {key!r}" if block else f"missing {key!r}"
-            raise InputError(message, end or (lines[0][0] if lines else 1))
+            raise InputError(message, end or (lines[0][0] if lines else start))
     return out
 
 
@@ -157,8 +158,8 @@ def load_surface_text(text: str) -> tuple[WeierstrassModel, dict[str, SurfaceMap
     model = _on_line(kv["A"][0], "", WeierstrassModel, field, A, B)
 
     maps: dict[str, SurfaceMap] = {}
-    for name, lines in blocks.items():
-        mkv = _read_keys(lines, ("x", "y", "t"), f"map {name!r}")
+    for name, (header, lines) in blocks.items():
+        mkv = _read_keys(lines, ("x", "y", "t"), f"map {name!r}", start=header)
         ex, ey, et = (
             _on_line(mkv[a][0], f"map {name!r}, {a}: ", parse_expression, mkv[a][1], names, field)
             for a, names in (("x", set("xyt")), ("y", set("xyt")), ("t", {"t"}))
@@ -241,8 +242,8 @@ def load_graph_text(text: str) -> tuple[CurveConfig, dict[str, GraphAction]]:
         raise InputError(str(err), line) from err
 
     actions: dict[str, GraphAction] = {}
-    for name, lines in blocks.items():
-        kv = _read_keys(lines, ("n", "c", "perm", "anchor"), f"action {name!r}")
+    for name, (header, lines) in blocks.items():
+        kv = _read_keys(lines, ("n", "c", "perm", "anchor"), f"action {name!r}", start=header)
         n = _positive_int(kv, "n")
         c = _int_value(kv, "c")
         perm = _parse_perm(kv["perm"][1], config.vertices, kv["perm"][0])

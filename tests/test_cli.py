@@ -509,6 +509,36 @@ def test_missing_surface_key_without_maps_names_the_last_line(capsys, tmp_path):
     assert (code, out, err) == (2, "", "input error: line 4: missing 'B'\n")
 
 
+def _empty_block(fixture, header):
+    """The fixture's lines with the key lines under header removed, and the
+    header's line."""
+    lines = Path(fixture).read_text().splitlines()
+    at = lines.index(header)
+    end = at + 1
+    while end < len(lines) and "=" in lines[end]:
+        end += 1
+    return lines[: at + 1] + lines[end:], at + 1
+
+
+@pytest.mark.parametrize(
+    "fixture, argv, header, message",
+    [
+        # A block between two blocks, and the block that ends the file.
+        (SURFACE, ("classify",), "[map.sigma]", "map 'sigma' is missing 'x'"),
+        (SURFACE, ("classify",), "[map.tau]", "map 'tau' is missing 'x'"),
+        (GRAPH, ("rigidity", "census", "sigma"), "[action.sigma_alt]",
+         "action 'sigma_alt' is missing 'n'"),
+        (GRAPH, ("rigidity", "census", "sigma"), "[action.tau]", "action 'tau' is missing 'n'"),
+    ],
+)
+def test_empty_block_names_its_header_line(capsys, tmp_path, fixture, argv, header, message):
+    lines, line = _empty_block(fixture, header)
+    path = tmp_path / "empty_block.txt"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, argv[0], str(path), *argv[1:])
+    assert (code, out, err) == (2, "", f"input error: line {line}: {message}\n")
+
+
 def _fixture_edits():
     """(name, argv, edited lines, expected message) for each edit of a
     key line (delete it, duplicate it, rename its key to the unknown key w,

@@ -506,20 +506,26 @@ def _reference_genus_equal(G1, G2):
 GENUS_POOL = ("A1", "A2", "A3", "D4", "D5", "D6", "E6", "E7", "U", "U(2)", "U(3)")
 
 
+def _genus_groups(pool, least_order):
+    """Sums of at most three names of pool with a discriminant group of order
+    from least_order to 1024, grouped by signature and invariant factors."""
+    same_invariants = {}
+    for k in (1, 2, 3):
+        for names in combinations_with_replacement(pool, k):
+            G = direct_sum(names)
+            dd = discriminant_data(G)
+            if least_order <= dd.order <= 1024:
+                key = (signature(G), tuple(sorted(dd.invariant_factors)))
+                same_invariants.setdefault(key, []).append(names)
+    return list(same_invariants.values())
+
+
 def test_genus_equal_matches_the_search_with_a_generation_check():
     # Sums of at most three named lattices with a discriminant group of order
     # at most 1024, grouped by signature and invariant factors so that each
     # pair reaches the search: every pair of two different sums in a group,
     # and 40 seeded sums against themselves.  The second sum is shuffled.
-    same_invariants = {}
-    for k in (1, 2, 3):
-        for names in combinations_with_replacement(GENUS_POOL, k):
-            G = direct_sum(names)
-            dd = discriminant_data(G)
-            if dd.order <= 1024:
-                key = (signature(G), tuple(sorted(dd.invariant_factors)))
-                same_invariants.setdefault(key, []).append(names)
-    groups = list(same_invariants.values())
+    groups = _genus_groups(GENUS_POOL, 1)
     rng = random.Random(16)
     pairs = [(a, b) for group in groups for a in group for b in group if a != b]
     pairs += rng.sample([(a, a) for group in groups for a in group], 40)
@@ -539,8 +545,8 @@ def test_genus_equal_matches_the_search_with_a_generation_check():
 
 def test_genus_equal_searches_generators_of_larger_order_first(monkeypatch):
     # The discriminant group of A2+D4+D6+U(2) has invariant factors
-    # (2, 2, 2, 2, 2, 6).  With the generator of order 6 first the search
-    # makes 1,121 pair checks of b; with it last, 144,759.
+    # (2, 2, 2, 2, 2, 6).  In the lattice's own basis, with the generator of
+    # order 6 first the search makes 274 pair checks of b; with it last, 731.
     calls = 0
     b_scaled = lattice._b_scaled
 
@@ -553,7 +559,72 @@ def test_genus_equal_searches_generators_of_larger_order_first(monkeypatch):
     G = direct_sum(["A2", "D4", "D6", "U(2)"])
     assert discriminant_data(G).invariant_factors == (2, 2, 2, 2, 2, 6)
     assert genus_equal(G, G) is True
-    assert calls == 1121
+    assert calls == 274
+
+
+def test_genus_equal_makes_one_smith_form_per_nondegenerate_lattice(monkeypatch):
+    # Without a radical each Gram matrix serves as it stands; with one, each
+    # side first goes to its nondegenerate quotient, as discriminant_data does.
+    calls = 0
+    snf = lattice.smith_normal_form
+
+    def counted(matrix):
+        nonlocal calls
+        calls += 1
+        return snf(matrix)
+
+    monkeypatch.setattr(lattice, "smith_normal_form", counted)
+    for first, second, want in (
+        (["U", "D8", "D4"], ["U(2)", "E8", "D4"], 2),
+        (["U", "D8", "D4", "U(0)"], ["U(0)", "U(2)", "E8", "D4"], 4),
+    ):
+        calls = 0
+        assert genus_equal(direct_sum(first), direct_sum(second)) is True
+        assert calls == want
+    calls = 0
+    discriminant_data(direct_sum(["U(2)", "E8", "D4"]))
+    assert calls == 2
+
+
+def test_genus_equal_matches_the_search_with_a_radical_on_both_sides():
+    # The pairs of two different sums of the generation-check test and 10
+    # seeded sums against themselves, both sides padded with the same seeded
+    # number of U(0) and shuffled: the branch that goes through the
+    # nondegenerate quotient.
+    groups = _genus_groups(GENUS_POOL, 1)
+    rng = random.Random(35)
+    pairs = [(a, b) for group in groups for a in group for b in group if a != b]
+    pairs += rng.sample([(a, a) for group in groups for a in group], 10)
+    verdicts = {True: 0, False: 0}
+    for a, b in pairs:
+        radical = ["U(0)"] * rng.randint(1, 2)
+        sides = [list(a) + radical, list(b) + radical]
+        for names in sides:
+            rng.shuffle(names)
+        G1, G2 = (direct_sum(names) for names in sides)
+        want, _checks = _reference_genus_equal(G1, G2)
+        assert genus_equal(G1, G2) is want, sides
+        verdicts[want] += 1
+    assert verdicts == {True: 22, False: 44}
+
+
+def test_direct_sum_equals_the_checked_block_sum():
+    # direct_sum builds its block sum unchecked: on every GENUS_POOL sum the
+    # entries equal those the checked constructor builds from the blocks.
+    for k in (1, 2, 3):
+        for names in combinations_with_replacement(GENUS_POOL, k):
+            blocks = [named_lattice(name) for name in names]
+            n = sum(block.size for block in blocks)
+            rows = [[0] * n for _ in range(n)]
+            offset = 0
+            for block in blocks:
+                for i, row in enumerate(block.entries):
+                    rows[offset + i][offset : offset + block.size] = row
+                offset += block.size
+            assert direct_sum(names).entries == GramMatrix(rows).entries, names
+    for bad in ([[0, 1]], [[1]], [[0, 1], [2, 0]]):
+        with pytest.raises(ValueError):
+            GramMatrix(bad)
 
 
 def test_genus_equal_requires_equal_rank():
@@ -692,16 +763,7 @@ def test_genus_equal_matches_the_fraction_search_on_odd_and_mixed_factors():
     # grouped by signature and invariant factors so that each pair reaches
     # the search: every pair of two different sums in a group, and each sum
     # alone in its group against itself.  The second sum is shuffled.
-    pool = ("A2", "A3", "A4", "U(3)", "U(4)", "U", "D5", "E6", "E8")
-    same_invariants = {}
-    for k in (1, 2, 3):
-        for names in combinations_with_replacement(pool, k):
-            G = direct_sum(names)
-            dd = discriminant_data(G)
-            if 1 < dd.order <= 1024:
-                key = (signature(G), tuple(sorted(dd.invariant_factors)))
-                same_invariants.setdefault(key, []).append(names)
-    groups = list(same_invariants.values())
+    groups = _genus_groups(("A2", "A3", "A4", "U(3)", "U(4)", "U", "D5", "E6", "E8"), 2)
     pairs = [(a, b) for group in groups for a in group for b in group if a != b]
     pairs += [(a, a) for group in groups if len(group) == 1 for a in group]
     rng = random.Random(20)
