@@ -75,14 +75,15 @@ def _check_rank(rank: int) -> None:
 
 
 def _adjacency_gram(n: int, edges: list[tuple[int, int, int]]) -> GramMatrix:
-    """-2 on the diagonal and each edge (a, b, multiplicity) off it."""
+    """-2 on the diagonal and each edge (a, b, multiplicity) off it, a != b:
+    square, even and symmetric by construction, so built unchecked."""
     rows = [[0] * n for _ in range(n)]
     for i in range(n):
         rows[i][i] = -2
     for a, b, mult in edges:
         rows[a][b] = mult
         rows[b][a] = mult
-    return GramMatrix(rows)
+    return GramMatrix._of(tuple(map(tuple, rows)))
 
 
 def _path_edges(n: int) -> list[tuple[int, int, int]]:
@@ -97,11 +98,11 @@ def named_lattice(name: str) -> GramMatrix:
     """
     name = name.strip()
     if name == "U":
-        return GramMatrix([[0, 1], [1, 0]])
+        return GramMatrix._of(((0, 1), (1, 0)))
     m = re.fullmatch(r"U\((\d+)\)", name)
     if m:
         k = int(m.group(1))
-        return GramMatrix([[0, k], [k, 0]])
+        return GramMatrix._of(((0, k), (k, 0)))
     m = re.fullmatch(r"([ADE])_?(\d+)", name)
     if not m:
         raise UnknownLatticeError(f"unknown lattice name {name!r}")

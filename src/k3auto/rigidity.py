@@ -31,8 +31,10 @@ each flag carries an affine form s w + k c.  The propagation is one walk
 raises at the first contradiction; and symbolically, with w and c left as
 symbols, by _plan, which records the assumptions the concrete run would
 decide on.  Enumeration plans each anchor once and solves the recorded
-constraints for each (n, c) to find the few anchor weights worth a concrete
-saturation.
+constraints for each (n, c) in closed form.  Where a form the plan assumed
+nonzero vanishes, a sub-plan walked from that anchor weight, a multiple of
+c, decides instead, so a concrete saturation runs only on the weights that
+survive (and on those where a sub-plan's own assumption fails too).
 """
 from __future__ import annotations
 
@@ -485,11 +487,13 @@ def _saturate(config, perm, n, c, seeds, free_seeds=None, frame=None) -> GraphAc
     return GraphAction(config, n, c, perm, *walked)
 
 
-def _plan(frame, anchor) -> tuple:
+def _plan(frame, anchor, seed=(1, 0)) -> tuple:
     """The walk that _saturate runs, from {anchor: w} with w and c left as
     symbols: every weight is an affine form s w + k c, since tangency copies
     a weight, the other fixed point of a curve (or a free point it
-    synthesizes) negates it, and the volume rule maps it to c - w.  Returns
+    synthesizes) negates it, and the volume rule maps it to c - w.  The
+    anchor carries the form seed: w itself, or for a sub-plan (0, k), the
+    anchor weight k c at which a form of the plan from w vanishes.  Returns
     (nonzero, equal, rotations, failed):
 
     * nonzero: the forms other than 0 that were assumed nonzero, where the
@@ -506,40 +510,81 @@ def _plan(frame, anchor) -> tuple:
     The concrete and the symbolic run are one walk, so wherever the
     assumptions hold a concrete run takes this path: _saturate succeeds
     exactly when the plan did not fail and every recorded difference and
-    rotation order holds (see _anchor_weights)."""
+    rotation order holds (see _verdict)."""
     plan: tuple[dict, dict, dict] = ({}, {}, {})
     try:
-        _walk(frame, {anchor: (1, 0)}, {}, None, None, plan)
+        _walk(frame, {anchor: seed}, {}, None, None, plan)
         failed = False
     except RigidityError:
         failed = True
     return (*map(tuple, plan), failed)
 
 
-def _anchor_weights(plan, n: int, c: int) -> list[int]:
-    """The anchor weights in Z_n, in increasing order, that the plan (as
-    _plan returns it) does not refute for order n and volume exponent c.  A
-    weight at which an assumed form vanishes (s w + k c = 0 with s = +-1
-    gives w = -s k c) sends _saturate down another path, so it is kept; at
-    any other weight the plan decides exactly, and keeps it when the plan
-    did not fail, every recorded difference vanishes and every rotation
-    order n / gcd(n, form) is the recorded orbit length."""
+def _verdict(plan, n: int, c: int, w: int) -> bool | None:
+    """Whether _saturate from the anchor weight w succeeds for order n and
+    volume exponent c, as plan (from _plan) decides it: None where a form it
+    assumed nonzero vanishes, since the concrete walk takes another path
+    there; otherwise whether the plan did not fail, every recorded
+    difference vanishes and every rotation order n / gcd(n, form) is the
+    recorded orbit length."""
     nonzero, equal, rotations, failed = plan
-    degenerate = set()
+    if any((s * w + k * c) % n == 0 for s, k in nonzero):
+        return None
+    return (
+        not failed
+        and all((s * w + k * c) % n == 0 for s, k in equal)
+        and all(n // gcd(n, s * w + k * c) == length for (s, k), length in rotations)
+    )
+
+
+def _candidates(equal, rotations, n: int, c: int) -> Iterable[int]:
+    """A superset of the weights w in Z_n that pass the plan's equalities
+    and rotation orders, solved without a scan where one constraint pins w:
+    a difference s w + k c with s = +-1 fixes w = -s k c (a difference of
+    two forms may carry s = +-2, which does not), and else a rotation order
+    n / gcd(n, s w + k c) = length with s != 0 (a weight's form, so
+    s = +-1) leaves the phi(length) weights at which s w + k c is n / length
+    times a unit mod length."""
+    for s, k in equal:
+        if s in (1, -1):
+            return (-s * k * c % n,)
+    for (s, k), length in rotations:
+        if s:
+            if n % length:
+                return ()
+            step = n // length
+            return [s * (step * u - k * c) % n for u in range(length) if gcd(u, length) == 1]
+    return range(n)
+
+
+def _anchor_weights(plans, n: int, c: int) -> list[int]:
+    """The anchor weights in Z_n, in increasing order, that the plans of an
+    anchor do not refute for order n and volume exponent c; plans(seed) is
+    the anchor's _plan from that seed, and plans((1, 0)) its plan from w.
+
+    A weight at which no assumed form vanishes is kept when the plan's
+    _verdict holds; the candidates come from _candidates, not a scan.  A
+    weight at which an assumed form s w + k c with s = +-1 vanishes,
+    w = -s k c, is decided by the sub-plan from the seed (0, -s k), whose
+    every form is a multiple of c: by the first such sub-plan at which none
+    of its own forms vanishes, and kept for a concrete saturation when each
+    has one that does.  A form k c that vanishes keeps every weight."""
+    plan = plans((1, 0))
+    nonzero, equal, rotations, failed = plan
+    if any(not s and k * c % n == 0 for s, k in nonzero):
+        return list(range(n))
+    seeds: dict[int, dict] = {}
     for s, k in nonzero:
         if s:
-            degenerate.add(-s * k * c % n)
-        elif k * c % n == 0:
-            return list(range(n))
-    if failed:
-        return sorted(degenerate)
-    passing = [
-        w
-        for w in range(n)
-        if all((s * w + k * c) % n == 0 for s, k in equal)
-        and all(n // gcd(n, s * w + k * c) == length for (s, k), length in rotations)
-    ]
-    return sorted(degenerate.union(passing))
+            seeds.setdefault(-s * k * c % n, {})[0, -s * k] = None
+    kept = []
+    for w, ws in seeds.items():
+        verdicts = (_verdict(plans(seed), n, c, w) for seed in ws)
+        if next((v for v in verdicts if v is not None), True):
+            kept.append(w)
+    if not failed:
+        kept.extend(w for w in _candidates(equal, rotations, n, c) if _verdict(plan, n, c, w))
+    return sorted(kept)
 
 
 def census(action: GraphAction) -> FixedLocusCensus:
@@ -834,7 +879,8 @@ def _symmetry(config: CurveConfig) -> tuple[list[bytes], list[tuple]]:
     automorphisms whose representative p fixes an edge, the tuple of p,
     _frame(config, p), one member of the centraliser C(p) per distinct
     restriction to the curves p fixes (a move), and each distinct pulled-back
-    anchor flag with its _plan and its first transporter.  p is a dict, the
+    anchor flag with its plans and its first transporter: plans(seed) is
+    _plan from that seed, built on first use and kept.  p is a dict, the
     transporters are maps as _relabellings gives them, and so are the moves,
     behind a cached call that relabels them on first use; the group stays in
     byte form."""
@@ -861,7 +907,7 @@ def _symmetry(config: CurveConfig) -> tuple[list[bytes], list[tuple]]:
             anchor = (names[a if r[a] < r[b] else b], edge_point_id(names[a], names[b]))
             pulled.setdefault(anchor, r)
         anchors = {
-            anchor: (_plan(frame, anchor), r)
+            anchor: (functools.cache(functools.partial(_plan, frame, anchor)), r)
             for anchor, r in zip(pulled, _relabellings(config, pulled.values()))
         }
         # Relabelled on the class's first survivor: an (n, c) may have none.
@@ -910,18 +956,21 @@ def enumerate_actions(config, n, c, census_filter=None) -> list[GraphAction]:
 
     Each pulled-back anchor has a plan, its saturation run once with w and c
     as symbols (_plan).  A call saturates only the weights _anchor_weights
-    keeps: those at which a form the plan assumed nonzero vanishes, where
-    _saturate may take another path, and those that pass every constraint
-    the plan recorded.  Every other weight is refuted exactly, so the
-    survivors are those of saturating every w in Z_n; each is still built
-    by the concrete walk of _saturate.  On the fixture graph (16, 1)
-    saturates 38 weights instead of 224.
+    keeps: those that pass every constraint the plan recorded, and of those
+    at which a form the plan assumed nonzero vanishes, where _saturate takes
+    another path, the ones the sub-plan walked from that weight keeps.  A
+    weight where a sub-plan's own assumed form vanishes too, or where a
+    form k c vanishes, is kept for _saturate to decide.  Every other weight
+    is refuted exactly, so the survivors are those of saturating every w in
+    Z_n; each is still built by the concrete walk of _saturate.  On the
+    fixture graph (16, 1) saturates its 8 survivors instead of 224 weights.
 
     Aut(G), its classes, each representative's frame, moves, and pulled-back
     anchors with their plans and transporters depend on the graph alone:
-    they are built once per config, on the first call (see _symmetry).  Each
-    call solves the plans for its (n, c) and runs the saturations, the
-    C(p)-orbit deduplication, the census filter and the transport of each
+    they are built once per config, on the first call (see _symmetry), and
+    each sub-plan on the first call that needs it.  Each call solves the
+    plans for its (n, c) and runs the saturations, the C(p)-orbit
+    deduplication, the census filter and the transport of each
     representative.
     """
     if n < 1:
@@ -931,8 +980,8 @@ def enumerate_actions(config, n, c, census_filter=None) -> list[GraphAction]:
     classes: dict[tuple, GraphAction] = {}
     for perm, frame, moves, anchors in _symmetry(config)[1]:
         seen: set[tuple] = set()
-        for anchor, (plan, r) in anchors.items():
-            for w in _anchor_weights(plan, n, c):
+        for anchor, (plans, r) in anchors.items():
+            for w in _anchor_weights(plans, n, c):
                 try:
                     action = _saturate(config, perm, n, c, {anchor: w}, frame=frame)
                 except RigidityError:

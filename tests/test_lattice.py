@@ -89,6 +89,20 @@ def test_named_lattice_determinants():
         named_lattice("F4")
 
 
+def test_built_in_gram_matrices_equal_the_checked_constructor():
+    # named_lattice and from_curve_config build their matrices without the
+    # constructor's checks: each must be the matrix the checked constructor
+    # accepts and builds from the same rows, a tuple of int tuples.
+    names = ["U", "U(0)", "U(1)", "U(2)", "U(7)", " U(12) ", "A_3", "D_4", "E_8"]
+    names += [f"A{r}" for r in range(1, 65)] + [f"D{r}" for r in range(3, 65)]
+    names += ["E6", "E7", "E8"]
+    built = [named_lattice(name) for name in names] + [from_curve_config(fixture_config())]
+    for G in built:
+        assert G == GramMatrix(G.entries)
+        assert type(G.entries) is tuple
+        assert all(type(row) is tuple and all(type(v) is int for v in row) for row in G.entries)
+
+
 def test_ade_are_negative_definite():
     for name in ("A1", "A5", "D4", "D8", "E6", "E7", "E8"):
         G = named_lattice(name)
