@@ -1648,7 +1648,9 @@ def assert_plans_match_saturation(config, cases):
                     if any(not s for s, k in vanished):
                         decisions = [None]
                     elif vanished:
-                        decisions = [plan_decision(plans((0, -s * k)), n, c, w) for s, k in vanished]
+                        decisions = [
+                            plan_decision(plans((0, -s * k)), n, c, w) for s, k in vanished
+                        ]
                     else:
                         decisions = [plan_decision(plan, n, c, w)]
                     for decision in decisions:
@@ -1656,7 +1658,7 @@ def assert_plans_match_saturation(config, cases):
                     if w not in kept:
                         assert outcome is None, where
                         seen["refuted"] += 1
-                    elif decisions.count(None) == len(decisions):
+                    elif all(decision is None for decision in decisions):
                         seen["deferred"] += 1
                     else:
                         assert outcome is not None, where
