@@ -26,15 +26,15 @@ pointwise-fixed curve.  GraphAction.validate walks these seeds again, power
 walks them scaled, and compose_actions adds two actions' scaled seeds.
 
 Every rule maps a weight w to w, -w or c - w, so from an anchor of weight w
-each flag carries an affine form s w + k c.  The propagation is one walk
-(_walk) run in two modes: concretely, on weights mod n, by _saturate, which
-raises at the first contradiction; and symbolically, with w and c left as
-symbols, by _plan, which records the assumptions the concrete run would
-decide on.  Enumeration plans each anchor once and solves the recorded
-constraints for each (n, c) in closed form.  Where a form the plan assumed
-nonzero vanishes, a sub-plan walked from that anchor weight, a multiple of
-c, decides instead, so a concrete saturation runs only on the weights that
-survive (and on those where a sub-plan's own assumption fails too).
+each flag carries a form s w + k mod n with s = 0 or +-1.  The propagation
+is one walk (_walk) run in two modes: concretely, on weights mod n, by
+_saturate, which raises at the first contradiction; and with the anchor
+weight left as the one symbol, by _plan, which settles every form with
+s = 0 as the concrete run does and records the assumptions the concrete run
+would decide on the others.  Enumeration plans each anchor once per (n, c
+mod n): the recorded constraints, solved in closed form, decide every
+weight but the few at which a form assumed nonzero vanishes, and a concrete
+walk decides each of those, so a saturation runs only on the survivors.
 """
 from __future__ import annotations
 
@@ -348,42 +348,48 @@ def _walk(frame, seeds, free_seeds, n, c, plan=None):
     """Close the rule set over the stable curves of frame from the seeds;
     returns the weights, the pointwise-fixed curves and the free points.
 
-    Concrete with n an order: weights are ints mod n, and a contradiction
-    raises at once.  Symbolic with n and c None: a weight is a form (s, k),
-    and plan, as _plan describes, records each assumption a concrete run
-    decides on (a form assumed nonzero before any raise on it)."""
+    Weights are ints mod n, and a contradiction raises at once.  With plan,
+    as _plan describes it, the anchor weight w is a symbol and a weight is a
+    pair (s, k) for the form s w + k mod n: one with s = 0 is a weight mod
+    n, settled as in a concrete walk, and of one with s != 0 the plan
+    records each assumption a concrete walk would decide on (that it is
+    nonzero, before any raise on it; a difference from the form a flag
+    already has; a rotation order)."""
     stable, fixed_points, edge_of, orbit_lengths = frame
-    zero = 0 if n else (0, 0)
-    nonzero, equal, rotations = plan or (None, None, None)
+    zero = 0 if plan is None else (0, 0)
+    vanish, equal, rotations = plan or (None, None, None)
     weights: dict[tuple[str, str], int | tuple[int, int]] = {}
     pointwise: set[str] = set()
     free: dict[str, list[str]] = {v: [] for v in stable}
     queue: deque[tuple[str, str]] = deque()
 
     def set_weight(curve, pid, w):
-        if n:
-            w %= n
+        if plan is None:
+            w = k = w % n
+            s = 0
+        else:
+            s, k = w = w[0], w[1] % n
         key = (curve, pid)
         seen = key in weights
-        if w != zero and (not seen or len(fixed_points[curve]) >= 3):
+        if (s or k) and (not seen or len(fixed_points[curve]) >= 3):
             # Orbits first: pointwise-fixed curves (crowded ones too) meet no
             # mobile one.  A curve rotating with weight w has rotation order
             # n / gcd(n, w), and so must every orbit of its mobile neighbours.
             lengths = orbit_lengths.get(curve, {})
-            if n:
-                rotation = n // gcd(n, w)
+            if s:
+                vanish[-s * k % n] = None
+                if len(lengths) > 1:
+                    raise InconsistentCycleError(f"curve {curve} meets orbits of two lengths")
+                for length in lengths:
+                    rotations[w, length] = None
+            else:
+                rotation = n // gcd(n, k)
                 for length, d in lengths.items():
                     if length != rotation:
                         raise InconsistentCycleError(
                             f"orbit of {d} on {curve} has length {length}, "
                             f"rotation order is {rotation}"
                         )
-            else:
-                nonzero[w] = None
-                if len(lengths) > 1:
-                    raise InconsistentCycleError(f"curve {curve} meets orbits of two lengths")
-                for length in lengths:
-                    rotations[w, length] = None
             if len(fixed_points[curve]) >= 3:
                 raise TooManyFixedPointsError(
                     f"curve {curve} has {len(fixed_points[curve])} fixed points, "
@@ -396,11 +402,11 @@ def _walk(frame, seeds, free_seeds, n, c, plan=None):
         if seen:
             old = weights[key]
             if old != w:
-                if n:
+                if plan is None or old[0] == s:
                     raise InconsistentCycleError(
                         f"contradictory weights {old} and {w} at {pid} on {curve}"
                     )
-                equal[old[0] - w[0], old[1] - w[1]] = None
+                equal[old[0] - s, old[1] - k] = None
             return
         weights[key] = w
         queue.append(key)
@@ -463,11 +469,11 @@ def _walk(frame, seeds, free_seeds, n, c, plan=None):
                     f"curve {curve} would carry {len(known)} fixed points"
                 )
             other = known[0] if known[1] == pid else known[1]
-            set_weight(curve, other, -w if n else (-w[0], -w[1]))
+            set_weight(curve, other, -w if plan is None else (-w[0], -w[1]))
         if pid in edge_of:
             a, b, mult = edge_of[pid]
             if mult == 1:
-                w = c - w if n else (-w[0], 1 - w[1])
+                w = c - w if plan is None else (-w[0], c - w[1])
             set_weight(b if curve == a else a, pid, w)
 
     for curve in stable:
@@ -487,104 +493,68 @@ def _saturate(config, perm, n, c, seeds, free_seeds=None, frame=None) -> GraphAc
     return GraphAction(config, n, c, perm, *walked)
 
 
-def _plan(frame, anchor, seed=(1, 0)) -> tuple:
-    """The walk that _saturate runs, from {anchor: w} with w and c left as
-    symbols: every weight is an affine form s w + k c, since tangency copies
-    a weight, the other fixed point of a curve (or a free point it
-    synthesizes) negates it, and the volume rule maps it to c - w.  The
-    anchor carries the form seed: w itself, or for a sub-plan (0, k), the
-    anchor weight k c at which a form of the plan from w vanishes.  Returns
-    (nonzero, equal, rotations, failed):
+def _plan(frame, anchor, n: int, c: int) -> tuple[int, ...]:
+    """The anchor weights w in Z_n, in increasing order, from which
+    _saturate succeeds for order n and volume exponent c, decided by one
+    walk with w as the only symbol: every weight is a form s w + k mod n,
+    since tangency copies a weight, the other fixed point of a curve (or a
+    free point it synthesizes) negates it, and the volume rule maps it to
+    c - w.
 
-    * nonzero: the forms other than 0 that were assumed nonzero, where the
-      concrete walk branches on them;
+    The walk settles every form with s = 0 as a concrete walk does.  Of the
+    others (s = +-1) it records:
+
+    * vanish: for each form it assumed nonzero, the weight w = -s k at
+      which the form vanishes;
     * equal: for each flag reached twice with different forms, their
       difference, which must vanish mod n;
-    * rotations: (form, length) for each nonzero form on a curve with mobile
-      neighbours, whose rotation order must equal their one orbit length;
-    * failed: whether any other contradiction arose (a nonzero form on a
-      curve with three fixed points or on a pointwise-fixed one, a pointwise
-      curve with a mobile neighbour or a free point, an underdetermined
-      curve, two orbit lengths on one rotating curve).
+    * rotations: (form, length) for each form on a curve with mobile
+      neighbours, whose rotation order must equal their one orbit length.
 
-    The concrete and the symbolic run are one walk, so wherever the
-    assumptions hold a concrete run takes this path: _saturate succeeds
-    exactly when the plan did not fail and every recorded difference and
-    rotation order holds (see _verdict)."""
+    A concrete walk from a weight outside vanish takes the walk's path, so
+    it succeeds exactly when the walk raised nothing and every recorded
+    difference and rotation order holds; the weights of _candidates are
+    checked against them.  From a weight in vanish the concrete walk may
+    take another path, and it is run to decide that weight."""
     plan: tuple[dict, dict, dict] = ({}, {}, {})
+    vanish, equal, rotations = plan
     try:
-        _walk(frame, {anchor: seed}, {}, None, None, plan)
-        failed = False
+        _walk(frame, {anchor: (1, 0)}, {}, n, c, plan)
     except RigidityError:
-        failed = True
-    return (*map(tuple, plan), failed)
+        kept = []
+    else:
+        kept = [
+            w
+            for w in _candidates(equal, rotations, n)
+            if w not in vanish
+            and all((s * w + k) % n == 0 for s, k in equal)
+            and all(n // gcd(n, s * w + k) == length for (s, k), length in rotations)
+        ]
+    for w in vanish:
+        try:
+            _walk(frame, {anchor: w}, {}, n, c)
+        except RigidityError:
+            continue
+        kept.append(w)
+    return tuple(sorted(kept))
 
 
-def _verdict(plan, n: int, c: int, w: int) -> bool | None:
-    """Whether _saturate from the anchor weight w succeeds for order n and
-    volume exponent c, as plan (from _plan) decides it: None where a form it
-    assumed nonzero vanishes, since the concrete walk takes another path
-    there; otherwise whether the plan did not fail, every recorded
-    difference vanishes and every rotation order n / gcd(n, form) is the
-    recorded orbit length."""
-    nonzero, equal, rotations, failed = plan
-    if any((s * w + k * c) % n == 0 for s, k in nonzero):
-        return None
-    return (
-        not failed
-        and all((s * w + k * c) % n == 0 for s, k in equal)
-        and all(n // gcd(n, s * w + k * c) == length for (s, k), length in rotations)
-    )
-
-
-def _candidates(equal, rotations, n: int, c: int) -> Iterable[int]:
+def _candidates(equal, rotations, n: int) -> Iterable[int]:
     """A superset of the weights w in Z_n that pass the plan's equalities
     and rotation orders, solved without a scan where one constraint pins w:
-    a difference s w + k c with s = +-1 fixes w = -s k c (a difference of
-    two forms may carry s = +-2, which does not), and else a rotation order
-    n / gcd(n, s w + k c) = length with s != 0 (a weight's form, so
-    s = +-1) leaves the phi(length) weights at which s w + k c is n / length
-    times a unit mod length."""
+    a difference s w + k with s = +-1 fixes w = -s k (a difference of two
+    forms may carry s = +-2, which does not), and else a rotation order
+    n / gcd(n, s w + k) = length (s = +-1) leaves the phi(length) weights
+    at which s w + k is n / length times a unit mod length."""
     for s, k in equal:
         if s in (1, -1):
-            return (-s * k * c % n,)
+            return (-s * k % n,)
     for (s, k), length in rotations:
-        if s:
-            if n % length:
-                return ()
-            step = n // length
-            return [s * (step * u - k * c) % n for u in range(length) if gcd(u, length) == 1]
+        if n % length:
+            return ()
+        step = n // length
+        return [s * (step * u - k) % n for u in range(length) if gcd(u, length) == 1]
     return range(n)
-
-
-def _anchor_weights(plans, n: int, c: int) -> list[int]:
-    """The anchor weights in Z_n, in increasing order, that the plans of an
-    anchor do not refute for order n and volume exponent c; plans(seed) is
-    the anchor's _plan from that seed, and plans((1, 0)) its plan from w.
-
-    A weight at which no assumed form vanishes is kept when the plan's
-    _verdict holds; the candidates come from _candidates, not a scan.  A
-    weight at which an assumed form s w + k c with s = +-1 vanishes,
-    w = -s k c, is decided by the sub-plan from the seed (0, -s k), whose
-    every form is a multiple of c: by the first such sub-plan at which none
-    of its own forms vanishes, and kept for a concrete saturation when each
-    has one that does.  A form k c that vanishes keeps every weight."""
-    plan = plans((1, 0))
-    nonzero, equal, rotations, failed = plan
-    if any(not s and k * c % n == 0 for s, k in nonzero):
-        return list(range(n))
-    seeds: dict[int, dict] = {}
-    for s, k in nonzero:
-        if s:
-            seeds.setdefault(-s * k * c % n, {})[0, -s * k] = None
-    kept = []
-    for w, ws in seeds.items():
-        verdicts = (_verdict(plans(seed), n, c, w) for seed in ws)
-        if next((v for v in verdicts if v is not None), True):
-            kept.append(w)
-    if not failed:
-        kept.extend(w for w in _candidates(equal, rotations, n, c) if _verdict(plan, n, c, w))
-    return sorted(kept)
 
 
 def census(action: GraphAction) -> FixedLocusCensus:
@@ -879,11 +849,11 @@ def _symmetry(config: CurveConfig) -> tuple[list[bytes], list[tuple]]:
     automorphisms whose representative p fixes an edge, the tuple of p,
     _frame(config, p), one member of the centraliser C(p) per distinct
     restriction to the curves p fixes (a move), and each distinct pulled-back
-    anchor flag with its plans and its first transporter: plans(seed) is
-    _plan from that seed, built on first use and kept.  p is a dict, the
-    transporters are maps as _relabellings gives them, and so are the moves,
-    behind a cached call that relabels them on first use; the group stays in
-    byte form."""
+    anchor flag with its plans and its first transporter: plans(n, c) is
+    _plan for order n and volume exponent c (0 <= c < n), built on first use
+    and kept.  p is a dict, the transporters are maps as _relabellings gives
+    them, and so are the moves, behind a cached call that relabels them on
+    first use; the group stays in byte form."""
     if config._symmetry is not None:
         return config._symmetry
     names = config.vertices
@@ -954,24 +924,19 @@ def enumerate_actions(config, n, c, census_filter=None) -> list[GraphAction]:
     of a reduced key orders permutations as graph_automorphisms lists them,
     and p comes first in its class.
 
-    Each pulled-back anchor has a plan, its saturation run once with w and c
-    as symbols (_plan).  A call saturates only the weights _anchor_weights
-    keeps: those that pass every constraint the plan recorded, and of those
-    at which a form the plan assumed nonzero vanishes, where _saturate takes
-    another path, the ones the sub-plan walked from that weight keeps.  A
-    weight where a sub-plan's own assumed form vanishes too, or where a
-    form k c vanishes, is kept for _saturate to decide.  Every other weight
-    is refuted exactly, so the survivors are those of saturating every w in
-    Z_n; each is still built by the concrete walk of _saturate.  On the
-    fixture graph (16, 1) saturates its 8 survivors instead of 224 weights.
+    Each pulled-back anchor has a plan per (n, c mod n), its saturation run
+    once with the anchor weight as the only symbol (_plan), which keeps
+    exactly the weights from which _saturate succeeds.  So a call saturates
+    only its survivors, each by the concrete walk of _saturate: on the
+    fixture graph (16, 1) and (16, 0) each saturate their 8 survivors
+    instead of 224 weights.
 
     Aut(G), its classes, each representative's frame, moves, and pulled-back
-    anchors with their plans and transporters depend on the graph alone:
-    they are built once per config, on the first call (see _symmetry), and
-    each sub-plan on the first call that needs it.  Each call solves the
-    plans for its (n, c) and runs the saturations, the C(p)-orbit
-    deduplication, the census filter and the transport of each
-    representative.
+    anchors with their transporters depend on the graph alone: they are
+    built once per config, on the first call (see _symmetry), and the plans
+    of each (n, c mod n) on the first call for it.  Each call runs the
+    saturations, the C(p)-orbit deduplication, the census filter and the
+    transport of each representative.
     """
     if n < 1:
         raise InputError(f"order must be at least 1, got {n}")
@@ -981,11 +946,8 @@ def enumerate_actions(config, n, c, census_filter=None) -> list[GraphAction]:
     for perm, frame, moves, anchors in _symmetry(config)[1]:
         seen: set[tuple] = set()
         for anchor, (plans, r) in anchors.items():
-            for w in _anchor_weights(plans, n, c):
-                try:
-                    action = _saturate(config, perm, n, c, {anchor: w}, frame=frame)
-                except RigidityError:
-                    continue
+            for w in plans(n, c % n):
+                action = _saturate(config, perm, n, c, {anchor: w}, frame=frame)
                 if action.reduced_key() in seen:
                     continue
                 keys = {_transport(action, h).reduced_key() for h in moves()}

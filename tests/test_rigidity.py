@@ -1380,24 +1380,24 @@ def count_calls(monkeypatch, *targets):
 
 def test_enumeration_transports_once_per_class(monkeypatch):
     # Aut(G) of the fixture has 240 members in 14 conjugacy classes, all with
-    # a fixed edge; their representatives have 14 distinct pulled-back
-    # anchors in all.  The plan of each anchor refutes every weight but the
-    # 8 survivors and 30 weights at which a form it assumed nonzero vanishes
-    # (w = 0 and w = c among them).  Each of those 30 is decided by the
-    # sub-plan walked from it (30 sub-plans, built on this first call), and
-    # every one is refuted, so only the 8 survivors are saturated, against
-    # 14 * 16 = 224 for one per anchor and weight (the reference, one scan
-    # per automorphism, makes 3,840).  One frame per class (14 automorphism
+    # a fixed edge; their representatives have 14 distinct pulled-back anchors
+    # in all.  Each anchor has one plan for (16, 1), built on this first call
+    # (14 plans).  A plan keeps exactly the weights that saturate: it decides
+    # the 30 weights at which a form it assumed nonzero vanishes (w = 0 and
+    # w = c among them) by a concrete walk, which is not a saturation, and
+    # refutes all of them.  So only the 8 survivors are saturated, against
+    # 14 * 16 = 224 for one per anchor and weight (the reference, one scan per
+    # automorphism, makes 3,840).  One frame per class (14 automorphism
     # checks); each saturation walks the frame it was given and is not
-    # validated again, so no other frame is built.  Each of the 8 classes
-    # of actions transports its survivor along one member of the
-    # centraliser of its permutation per distinct restriction to the fixed
-    # curves (9 in all, against 330 members), whose least key is the class
-    # key, and its representative along its transporter (8).  The census
-    # runs once per class of actions in the filtered run; rejecting a class
-    # records its centraliser orbit, so no conjugate survivor is censused
-    # again.  A fresh config, so the count does not depend on which test
-    # enumerated on the shared one first.
+    # validated again, so no other frame is built.  Each of the 8 classes of
+    # actions transports its survivor along one member of the centraliser of
+    # its permutation per distinct restriction to the fixed curves (9 in all,
+    # against 330 members), whose least key is the class key, and its
+    # representative along its transporter (8).  The census runs once per
+    # class of actions in the filtered run; rejecting a class records its
+    # centraliser orbit, so no conjugate survivor is censused again.  A fresh
+    # config, so the count does not depend on which test enumerated on the
+    # shared one first.
     config = load_graph_text(fixture_text("order16_graph.txt"))[0]
     calls = count_calls(
         monkeypatch,
@@ -1420,11 +1420,11 @@ def test_enumeration_transports_once_per_class(monkeypatch):
         "graph_automorphisms": 1,
         "_conjugacy_classes": 1,
         "_frame": 14,
-        "_plan": 14 + 30,
+        "_plan": 14,
     }
     # The second call reads the group, classes, frames, moves, anchors and
-    # plans, sub-plans included, from the config: it builds and checks no
-    # frame, walks no plan, and the saturations and transports are the same.
+    # the plans for (16, 1) from the config: it builds and checks no frame,
+    # walks no plan, and the saturations and transports are the same.
     calls.update(dict.fromkeys(calls, 0))
     assert action_data(enumerate_actions(config, 16, 1)) == action_data(classes)
     assert calls == {
@@ -1546,23 +1546,16 @@ D4 = CurveConfig(["e1", "e2", "e3", "e4"], [("e1", "e2", 1), ("e2", "e3", 1), ("
 
 
 def d4_saturations(n, c):
-    """The saturations enumerate_actions(D4, n, c) runs.  The identity has
-    one anchor; its plan fails (c - w on e2, which has three fixed points)
-    and assumes the weight c at e3 and e4 nonzero, so with c = 0 every w is
-    saturated.  Otherwise only w = 0 and w = c, where an assumed form
-    vanishes, are left, and their sub-plans refute w = 0 (c on e2) and keep
-    w = c (e2 pointwise fixed).  The transpositions have two anchors; for
-    even n each is saturated at the one weight whose rotation order on e2
-    is 2 (w = c + n/2 from e1, w = n/2 from e2).  Their weights w = 0 and
-    w = c are decided by sub-plans: each makes e2 pointwise fixed with the
-    mobile e3 and e4, or puts c on e2 from e1, which rotates with order 2
-    only when c = n/2, and so is kept there as the weight above; the one
-    exception is w = 0 from e1 with c = 0, where the sub-plan's own form c
-    vanishes too, and that weight is saturated.  The 3-cycles fix no
-    edge."""
-    identity = 1 if c else n
+    """The saturations enumerate_actions(D4, n, c) runs: one per survivor,
+    since each plan keeps exactly the weights that saturate.  The identity
+    has one anchor, on e1, and survives at w = c alone: e2 has three fixed
+    points, so it is fixed pointwise, and the volume rule gives it c - w.
+    The transpositions have two anchors; for even n each survives at the
+    one weight whose rotation order on e2 is 2 (w = c + n/2 from e1,
+    w = n/2 from e2), and for odd n at none.  The 3-cycles fix no edge."""
+    identity = 1
     transpositions = 0 if n % 2 else 2
-    return identity + transpositions + (c == 0)
+    return identity + transpositions
 
 
 def test_a_class_with_two_anchors_matches_the_reference(monkeypatch):
@@ -1583,17 +1576,33 @@ def test_a_class_with_two_anchors_matches_the_reference(monkeypatch):
     assert found > 0
 
 
+def test_warm_enumeration_saturates_only_its_survivors(monkeypatch):
+    # Every weight is decided by its anchor's plan for (n, c mod n), for
+    # even c as for odd c, and none is left for _saturate to refute.  So
+    # once a call has built the plans, a call with the same (n, c)
+    # saturates exactly its survivors: the 8 classes of each case below
+    # have one survivor each, and (3, 1) has none.
+    config = fresh_copy(CFG)
+    calls = count_calls(monkeypatch, (rigidity, "_saturate"))
+    for n, c, survivors in ((16, 0, 8), (16, 4, 8), (16, 8, 8), (6, 3, 8), (2, 1, 8), (3, 1, 0)):
+        classes = enumerate_actions(config, n, c)
+        calls["_saturate"] = 0
+        assert action_data(enumerate_actions(config, n, c)) == action_data(classes)
+        assert len(classes) == calls["_saturate"] == survivors, (n, c)
+
+
 def test_interchangeable_curves_cost_one_saturation_per_class_and_weight(monkeypatch):
     # The edge w-v1 and 7 isolated curves: Aut(G) = Z/2 x S7 has 10,080
     # members in 30 conjugacy classes.  The 15 classes that fix w and v1 (one
     # per cycle type of S7) have the fixed edge, each with one anchor; the
     # reference saturates once per weight for each of the 5,040 automorphisms
     # that fix the edge.  With n = 2 every weight is one where a form a plan
-    # assumed nonzero vanishes (w = 0, and c - w at w = 1), so the sub-plans
-    # decide them all.  A permutation that fixes an isolated curve leaves it
+    # assumed nonzero vanishes (w = 0, and c - w at w = 1), so concrete
+    # walks in the plans decide them all, and only the survivors are
+    # saturated.  A permutation that fixes an isolated curve leaves it
     # underdetermined, so the 11 cycle types of S7 with a fixed point are
-    # refuted, and each of the 4 without one (7, 5+2, 4+3, 3+2+2) saturates
-    # both weights; the swap of w and v1 makes the two conjugate.
+    # refuted, and each of the 4 without one (7, 5+2, 4+3, 3+2+2) survives
+    # at both weights; the swap of w and v1 makes the two conjugate.
     cfg = CurveConfig(["w", "v1"] + [f"x{i}" for i in range(7)], [("w", "v1", 1)])
     calls = count_calls(monkeypatch, (rigidity, "_saturate"))
     classes = enumerate_actions(cfg, 2, 1)
@@ -1604,94 +1613,54 @@ def test_interchangeable_curves_cost_one_saturation_per_class_and_weight(monkeyp
 # -- anchor-weight plans against saturation ------------------------------------
 
 
-def plan_decision(plan, n, c, w):
-    """What a plan, as _plan returns it, says of the concrete walk from the
-    anchor weight w: None when a form it assumed nonzero vanishes, since the
-    walk then takes another path; otherwise whether the walk succeeds,
-    which needs a plan that did not fail, every recorded difference 0 mod n
-    and every rotation order equal to its orbit length."""
-    nonzero, equal, rotations, failed = plan
-    if any((s * w + k * c) % n == 0 for s, k in nonzero):
-        return None
-    return (
-        not failed
-        and all((s * w + k * c) % n == 0 for s, k in equal)
-        and all(n // gcd(n, s * w + k * c) == length for (s, k), length in rotations)
-    )
-
-
 def assert_plans_match_saturation(config, cases):
-    """For every class and anchor of enumerate_actions, (n, c) in cases and w
-    in Z_n, saturated by the reference walk rather than the one the plans
-    run: a weight _anchor_weights refutes does not saturate, and a kept
-    weight that no plan or sub-plan defers saturates.
-
-    The plan from w decides w unless a form it assumed nonzero vanishes
-    there.  A vanishing form k c defers every weight.  A vanishing form
-    s w + k c (s = +-1, w = -s k c) hands w to the sub-plan from the seed
-    (0, -s k), which defers it when a form of its own vanishes too; w is
-    deferred when every such sub-plan defers it.  Every decision of the
-    plan and of each sub-plan that does not defer must match the
-    reference.  Returns how many weights were refuted, kept and deferred."""
-    seen = {"refuted": 0, "kept": 0, "deferred": 0}
+    """For every class and anchor of enumerate_actions and (n, c) in cases,
+    the anchor's plan keeps exactly the weights w in Z_n, in increasing
+    order, from which the reference walk, not the one the plans run,
+    saturates.  Returns the number of (anchor, n, c) pairs and of kept
+    weights."""
+    pairs = kept = 0
     for perm, frame, _moves, anchors in rigidity._symmetry(config)[1]:
         for anchor, (plans, _r) in anchors.items():
-            plan = plans((1, 0))
             for n, c in cases:
-                kept = rigidity._anchor_weights(plans, n, c)
-                for w in range(n):
-                    outcome = saturation_outcome(
+                want = tuple(
+                    w
+                    for w in range(n)
+                    if saturation_outcome(
                         config, perm, n, c, anchor, w, frame, saturate=_reference_saturate
                     )
-                    where = (perm, anchor, n, c, w)
-                    vanished = [(s, k) for s, k in plan[0] if (s * w + k * c) % n == 0]
-                    if any(not s for s, k in vanished):
-                        decisions = [None]
-                    elif vanished:
-                        decisions = [
-                            plan_decision(plans((0, -s * k)), n, c, w) for s, k in vanished
-                        ]
-                    else:
-                        decisions = [plan_decision(plan, n, c, w)]
-                    for decision in decisions:
-                        assert decision in (None, outcome is not None), where
-                    if w not in kept:
-                        assert outcome is None, where
-                        seen["refuted"] += 1
-                    elif all(decision is None for decision in decisions):
-                        seen["deferred"] += 1
-                    else:
-                        assert outcome is not None, where
-                        seen["kept"] += 1
-    return seen
+                    is not None
+                )
+                assert plans(n, c) == want, (perm, anchor, n, c)
+                pairs += 1
+                kept += len(want)
+    return pairs, kept
 
 
 def test_plans_match_saturation_on_the_fixture_sweep():
     cases = sorted({(n, c) for n, c, _filter in SWEEP})
-    seen = assert_plans_match_saturation(CFG, cases)
-    assert min(seen.values()) > 0, seen
-    # With c odd and n = 8 or 16 no form k c of the fixture's plans or
-    # sub-plans vanishes (|k| <= 4), so nothing is deferred.
-    odd = [(n, c) for n, c in cases if n in (8, 16) and c % 2]
-    assert assert_plans_match_saturation(CFG, odd)["deferred"] == 0
+    pairs, kept = assert_plans_match_saturation(CFG, cases)
+    assert pairs == 14 * len(cases) == 560
+    assert kept > 0
 
 
 @settings(max_examples=150, deadline=None)
-@given(small_configs(), st.sampled_from([1, 2, 3, 4, 6, 8]), st.data())
-def test_plans_match_saturation_on_small_graphs(config, n, data):
-    c = data.draw(st.integers(0, n - 1))
-    assert_plans_match_saturation(config, sorted({(n, c), (n, 0)}))
+@given(small_configs(), st.sampled_from([1, 2, 3, 4, 6, 8]))
+def test_plans_match_saturation_on_small_graphs(config, n):
+    assert_plans_match_saturation(config, [(n, c) for c in range(n)])
 
 
 def test_plans_match_saturation_where_a_difference_carries_two_w():
     # A triangle with one tangency: one flag is reached with two forms whose
     # difference is -2w - 2c, which pins no single weight: with n = 4 and
-    # c = 0 both w = 0 and w = 2 pass it.
+    # c = 0 it is -2w, and both w = 0 and w = 2 pass it.
     config = CurveConfig(["v0", "v1", "v2"], [("v0", "v1", 2), ("v0", "v2", 1), ("v1", "v2", 1)])
-    (_perm, _frame, _moves, anchors), = rigidity._symmetry(config)[1]
-    (plans, _r), = anchors.values()
-    assert plans((1, 0))[1] == ((-2, -2),)
-    assert rigidity._anchor_weights(plans, 4, 0) == [0, 2]
+    (_perm, frame, _moves, anchors), = rigidity._symmetry(config)[1]
+    (anchor, (plans, _r)), = anchors.items()
+    plan = ({}, {}, {})
+    rigidity._walk(frame, {anchor: (1, 0)}, {}, 4, 0, plan)
+    assert tuple(plan[1]) == ((-2, 0),)
+    assert plans(4, 0) == (0, 2)
     assert_plans_match_saturation(config, [(n, c) for n in (1, 2, 3, 4, 6, 8) for c in range(n)])
 
 
